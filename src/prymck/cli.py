@@ -1,7 +1,7 @@
 """Command line interface: single problems, batch tables, self checks.
 
 Exit codes: 0 success, 1 selfcheck failure, 2 input validation failure,
-3 Euler characteristic route mismatch under --verify.
+3 Euler characteristic route mismatch under --verify, 4 internal error.
 """
 
 from __future__ import annotations
@@ -417,6 +417,10 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault in prymck itself, not in the input
+        detail = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"error: internal: {detail}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

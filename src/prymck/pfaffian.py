@@ -91,12 +91,6 @@ class SkewMatrix:
         """Full grid as a list of lists (diagonal entries are int 0)."""
         return [[self.entry(i, j) for j in range(self._n)] for i in range(self._n)]
 
-    def with_swapped(self, i: int, j: int) -> "SkewMatrix":
-        """Simultaneously exchange rows and columns i and j."""
-        perm = list(range(self._n))
-        perm[i], perm[j] = perm[j], perm[i]
-        return SkewMatrix.from_upper(self._n, lambda a, b: self.entry(perm[a], perm[b]))
-
 
 def augment_odd(m: SkewMatrix, row0) -> SkewMatrix:
     """Prepend a boundary index 0 with the given first row.

@@ -33,6 +33,7 @@ record carries an expected_empty flag.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -97,15 +98,34 @@ class PrymProblem:
         return self.dim_prym - self.codim
 
 
+def _strict_int(value, what: str) -> int:
+    """value as an int when it is a genuine integer (not a bool, float or str)."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValidationError(f"{what} must be an integer (got {value!r})")
+
+
+def _strict_ints(values, what: str) -> tuple:
+    try:
+        items = tuple(values)
+    except TypeError:
+        raise ValidationError(f"{what} must be a sequence of integers (got {values!r})") from None
+    return tuple(_strict_int(x, f"{what} entry") for x in items)
+
+
 def build_problem(g: int, r: int, a) -> PrymProblem:
     """Validate (g, r, a) and derive the partition data.
 
     Bounds: g >= 2, r >= 0, a has r + 1 entries with
-    0 <= a_0 < a_1 < ... < a_r <= 2g - 2.
+    0 <= a_0 < a_1 < ... < a_r <= 2g - 2. g, r and the entries of a must be
+    genuine integers; floats, strings and bools raise ValidationError.
     """
-    g = int(g)
-    r = int(r)
-    a = tuple(int(x) for x in a)
+    g = _strict_int(g, "genus")
+    r = _strict_int(r, "r")
+    a = _strict_ints(a, "vanishing sequence")
     if g < 2:
         raise ValidationError(f"genus must be at least 2 (got g={g})")
     if r < 0:
@@ -170,7 +190,7 @@ def strict_partitions(max_size: int, max_len: int, max_part: int):
 
 
 def _validated_strict(lam) -> tuple:
-    lam = tuple(int(p) for p in lam)
+    lam = _strict_ints(lam, "partition")
     if any(p <= 0 for p in lam):
         raise ValueError(f"partition parts must be positive, got {lam}")
     if any(lam[i] <= lam[i + 1] for i in range(len(lam) - 1)):

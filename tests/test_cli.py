@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import prymck.cli as cli
 import prymck.prym_bn as prym_bn
 from prymck.cli import main
 from prymck.series_ring import ThetaPoly
@@ -72,6 +73,17 @@ def test_class_validation_exit_2(capsys):
     assert out == ""
     assert "a_r exceeds 2g-2" in err
     assert err.count("\n") == 1  # one-line diagnostic
+
+
+def test_internal_error_exit_4(capsys, monkeypatch):
+    def broken(problem, beta_mode):
+        raise RuntimeError("entry table\ncorrupted")
+
+    monkeypatch.setattr(cli, "class_result", broken)
+    code, out, err = run_cli(capsys, "class", "--genus", "4", "--vanishing", "1,2")
+    assert code == 4
+    assert out == ""
+    assert err == "error: internal: RuntimeError: entry table corrupted\n"
 
 
 def test_chi_plain(capsys):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from prymck.exact_arith import abel_coefficient
+from prymck.exact_arith import abel_coefficient, factorial
 from prymck.operator_engine import (
     SYMBOLIC,
     ShiftMonomial,
@@ -11,11 +11,36 @@ from prymck.operator_engine import (
     interaction_expansion,
     prefactor_expansion,
 )
-from prymck.series_ring import ThetaPoly
+from prymck.series_ring import BetaPoly, ThetaPoly
 
 
 IDENTITY_OP = ShiftOperatorPoly((ShiftMonomial(Fraction(1), 0, 0),))
 TRIVIAL_PRE = (Fraction(1),)
+MODES = (0, -1, SYMBOLIC)
+
+
+def reference_apply(op, base, prefactors_i, prefactors_j, cap):
+    """Direct O(cap^4) sum over (v_i, v_j, operator term): the reference
+    that apply_pair_operator's two-stage integer kernel must reproduce."""
+    li, lj = base
+    out = [0] * (cap + 1)
+    for vi, pi in enumerate(prefactors_i):
+        if vi > cap or not pi:
+            continue
+        for vj, pj in enumerate(prefactors_j):
+            if vj > cap or not pj:
+                continue
+            pij = pi * pj
+            for t in op.terms:
+                ii = li + vi + t.raise_i
+                jj = lj + vj - t.lower_j
+                if jj < 0:
+                    continue
+                d = ii + jj
+                if d > cap:
+                    continue
+                out[d] = out[d] + pij * t.coeff * Fraction(1, factorial(ii) * factorial(jj))
+    return ThetaPoly(cap, out)
 
 
 def test_prefactor_examples():
@@ -150,3 +175,90 @@ def test_bad_beta_mode_rejected():
 def test_expansions_are_cached():
     assert prefactor_expansion(2, 6, -1) is prefactor_expansion(2, 6, -1)
     assert interaction_expansion(6, 0) is interaction_expansion(6, 0)
+
+
+@pytest.mark.parametrize("cap", range(16))
+@pytest.mark.parametrize("mode", MODES)
+def test_kernel_matches_reference(mode, cap):
+    # every base pair up to cap + 1 on each side, so entries with nothing
+    # in range are covered; the prefactor shifts run through -8..3
+    op = interaction_expansion(cap, mode)
+    for li in range(cap + 2):
+        for lj in range(cap + 2):
+            si = -8 + (li + 3 * lj + cap) % 12
+            sj = -8 + (5 * li + lj + 7) % 12
+            args = (op, (li, lj), prefactor_expansion(si, cap, mode), prefactor_expansion(sj, cap, mode), cap)
+            got, want = apply_pair_operator(*args), reference_apply(*args)
+            assert got == want, (li, lj, si, sj)
+            # a reached degree whose terms cancel is a Fraction or BetaPoly,
+            # an unreached one int 0; JSON tells BetaPoly() apart from 0
+            assert got.to_json_dict() == want.to_json_dict(), (li, lj, si, sj)
+            assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+
+
+def test_kernel_matches_reference_on_hand_built_operators():
+    # lowerings past the base, off-triangle terms and zero coefficients
+    plain_ops = (
+        IDENTITY_OP,
+        ShiftOperatorPoly((ShiftMonomial(Fraction(1), 0, 2),)),
+        ShiftOperatorPoly((ShiftMonomial(Fraction(3), 2, 0), ShiftMonomial(Fraction(0), 1, 3))),
+    )
+    plain_pre = (Fraction(1, 2), Fraction(0), Fraction(-3, 8))
+    beta_op = ShiftOperatorPoly(
+        (ShiftMonomial(BetaPoly({1: 2}), 2, 1), ShiftMonomial(BetaPoly({0: -1}), 1, 1), ShiftMonomial(BetaPoly(), 0, 2))
+    )
+    beta_trivial = (BetaPoly({0: 1}),)
+    beta_pre = (BetaPoly({0: Fraction(1, 2)}), BetaPoly(), BetaPoly({2: Fraction(-3, 8)}))
+    cases = [(op, TRIVIAL_PRE, plain_pre) for op in plain_ops] + [(beta_op, beta_trivial, beta_pre)]
+    for op, trivial, pre in cases:
+        for base in ((0, 0), (1, 2), (3, 0)):
+            for pre_i, pre_j in ((trivial, trivial), (pre, trivial), (trivial, pre), (pre, pre)):
+                got = apply_pair_operator(op, base, pre_i, pre_j, 6)
+                want = reference_apply(op, base, pre_i, pre_j, 6)
+                assert got == want and got.to_json_dict() == want.to_json_dict(), (op, base)
+                assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+
+
+def test_kernel_rejects_non_dyadic_prefactor():
+    op = interaction_expansion(4, -1)
+    with pytest.raises(ValueError, match="integral"):
+        apply_pair_operator(op, (1, 0), (Fraction(1, 3),), TRIVIAL_PRE, 4)
+    with pytest.raises(ValueError, match="integral"):
+        # 1/64 needs 2^6, the scale at cap 4 is 2^5
+        apply_pair_operator(op, (1, 0), (Fraction(1, 64),), TRIVIAL_PRE, 4)
+
+
+def test_kernel_rejects_non_integral_operator():
+    op = ShiftOperatorPoly((ShiftMonomial(Fraction(1, 2), 0, 0),))
+    with pytest.raises(ValueError, match="not integral"):
+        apply_pair_operator(op, (1, 0), TRIVIAL_PRE, TRIVIAL_PRE, 3)
+
+
+def test_kernel_rejects_inhomogeneous_symbolic_input():
+    cap = 4
+    op = interaction_expansion(cap, SYMBOLIC)
+    pre = prefactor_expansion(-1, cap, SYMBOLIC)
+    wrong_exponent = (pre[0], BetaPoly({2: 1}))
+    two_terms = (pre[0], BetaPoly({0: 1, 1: 1}))
+    for bad in (wrong_exponent, two_terms):
+        with pytest.raises(ValueError, match="multiple of beta"):
+            apply_pair_operator(op, (1, 0), bad, pre, cap)
+    bad_op = ShiftOperatorPoly((ShiftMonomial(BetaPoly({0: 1}), 1, 0),))
+    with pytest.raises(ValueError, match="multiple of beta"):
+        apply_pair_operator(bad_op, (1, 0), pre, pre, cap)
+
+
+def test_kernel_rejects_mixed_coefficient_kinds():
+    cap = 4
+    sym_op, sym_pre = interaction_expansion(cap, SYMBOLIC), prefactor_expansion(-1, cap, SYMBOLIC)
+    plain_op, plain_pre = interaction_expansion(cap, -1), prefactor_expansion(-1, cap, -1)
+    for op, pre_i, pre_j in (
+        (sym_op, plain_pre, sym_pre),
+        (sym_op, sym_pre, (sym_pre[0], Fraction(1, 4))),
+        (plain_op, sym_pre, plain_pre),
+    ):
+        with pytest.raises(ValueError, match="like the operator"):
+            apply_pair_operator(op, (1, 0), pre_i, pre_j, cap)
+    mixed_op = ShiftOperatorPoly((ShiftMonomial(BetaPoly({0: 1}), 0, 0), ShiftMonomial(Fraction(1), 1, 1)))
+    with pytest.raises(ValueError, match="like the operator"):
+        apply_pair_operator(mixed_op, (1, 0), sym_pre, sym_pre, cap)

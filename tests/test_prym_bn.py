@@ -56,6 +56,29 @@ def test_build_problem_bounds():
         build_problem(3, 2, (0, 1))  # wrong length
 
 
+def test_build_problem_rejects_non_integers():
+    for g, r, a in (
+        (2.7, 0, (0.9,)),  # once truncated silently to g=2, a=(0,)
+        (3.0, 1, (0, 1)),
+        ("3", 1, (0, 1)),
+        (3, "1", (0, 1)),
+        (3, 1, "01"),
+        (3, 1, ("0", "1")),
+        (3, 1, (0, 1.0)),
+        (True, 0, (0,)),
+        (3, 1, (False, True)),
+        (3, 0, 1),
+    ):
+        with pytest.raises(ValidationError):
+            build_problem(g, r, a)
+
+
+def test_partition_rejects_non_integers():
+    for lam in ((2.0, 1), ("2", "1"), "21", (True,)):
+        with pytest.raises(ValidationError):
+            chow_class_closed(lam)
+
+
 def test_expected_empty_flag():
     p = build_problem(3, 1, (3, 4))
     assert p.expected_empty
@@ -319,3 +342,26 @@ def test_class_result_kinds():
     assert "engine-convention-symbolic-beta" in ress.flags
     with pytest.raises(ValueError):
         class_result(p, 2)
+
+
+# ------------------------------------------------- large-genus closed forms
+
+
+@pytest.mark.parametrize("g, lam", [(30, (7, 6, 5, 4, 3, 2, 1)), (40, (8, 6, 5, 4, 3, 2))])
+def test_ch_k_leading_term_large_genus(g, lam):
+    p = problem_from_partition(g, lam)
+    assert ch_k_class(p).coeff(p.codim) == chow_class_closed(lam)
+
+
+@pytest.mark.parametrize("g, lam", [(22, (8, 6, 4, 2, 1)), (29, (9, 7, 5, 4, 2, 1))])
+def test_zero_dimensional_degree_large_genus(g, lam):
+    # |lambda| = g - 1: the locus is finite and chi counts its degree
+    p = problem_from_partition(g, lam)
+    assert p.rho == 0
+    assert euler_oracle(p) == chow_class_closed(lam) * 2 ** (g - 1) * factorial(g - 1)
+
+
+@pytest.mark.parametrize("g", [10, 40, 80])
+def test_theta_divisor_chi_both_routes(g):
+    p = problem_from_partition(g, (1,))
+    assert euler_oracle(p) == euler_theorem(p) == (-1) ** g
