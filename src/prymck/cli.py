@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,19 +47,6 @@ class RunRequest:
     g_max: int = 2
     max_len: int = 1
     quick: bool = False
-
-
-def _workers() -> int:
-    raw = os.environ.get("PRYM_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValidationError(f"PRYM_THREADS must be an integer (got {raw!r})")
-    if n < 0:
-        raise ValidationError(f"PRYM_THREADS must be nonnegative (got {n})")
-    if n == 0:
-        n = os.cpu_count() or 1
-    return n
 
 
 def _parse_vanishing(text: str) -> tuple:
@@ -262,8 +247,7 @@ def _table_rows(req: RunRequest):
     return rows
 
 
-def _table_entry(args):
-    g, lam = args
+def _table_entry(g, lam):
     p = problem_from_partition(g, lam)
     return {
         "g": g,
@@ -286,13 +270,7 @@ def run_table(req: RunRequest, out) -> int:
         raise ValidationError(
             f"max_len must be between 1 and {_TABLE_LEN_MAX} (got {req.max_len})"
         )
-    jobs = _table_rows(req)
-    workers = _workers()
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(_table_entry, jobs))
-    else:
-        entries = [_table_entry(job) for job in jobs]
+    entries = [_table_entry(g, lam) for g, lam in _table_rows(req)]
     if req.output == "json":
         out(json.dumps({"rows": entries, "meta": _meta_block("-1", (), {"relation": "theta_prime = 2*xi"})}, indent=2))
         return 0

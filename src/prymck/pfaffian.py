@@ -6,10 +6,9 @@ algorithms never look inside an entry.
 
 Two independent evaluation routes are provided: the signed perfect-matching
 expansion with (n-1)!! terms, which is the production path, and the
-normalized sum over all n! permutations, kept because the Euler
-characteristic formula is organized in that shape and must be validated
-against it. A fraction-free determinant gives a third cross-check through
-Pf(M)^2 == det(M).
+normalized sum over all n! permutations, which shares no code with it and
+serves selfcheck and the tests as an independent engine. A fraction-free
+determinant gives a third cross-check through Pf(M)^2 == det(M).
 """
 
 from __future__ import annotations

@@ -20,10 +20,12 @@ Class computations:
 The holomorphic Euler characteristic is computed by two independent
 routes. euler_oracle integrates the top coefficient of ch_k_class against
 the theta polarization. euler_theorem evaluates the closed summation
-formula over shift sequences, permutations and degree distributions; only
-terms whose total degree equals g - 1 survive integration, and the
+formula over shift sequences, signed matchings and degree distributions;
+only terms whose total degree equals g - 1 survive integration, and the
 divergent alternating prefactor sums are taken in Abel-summed form. The
-two routes must agree exactly, which the test suite and the command line
+routes share no series or entry code, and the theorem route enumerates
+and signs its own matchings instead of calling the oracle's Pfaffian
+engine. They must agree exactly, which the test suite and the command line
 verification switch enforce.
 
 Problems whose codimension exceeds g - 1 are computed rather than
@@ -36,7 +38,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from functools import cache
 from math import comb
 
 from .exact_arith import abel_coefficient, factorial
@@ -337,19 +339,44 @@ def g_coeff(m: int, i: int, j: int, lam, v) -> Fraction:
     return total if m % 2 == 0 else -total
 
 
+@cache
+def _pair_coeff(coeff, m: int, ni: int, nj: int) -> Fraction:
+    """coeff(m, i, j, lam, v) for i < j with lam_i + v_i = ni, lam_j + v_j = nj.
+
+    g_coeff depends on (lam, v) only through those two sums, so one entry
+    serves every shift sequence and every problem. ni is None for the
+    boundary index 0. The coefficient function is part of the key, so a
+    replaced g_coeff never reads values another one computed.
+    """
+    if ni is None:
+        return coeff(m, 0, 1, (nj,), (0,))
+    return coeff(m, 1, 2, (ni, nj), (0, 0))
+
+
 class GTable:
-    """Memoized antisymmetric table of g_coeff values for one (lam, v)."""
+    """Antisymmetric view of g_coeff values for one (lam, v).
+
+    Values come from a cache shared by every table, keyed on the degree
+    and the two sums lam_i + v_i, lam_j + v_j; g_coeff runs only on a miss.
+    """
 
     def __init__(self, lam, v):
         self.lam = tuple(lam)
         self.v = tuple(v)
-        self._cache = {}
+        if len(self.v) != len(self.lam):
+            raise ValueError(
+                f"GTable: shift sequence has length {len(self.v)}, expected {len(self.lam)}"
+            )
+        self._n = (None,) + tuple(p + x for p, x in zip(self.lam, self.v))
 
     def value(self, m: int, i: int, j: int) -> Fraction:
-        key = (m, i, j)
-        if key not in self._cache:
-            self._cache[key] = g_coeff(m, i, j, self.lam, self.v)
-        return self._cache[key]
+        if m < 0 or not (0 <= i < len(self._n) and 0 <= j < len(self._n)):
+            return g_coeff(m, i, j, self.lam, self.v)  # raises ValueError
+        if i == j:
+            return Fraction(0)
+        if i < j:
+            return _pair_coeff(g_coeff, m, self._n[i], self._n[j])
+        return -_pair_coeff(g_coeff, m, self._n[j], self._n[i])
 
 
 def enumerate_f(sigma, k: int, n_pairs: int):
@@ -391,16 +418,45 @@ def _bounded_sequences(length, max_sum):
             yield (first,) + rest
 
 
+def _signed_arrangements(indices) -> list:
+    """(sign, sigma) for every canonical arrangement of the sorted indices.
+
+    A canonical arrangement pairs off the indices as (sigma[0], sigma[1]),
+    (sigma[2], sigma[3]), ... with sigma[2b] < sigma[2b+1] and the pairs
+    ordered by their first index; there is one per perfect matching, so
+    (n-1)!! in all. Each is signed by perm_sign of the flat arrangement.
+    """
+
+    def arrangements(rest):
+        if not rest:
+            yield ()
+            return
+        first = rest[0]
+        for pos in range(1, len(rest)):
+            for tail in arrangements(rest[1:pos] + rest[pos + 1 :]):
+                yield (first, rest[pos]) + tail
+
+    return [(perm_sign(sigma), sigma) for sigma in arrangements(tuple(indices))]
+
+
 def euler_theorem(problem: PrymProblem) -> Fraction:
     """Euler characteristic by the closed summation formula.
 
-    Sums over shift sequences v, permutations of the (possibly augmented)
-    index set paired off in order, and distributions f of the interaction
-    degree k over the pairs. Integration kills every total degree except
-    g - 1, so the sum is restricted to |lambda| + |v| + k = g - 1; each
-    surviving term carries the weight h! / (2^(n/2 - h) (n/2)!) with
-    h = g - 1 and n the (augmented) matrix size. The alternating u-sums
-    are evaluated as abel_coefficient(s_i, v_i).
+    Sums over shift sequences v, signed perfect matchings of the (possibly
+    augmented) index set, and distributions f of the interaction degree k
+    over the pairs. Integration kills every total degree except g - 1, so
+    the sum is restricted to |lambda| + |v| + k = g - 1; each surviving
+    term carries the weight h! * 2^h with h = g - 1. The alternating
+    u-sums are evaluated as abel_coefficient(s_i, v_i).
+
+    The formula is stated as a sum over all n! arrangements of the n
+    indices, paired off in order, with weight h! / (2^(n/2 - h) (n/2)!).
+    Swapping the two indices of a pair flips both the sign and the pair
+    coefficient, which is antisymmetric; permuting whole pairs keeps the
+    sign and permutes the f-distributions among themselves. Every term is
+    therefore repeated 2^(n/2) (n/2)! times, once for each arrangement of
+    one perfect matching, and the sum over the (n-1)!! matchings with
+    weight h! * 2^h is the same number.
 
     Must equal euler_oracle exactly.
     """
@@ -411,7 +467,8 @@ def euler_theorem(problem: PrymProblem) -> Fraction:
         return Fraction(0)
     indices = tuple(range(1, ell + 1)) if ell % 2 == 0 else tuple(range(ell + 1))
     half = len(indices) // 2
-    weight = Fraction(factorial(h) * 2**h, 2**half * factorial(half))
+    arrangements = _signed_arrangements(indices)
+    pairs = [(i, j) for n, i in enumerate(indices) for j in indices[n + 1 :]]
     total = Fraction(0)
     for v in _bounded_sequences(ell, budget):
         k = budget - sum(v)
@@ -421,22 +478,30 @@ def euler_theorem(problem: PrymProblem) -> Fraction:
         if not pre:
             continue
         table = GTable(lam, v)
+        # the boundary index 0 sits in slot 0 of every canonical
+        # arrangement, so all of them share one set of distributions, and
+        # those put degree 0 on the boundary pair
+        rows = {
+            (i, j): [table.value(m, i, j) for m in range(k + 1 if i else 1)]
+            for i, j in pairs
+        }
+        dists = enumerate_f(arrangements[0][1], k, half)
         inner = Fraction(0)
-        for sigma in permutations(indices):
-            sign = perm_sign(sigma)
-            pairs = tuple((sigma[2 * b], sigma[2 * b + 1]) for b in range(half))
-            for f in enumerate_f(sigma, k, half):
+        for sign, sigma in arrangements:
+            slots = [rows[sigma[2 * b], sigma[2 * b + 1]] for b in range(half)]
+            acc = Fraction(0)
+            for f in dists:
                 prod = Fraction(1)
-                for (pi, pj), fm in zip(pairs, f):
-                    val = table.value(fm, pi, pj)
+                for row, fm in zip(slots, f):
+                    val = row[fm]
                     if not val:
-                        prod = Fraction(0)
                         break
                     prod *= val
-                if prod:
-                    inner += prod if sign > 0 else -prod
-        total += pre * inner * weight
-    return total
+                else:
+                    acc += prod
+            inner += acc if sign > 0 else -acc
+        total += pre * inner
+    return total * (factorial(h) * 2**h)
 
 
 def classical_coefficient(r: int) -> Fraction:

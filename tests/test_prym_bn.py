@@ -1,8 +1,11 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
-from prymck.exact_arith import factorial
+from prymck import prym_bn
+from prymck.exact_arith import abel_coefficient, factorial
+from prymck.pfaffian import _signed_pairings, perm_sign
 from prymck.prym_bn import (
     GTable,
     ValidationError,
@@ -241,6 +244,80 @@ def test_euler_zero_dimensional_is_class_degree():
             assert euler_theorem(p) == degree
 
 
+def reference_euler_theorem(problem):
+    """The closed summation formula as stated, over all n! arrangements.
+
+    The loop euler_theorem ran before it summed over matchings; kept here
+    as the reference the matching sum must equal exactly.
+    """
+    g, lam, ell, s = problem.g, problem.lam, problem.ell, problem.s
+    h = g - 1
+    budget = h - sum(lam)
+    if budget < 0:
+        return Fraction(0)
+    indices = tuple(range(1, ell + 1)) if ell % 2 == 0 else tuple(range(ell + 1))
+    half = len(indices) // 2
+    weight = Fraction(factorial(h) * 2**h, 2**half * factorial(half))
+    total = Fraction(0)
+    for v in prym_bn._bounded_sequences(ell, budget):
+        k = budget - sum(v)
+        pre = Fraction(1)
+        for i in range(ell):
+            pre *= abel_coefficient(s[i], v[i])
+        if not pre:
+            continue
+        inner = Fraction(0)
+        for sigma in permutations(indices):
+            sign = perm_sign(sigma)
+            pairs = tuple((sigma[2 * b], sigma[2 * b + 1]) for b in range(half))
+            for f in enumerate_f(sigma, k, half):
+                prod = Fraction(1)
+                for (pi, pj), fm in zip(pairs, f):
+                    prod *= g_coeff(fm, pi, pj, lam, v)
+                inner += prod if sign > 0 else -prod
+        total += pre * inner * weight
+    return total
+
+
+def test_matching_sum_equals_permutation_sum():
+    # every strict partition with g <= 9, at most 5 parts and |lambda| <= g + 2,
+    # expected-empty ones included
+    count = 0
+    for g in range(2, 10):
+        for lam in strict_partitions(g + 2, 5, 2 * g - 2):
+            p = problem_from_partition(g, lam)
+            assert euler_theorem(p) == reference_euler_theorem(p), (g, lam)
+            count += 1
+    assert count == 202
+
+
+def _crossings(pairs):
+    return sum(
+        1
+        for x, (a, b) in enumerate(pairs)
+        for c, d in pairs[x + 1 :]
+        if a < c < b < d or c < a < d < b
+    )
+
+
+@pytest.mark.parametrize("n", [0, 2, 4, 6, 8])
+def test_signed_arrangements(n):
+    indices = tuple(range(n))
+    got = prym_bn._signed_arrangements(indices)
+    assert len(got) == factorial(n) // (2 ** (n // 2) * factorial(n // 2))  # (n-1)!!
+    assert len({sigma for _, sigma in got}) == len(got)
+    matchings = set()
+    for sign, sigma in got:
+        assert sorted(sigma) == list(indices)
+        pairs = tuple((sigma[2 * b], sigma[2 * b + 1]) for b in range(n // 2))
+        assert all(a < b for a, b in pairs)
+        assert [a for a, _ in pairs] == sorted(a for a, _ in pairs)
+        assert sign == perm_sign(sigma) == (-1) ** _crossings(pairs)
+        matchings.add((sign, pairs))
+    # the same signed matchings the oracle's Pfaffian engine enumerates
+    assert matchings == set(_signed_pairings(indices))
+
+
 def test_euler_empty_problem_is_zero():
     p = build_problem(3, 1, (3, 4))
     assert euler_theorem(p) == 0
@@ -293,6 +370,33 @@ def test_gtable_caches_and_matches():
     table = GTable((3, 1), (0, 1))
     assert table.value(1, 1, 2) == g_coeff(1, 1, 2, (3, 1), (0, 1))
     assert table.value(1, 2, 1) == -table.value(1, 1, 2)
+    assert table.value(0, 0, 2) == Fraction(1, 2) == -table.value(0, 2, 0)
+    assert table.value(1, 0, 2) == 0
+    assert table.value(2, 1, 1) == 0
+    for bad in ((-1, 1, 2), (0, 1, 3), (0, -1, 1)):
+        with pytest.raises(ValueError):
+            table.value(*bad)
+    with pytest.raises(ValueError):
+        GTable((3, 1), (0,))
+
+
+def test_gtable_shares_values_across_shift_sequences(monkeypatch):
+    calls = []
+    real = prym_bn.g_coeff
+
+    def counted(m, i, j, lam, v):
+        calls.append((m, i, j, lam, v))
+        return real(m, i, j, lam, v)
+
+    monkeypatch.setattr(prym_bn, "g_coeff", counted)
+    # lam_i + v_i = 4 and lam_j + v_j = 2 in all three tables
+    tables = [GTable((3, 1), (1, 1)), GTable((4, 2), (0, 0)), GTable((2, 1, 1), (2, 0, 1))]
+    first = tables[0].value(2, 1, 2)
+    assert first == real(2, 1, 2, (3, 1), (1, 1))
+    assert tables[1].value(2, 1, 2) == first
+    assert tables[2].value(2, 1, 3) == first
+    assert tables[2].value(2, 3, 1) == -first
+    assert len(calls) == 1
 
 
 def test_enumerate_f_zero():
@@ -353,12 +457,23 @@ def test_ch_k_leading_term_large_genus(g, lam):
     assert ch_k_class(p).coeff(p.codim) == chow_class_closed(lam)
 
 
-@pytest.mark.parametrize("g, lam", [(22, (8, 6, 4, 2, 1)), (29, (9, 7, 5, 4, 2, 1))])
+@pytest.mark.parametrize(
+    "g, lam",
+    [(22, (8, 6, 4, 2, 1)), (29, (9, 7, 5, 4, 2, 1)), (29, (7, 6, 5, 4, 3, 2, 1))],
+)
 def test_zero_dimensional_degree_large_genus(g, lam):
     # |lambda| = g - 1: the locus is finite and chi counts its degree
     p = problem_from_partition(g, lam)
     assert p.rho == 0
-    assert euler_oracle(p) == chow_class_closed(lam) * 2 ** (g - 1) * factorial(g - 1)
+    degree = chow_class_closed(lam) * 2 ** (g - 1) * factorial(g - 1)
+    assert euler_oracle(p) == euler_theorem(p) == degree
+
+
+@pytest.mark.parametrize("g, lam", [(30, (7, 6, 5, 4, 3, 2, 1)), (22, (6, 5, 3, 2, 1))])
+def test_euler_routes_agree_large_genus(g, lam):
+    # seven parts (an 8 x 8 augmented system), and a chi --verify ladder rung
+    p = problem_from_partition(g, lam)
+    assert euler_theorem(p) == euler_oracle(p)
 
 
 @pytest.mark.parametrize("g", [10, 40, 80])
