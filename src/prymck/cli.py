@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,6 +31,7 @@ from .series_ring import BetaPoly, ThetaPoly
 _BETA_CHOICES = {"0": 0, "-1": -1, "symbolic": SYMBOLIC}
 _TABLE_G_MAX = 10
 _TABLE_LEN_MAX = 5
+_INT_RE = re.compile(r"[+-]?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -47,13 +49,23 @@ class RunRequest:
     g_max: int = 2
     max_len: int = 1
     quick: bool = False
+    timings: bool = False
+
+
+def _parse_int(name: str, text: str) -> int:
+    # int() alone would also take "1_0", " 4" and non-ASCII digits such as "٤"
+    if not _INT_RE.fullmatch(text):
+        raise ValidationError(f"{name} must be an integer of ASCII digits (got {text!r})")
+    return int(text)
 
 
 def _parse_vanishing(text: str) -> tuple:
-    try:
-        return tuple(int(tok.strip()) for tok in text.split(","))
-    except ValueError:
-        raise ValidationError(f"vanishing sequence must be comma-separated integers (got {text!r})")
+    toks = [tok.strip(" ") for tok in text.split(",")]
+    if not all(_INT_RE.fullmatch(tok) for tok in toks):
+        raise ValidationError(
+            f"--vanishing must be comma-separated integers of ASCII digits (got {text!r})"
+        )
+    return tuple(int(tok) for tok in toks)
 
 
 def _build(req: RunRequest):
@@ -306,15 +318,15 @@ def run_table(req: RunRequest, out) -> int:
 
 
 def run_selfcheck(req: RunRequest, out) -> int:
-    return selfcheck.run(quick=req.quick, out=out)
+    return selfcheck.run(quick=req.quick, out=out, timings=req.timings)
 
 
 # ------------------------------------------------------------------ parsing
 
 
 def _add_problem_args(sub):
-    sub.add_argument("--genus", "-g", type=int, required=True, help="genus of the base curve")
-    sub.add_argument("-r", type=int, default=-1, help="rank bound; defaults to len(a)-1")
+    sub.add_argument("--genus", "-g", required=True, help="genus of the base curve")
+    sub.add_argument("-r", default="-1", help="rank bound; defaults to len(a)-1")
     sub.add_argument(
         "--vanishing",
         "-a",
@@ -345,13 +357,16 @@ def _make_parser() -> argparse.ArgumentParser:
     p_chi.add_argument("--output", choices=("plain", "json", "latex"), default="plain")
 
     p_table = subs.add_parser("table", help="batch table over a genus range")
-    p_table.add_argument("--g-min", type=int, default=2)
-    p_table.add_argument("--g-max", type=int, default=5)
-    p_table.add_argument("--max-len", type=int, default=3)
+    p_table.add_argument("--g-min", default="2")
+    p_table.add_argument("--g-max", default="5")
+    p_table.add_argument("--max-len", default="3")
     p_table.add_argument("--output", choices=("plain", "json", "latex"), default="plain")
 
     p_check = subs.add_parser("selfcheck", help="run the invariant suite")
     p_check.add_argument("--quick", action="store_true", help="small-genus subset")
+    p_check.add_argument(
+        "--timings", action="store_true", help="write each check's seconds to stderr"
+    )
 
     return parser
 
@@ -363,8 +378,8 @@ def _request_from_args(args) -> RunRequest:
         return RunRequest(
             command=args.command,
             output=args.output,
-            g=args.genus,
-            r=args.r,
+            g=_parse_int("--genus", args.genus),
+            r=_parse_int("-r", args.r),
             a=a,
             beta=beta,
             verify=getattr(args, "verify", False),
@@ -373,11 +388,11 @@ def _request_from_args(args) -> RunRequest:
         return RunRequest(
             command="table",
             output=args.output,
-            g_min=args.g_min,
-            g_max=args.g_max,
-            max_len=args.max_len,
+            g_min=_parse_int("--g-min", args.g_min),
+            g_max=_parse_int("--g-max", args.g_max),
+            max_len=_parse_int("--max-len", args.max_len),
         )
-    return RunRequest(command="selfcheck", quick=args.quick)
+    return RunRequest(command="selfcheck", quick=args.quick, timings=args.timings)
 
 
 def main(argv=None) -> int:

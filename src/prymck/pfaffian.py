@@ -9,11 +9,19 @@ expansion with (n-1)!! terms, which is the production path, and the
 normalized sum over all n! permutations, which shares no code with it and
 serves selfcheck and the tests as an independent engine. A fraction-free
 determinant gives a third cross-check through Pf(M)^2 == det(M).
+
+The permutation sum walks the n! arrangements depth first, one ordered pair
+per level: it takes the p-th smallest remaining index, then the q-th
+smallest of those left after it. That choice adds exactly p + q inversions,
+so the sign is carried down as one parity bit, and the product of the
+ordered prefix is carried down with it. Each permutation still adds its own
+signed term, read from the matrix entries at (x, y) and (y, x) alike, into
+one running total; nothing is merged through skew-symmetry, memoized over
+subsets or factored across permutations.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .exact_arith import factorial
@@ -151,6 +159,14 @@ def perm_sign(seq) -> int:
 def pfaffian_permutations(m: SkewMatrix):
     """Pfaffian as (1 / (2^(n/2) (n/2)!)) sum over all of S_n.
 
+    The permutations are generated as sequences of ordered pairs (x, y):
+    at each level x is the p-th smallest index not yet used and y the q-th
+    smallest of those left after x, so the level adds p + q inversions and
+    the sign is the parity of the sum of all p + q. The product of the
+    entries of the pairs chosen so far is carried to the next level, so each
+    of the n! permutations costs one multiplication and one signed addition
+    into the running total. Entries are read once, with m.rows().
+
     Requires the coefficient ring to contain the rationals; the
     normalization is applied as an exact Fraction scale.
     """
@@ -159,12 +175,29 @@ def pfaffian_permutations(m: SkewMatrix):
     if m.n == 0:
         return 1
     half = m.n // 2
+    grid = m.rows()
     total = 0
-    for sigma in itertools.permutations(range(m.n)):
-        term = m.entry(sigma[0], sigma[1])
-        for b in range(1, half):
-            term = term * m.entry(sigma[2 * b], sigma[2 * b + 1])
-        total = total + (term if perm_sign(sigma) > 0 else -term)
+
+    def walk(left, prefix, odd):
+        # left: unused indices in increasing order; odd: parity of the prefix
+        nonlocal total
+        last = len(left) == 2
+        for p, x in enumerate(left):
+            rest = left[:p] + left[p + 1 :]
+            row = grid[x]
+            for q, y in enumerate(rest):
+                term = row[y] if prefix is None else prefix * row[y]
+                flip = odd ^ ((p + q) & 1)
+                if not last:
+                    walk(rest[:q] + rest[q + 1 :], term, flip)
+                elif flip:
+                    # the identity comes first and is even, so total is
+                    # already an entry-ring value when a term is subtracted
+                    total = total - term
+                else:
+                    total = total + term
+
+    walk(list(range(m.n)), None, 0)
     return total * Fraction(1, (1 << half) * factorial(half))
 
 

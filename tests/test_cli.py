@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import prymck.cli as cli
 import prymck.prym_bn as prym_bn
+from prymck import selfcheck
 from prymck.cli import main
 from prymck.series_ring import ThetaPoly
 
@@ -205,3 +206,46 @@ def test_expected_empty_problem_reported(capsys):
     code, out, _ = run_cli(capsys, "chi", "--genus", "3", "-r", "1", "--vanishing", "3,4")
     assert code == 0
     assert out.strip() == "0"
+
+
+def test_integer_arguments_are_strict(capsys):
+    cases = [
+        (("chi", "--genus", "٤", "-r", "1", "--vanishing", "1,2"), "--genus"),
+        (("chi", "--genus", "4", "-r", "1", "--vanishing", "١,٢"), "--vanishing"),
+        (("class", "--genus", "4", "-r", "1", "--vanishing", "1_0,2"), "--vanishing"),
+        (("class", "--genus", "1_0", "--vanishing", "1,2"), "--genus"),
+        (("class", "--genus", " 4", "--vanishing", "1,2"), "--genus"),
+        (("class", "--genus", "4.0", "--vanishing", "1,2"), "--genus"),
+        (("chi", "--genus", "4", "-r", "1.5", "--vanishing", "1,2"), "-r"),
+        (("chi", "--genus", "4", "-r", "０", "--vanishing", "1,2"), "-r"),
+        (("table", "--g-min", "2", "--g-max", "1_0"), "--g-max"),
+        (("table", "--g-min", "²"), "--g-min"),
+        (("table", "--max-len", "3\n"), "--max-len"),
+    ]
+    for argv, name in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == "", argv
+        assert err.count("\n") == 1 and err.startswith(f"error: {name} "), (argv, err)
+
+
+def test_integer_arguments_accept_signed_ascii(capsys):
+    code, out, _ = run_cli(capsys, "chi", "--genus", "+4", "-r", "+1", "--vanishing", "1, 2")
+    assert code == 0 and out.strip() == "2"
+    code, out, _ = run_cli(capsys, "chi", "--genus", "4", "-r", "-1", "--vanishing", "01,2")
+    assert code == 0 and out.strip() == "2"
+    code, _, err = run_cli(capsys, "chi", "--genus", "-4", "--vanishing", "1,2")
+    assert code == 2 and "genus" in err
+
+
+def test_selfcheck_timings_leave_stdout_unchanged(capsys):
+    code, plain, err = run_cli(capsys, "selfcheck", "--quick")
+    assert code == 0 and err == ""
+    code, timed, err = run_cli(capsys, "selfcheck", "--quick", "--timings")
+    assert code == 0
+    assert timed == plain
+    lines = err.splitlines()
+    assert [line.split(": ")[0] for line in lines] == [name for name, _ in selfcheck.CHECKS]
+    for line in lines:
+        seconds, unit = line.split(": ")[1].split(" ")
+        assert unit == "s" and float(seconds) >= 0

@@ -262,3 +262,41 @@ def test_kernel_rejects_mixed_coefficient_kinds():
     mixed_op = ShiftOperatorPoly((ShiftMonomial(BetaPoly({0: 1}), 0, 0), ShiftMonomial(Fraction(1), 1, 1)))
     with pytest.raises(ValueError, match="like the operator"):
         apply_pair_operator(mixed_op, (1, 0), sym_pre, sym_pre, cap)
+
+
+def _sympy_value(sympy, c, beta):
+    # a Fraction, int 0 or BetaPoly coefficient as a sympy expression
+    if isinstance(c, BetaPoly):
+        return sum(
+            (sympy.Rational(val.numerator, val.denominator) * beta**e for e, val in c.items()),
+            sympy.Integer(0),
+        )
+    c = Fraction(c)
+    return sympy.Rational(c.numerator, c.denominator)
+
+
+def test_expansions_match_sympy_series():
+    # outside anchor: both expansions against sympy's Taylor series of their
+    # generating functions, (1 - bT)^s / (2 - bT) and (1 - R) / (1 + R - bT_i)
+    # with R = xy and T_i = x, so the (a, b) coefficient is that of x^a y^b
+    sympy = pytest.importorskip("sympy")
+    top = 8
+    b, t, x, y = sympy.symbols("beta t x y")
+    for mode, beta in ((0, sympy.Integer(0)), (-1, sympy.Integer(-1)), (SYMBOLIC, b)):
+        for s in range(-4, 5):
+            series = sympy.series((1 - beta * t) ** s / (2 - beta * t), t, 0, top + 1).removeO()
+            want = [sympy.expand(series.coeff(t, v)) for v in range(top + 1)]
+            for cap in range(top + 1):
+                got = prefactor_expansion(s, cap, mode)
+                assert len(got) == cap + 1
+                for v in range(cap + 1):
+                    assert sympy.expand(_sympy_value(sympy, got[v], b) - want[v]) == 0, (mode, s, cap, v)
+        series = sympy.series((1 - x * y) / (1 + x * y - beta * x), x, 0, top + 1).removeO()
+        rows = [sympy.Poly(sympy.expand(series.coeff(x, a)), y) for a in range(top + 1)]
+        for cap in range(top + 1):
+            op = interaction_expansion(cap, mode)
+            for a in range(cap + 1):
+                for lower in range(cap + 1):
+                    want = rows[a].coeff_monomial(y**lower)
+                    got = _sympy_value(sympy, op.coefficient(a, lower), b)
+                    assert sympy.expand(got - want) == 0, (mode, cap, a, lower)

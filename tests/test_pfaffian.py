@@ -1,5 +1,8 @@
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,12 +15,69 @@ from prymck.pfaffian import (
     pfaffian_matchings,
     pfaffian_permutations,
 )
+from prymck.series_ring import ThetaPoly
 
 
 def random_skew(rng, n, den=4):
     return SkewMatrix.from_upper(
         n, lambda i, j: Fraction(rng.randint(-9, 9), rng.randint(1, den))
     )
+
+
+def reference_pfaffian_permutations(m):
+    """The flat n! sum: every arrangement signed by perm_sign from scratch."""
+    if m.n == 0:
+        return 1
+    half = m.n // 2
+    total = 0
+    for sigma in itertools.permutations(range(m.n)):
+        term = m.entry(sigma[0], sigma[1])
+        for b in range(1, half):
+            term = term * m.entry(sigma[2 * b], sigma[2 * b + 1])
+        total = total + (term if perm_sign(sigma) > 0 else -term)
+    return total * Fraction(1, (1 << half) * factorial(half))
+
+
+PRIMES = (
+    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
+    47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107,
+)
+
+
+class Terms:
+    """Formal sum of signed words of matrix positions, never merged or cancelled.
+
+    A stored entry (i, j), i < j, is the one-letter word ((i, j),); its
+    negation, which SkewMatrix returns at (j, i), keeps the letter and flips
+    the coefficient. Sums concatenate the term lists and products multiply
+    them out term by term, so the total of a Pfaffian engine lists every
+    term it added, with the positions of its factors in order.
+    """
+
+    def __init__(self, terms):
+        self.terms = tuple(terms)
+
+    @classmethod
+    def letter(cls, i, j):
+        return cls([(Fraction(1), ((i, j),))])
+
+    def __neg__(self):
+        return Terms((-c, w) for c, w in self.terms)
+
+    def __add__(self, other):
+        if isinstance(other, int) and other == 0:
+            return self
+        return Terms(self.terms + other.terms)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        if isinstance(other, Terms):
+            return Terms((c * d, w + v) for c, w in self.terms for d, v in other.terms)
+        return Terms((c * other, w) for c, w in self.terms)
 
 
 def test_two_by_two():
@@ -159,3 +219,56 @@ def test_perm_sign_basics():
     assert perm_sign((0, 1, 2)) == 1
     assert perm_sign((1, 0, 2)) == -1
     assert perm_sign((2, 0, 1)) == 1
+
+
+def test_permutation_engine_matches_reference_random():
+    rng = random.Random(2468)
+    for n in range(0, 9, 2):
+        for _ in range(1 if n == 8 else 4):
+            m = random_skew(rng, n, den=7)
+            assert pfaffian_permutations(m) == reference_pfaffian_permutations(m), n
+
+
+def test_permutation_engine_distinct_primes_n8():
+    # every entry a distinct prime, so no two signed terms can cancel by
+    # accident and a wrong sign on any permutation changes the total
+    upper = dict(zip(((i, j) for i in range(8) for j in range(i + 1, 8)), PRIMES))
+    m = SkewMatrix(8, upper)
+    pf = pfaffian_permutations(m)
+    assert pf == reference_pfaffian_permutations(m)
+    assert pf == pfaffian_matchings(m)
+    assert pf.denominator == 1 and pf != 0
+
+
+def test_permutation_engine_theta_poly_entries():
+    rng = random.Random(1357)
+    cap = 4
+    for n in (4, 6):
+        m = SkewMatrix.from_upper(
+            n,
+            lambda i, j: ThetaPoly(
+                cap, [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(cap + 1)]
+            ),
+        )
+        pf = pfaffian_permutations(m)
+        assert isinstance(pf, ThetaPoly)
+        assert pf == reference_pfaffian_permutations(m)
+        assert pf == pfaffian_matchings(m)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_permutation_engine_adds_one_term_per_permutation(n):
+    m = SkewMatrix.from_upper(n, Terms.letter)
+    total = pfaffian_permutations(m)
+    assert len(total.terms) == factorial(n)
+    half = n // 2
+    scale = Fraction(1, (1 << half) * factorial(half))
+    expected = Counter()
+    for sigma in itertools.permutations(range(n)):
+        coeff, word = scale * perm_sign(sigma), []
+        for b in range(half):
+            x, y = sigma[2 * b], sigma[2 * b + 1]
+            coeff = coeff if x < y else -coeff
+            word.append((min(x, y), max(x, y)))
+        expected[(coeff, tuple(word))] += 1
+    assert Counter(total.terms) == expected
