@@ -49,7 +49,6 @@ class RunRequest:
     g_max: int = 2
     max_len: int = 1
     quick: bool = False
-    timings: bool = False
 
 
 def _parse_int(name: str, text: str) -> int:
@@ -60,12 +59,7 @@ def _parse_int(name: str, text: str) -> int:
 
 
 def _parse_vanishing(text: str) -> tuple:
-    toks = [tok.strip(" ") for tok in text.split(",")]
-    if not all(_INT_RE.fullmatch(tok) for tok in toks):
-        raise ValidationError(
-            f"--vanishing must be comma-separated integers of ASCII digits (got {text!r})"
-        )
-    return tuple(int(tok) for tok in toks)
+    return tuple(_parse_int("--vanishing", tok.strip(" ")) for tok in text.split(","))
 
 
 def _build(req: RunRequest):
@@ -318,7 +312,7 @@ def run_table(req: RunRequest, out) -> int:
 
 
 def run_selfcheck(req: RunRequest, out) -> int:
-    return selfcheck.run(quick=req.quick, out=out, timings=req.timings)
+    return selfcheck.run(quick=req.quick, out=out)
 
 
 # ------------------------------------------------------------------ parsing
@@ -364,9 +358,6 @@ def _make_parser() -> argparse.ArgumentParser:
 
     p_check = subs.add_parser("selfcheck", help="run the invariant suite")
     p_check.add_argument("--quick", action="store_true", help="small-genus subset")
-    p_check.add_argument(
-        "--timings", action="store_true", help="write each check's seconds to stderr"
-    )
 
     return parser
 
@@ -392,7 +383,7 @@ def _request_from_args(args) -> RunRequest:
             g_max=_parse_int("--g-max", args.g_max),
             max_len=_parse_int("--max-len", args.max_len),
         )
-    return RunRequest(command="selfcheck", quick=args.quick, timings=args.timings)
+    return RunRequest(command="selfcheck", quick=args.quick)
 
 
 def main(argv=None) -> int:

@@ -15,9 +15,10 @@ per level: it takes the p-th smallest remaining index, then the q-th
 smallest of those left after it. That choice adds exactly p + q inversions,
 so the sign is carried down as one parity bit, and the product of the
 ordered prefix is carried down with it. Each permutation still adds its own
-signed term, read from the matrix entries at (x, y) and (y, x) alike, into
-one running total; nothing is merged through skew-symmetry, memoized over
-subsets or factored across permutations.
+term, read from the matrix entries at (x, y) and (y, x) alike, into the
+running total of its parity, and the odd total is negated once at the end;
+nothing is merged through skew-symmetry, memoized over subsets or factored
+across permutations.
 """
 
 from __future__ import annotations
@@ -164,8 +165,9 @@ def pfaffian_permutations(m: SkewMatrix):
     smallest of those left after x, so the level adds p + q inversions and
     the sign is the parity of the sum of all p + q. The product of the
     entries of the pairs chosen so far is carried to the next level, so each
-    of the n! permutations costs one multiplication and one signed addition
-    into the running total. Entries are read once, with m.rows().
+    of the n! permutations costs one multiplication and one addition into
+    the running total of its parity; the odd total is negated once at the
+    end. Entries are read once, with m.rows().
 
     Requires the coefficient ring to contain the rationals; the
     normalization is applied as an exact Fraction scale.
@@ -176,11 +178,10 @@ def pfaffian_permutations(m: SkewMatrix):
         return 1
     half = m.n // 2
     grid = m.rows()
-    total = 0
+    totals = [0, 0]  # sums of the even and of the odd permutations' terms
 
     def walk(left, prefix, odd):
         # left: unused indices in increasing order; odd: parity of the prefix
-        nonlocal total
         last = len(left) == 2
         for p, x in enumerate(left):
             rest = left[:p] + left[p + 1 :]
@@ -188,17 +189,14 @@ def pfaffian_permutations(m: SkewMatrix):
             for q, y in enumerate(rest):
                 term = row[y] if prefix is None else prefix * row[y]
                 flip = odd ^ ((p + q) & 1)
-                if not last:
-                    walk(rest[:q] + rest[q + 1 :], term, flip)
-                elif flip:
-                    # the identity comes first and is even, so total is
-                    # already an entry-ring value when a term is subtracted
-                    total = total - term
+                if last:
+                    totals[flip] = totals[flip] + term
                 else:
-                    total = total + term
+                    walk(rest[:q] + rest[q + 1 :], term, flip)
 
     walk(list(range(m.n)), None, 0)
-    return total * Fraction(1, (1 << half) * factorial(half))
+    even, odd = totals
+    return (even + -odd) * Fraction(1, (1 << half) * factorial(half))
 
 
 def det_fraction_free(rows) -> Fraction:

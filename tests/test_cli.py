@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import prymck.cli as cli
 import prymck.prym_bn as prym_bn
-from prymck import selfcheck
 from prymck.cli import main
 from prymck.series_ring import ThetaPoly
 
@@ -236,16 +235,3 @@ def test_integer_arguments_accept_signed_ascii(capsys):
     assert code == 0 and out.strip() == "2"
     code, _, err = run_cli(capsys, "chi", "--genus", "-4", "--vanishing", "1,2")
     assert code == 2 and "genus" in err
-
-
-def test_selfcheck_timings_leave_stdout_unchanged(capsys):
-    code, plain, err = run_cli(capsys, "selfcheck", "--quick")
-    assert code == 0 and err == ""
-    code, timed, err = run_cli(capsys, "selfcheck", "--quick", "--timings")
-    assert code == 0
-    assert timed == plain
-    lines = err.splitlines()
-    assert [line.split(": ")[0] for line in lines] == [name for name, _ in selfcheck.CHECKS]
-    for line in lines:
-        seconds, unit = line.split(": ")[1].split(" ")
-        assert unit == "s" and float(seconds) >= 0
