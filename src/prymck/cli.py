@@ -1,7 +1,8 @@
 """Command line interface: single problems, batch tables, self checks.
 
-Exit codes: 0 success, 1 selfcheck failure, 2 input validation failure,
-3 Euler characteristic route mismatch under --verify, 4 internal error.
+Exit codes: 0 success, 1 selfcheck failure, 2 input validation failure
+(a problem whose estimated work exceeds _WORK_MAX included), 3 Euler
+characteristic route mismatch under --verify, 4 internal error.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, prod
 
 from . import __version__, selfcheck
 from .exact_arith import format_rational
@@ -32,6 +34,10 @@ _BETA_CHOICES = {"0": 0, "-1": -1, "symbolic": SYMBOLIC}
 _TABLE_G_MAX = 10
 _TABLE_LEN_MAX = 5
 _INT_RE = re.compile(r"[+-]?[0-9]+")
+# largest estimated work (see _theorem_work, _oracle_work) a class or chi
+# command starts on; near it, the oracle takes about 100 s at g = 1000,
+# lambda = (1) on a 2-vCPU VM
+_WORK_MAX = 10**6
 
 
 @dataclass(frozen=True)
@@ -55,7 +61,10 @@ def _parse_int(name: str, text: str) -> int:
     # int() alone would also take "1_0", " 4" and non-ASCII digits such as "٤"
     if not _INT_RE.fullmatch(text):
         raise ValidationError(f"{name} must be an integer of ASCII digits (got {text!r})")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        raise ValidationError(f"{name} has {len(text)} characters, too many digits") from None
 
 
 def _parse_vanishing(text: str) -> tuple:
@@ -65,6 +74,39 @@ def _parse_vanishing(text: str) -> tuple:
 def _build(req: RunRequest):
     r = req.r if req.r >= 0 else len(req.a) - 1
     return build_problem(req.g, r, req.a)
+
+
+def _matchings(problem) -> int:
+    n = problem.ell + problem.ell % 2
+    return prod(range(1, n, 2))  # (n-1)!!
+
+
+def _theorem_work(problem) -> int:
+    """(n-1)!! signed matchings times the (v, f) pairs with |v| + |f| at
+    most the degree budget: v over the l parts, f over the l // 2 pair
+    slots that carry degree. That also bounds the v sequences visited and
+    the degrees read per pair; 0 when the budget is negative."""
+    budget = problem.dim_prym - problem.codim
+    if budget < 0:
+        return 0
+    dims = problem.ell + problem.ell // 2
+    return _matchings(problem) * comb(budget + dims, dims)
+
+
+def _oracle_work(problem) -> int:
+    """(n-1)!! signed matchings times cap^2: one Pfaffian of truncated
+    series of cap = g - 1 for the oracle and for class at beta -1 or
+    symbolic."""
+    return _matchings(problem) * problem.dim_prym**2
+
+
+def _check_work(work: int) -> None:
+    if work > _WORK_MAX:
+        # work >= 2^(bits - 1), and str() refuses ints of over 4300 digits
+        shown = str(work)
+        if work >= 10**18:
+            shown = f"over 10^{(work.bit_length() - 1) * 30103 // 100000}"
+        raise ValidationError(f"problem too large: estimated work {shown} exceeds {_WORK_MAX}")
 
 
 # ---------------------------------------------------------------- rendering
@@ -216,6 +258,8 @@ def _emit_class_latex(res, out):
 
 def run_class(req: RunRequest, out) -> int:
     problem = _build(req)
+    if req.beta != 0:  # beta 0 is the closed product, whatever the genus
+        _check_work(_oracle_work(problem))
     res = class_result(problem, req.beta)
     if req.output == "json":
         out(json.dumps(_result_json(res), indent=2))
@@ -228,6 +272,7 @@ def run_class(req: RunRequest, out) -> int:
 
 def run_chi(req: RunRequest, out) -> int:
     problem = _build(req)
+    _check_work(_theorem_work(problem) + (_oracle_work(problem) if req.verify else 0))
     chi = euler_theorem(problem)
     if req.verify:
         other = euler_oracle(problem)

@@ -439,6 +439,27 @@ def _signed_arrangements(indices) -> list:
     return [(perm_sign(sigma), sigma) for sigma in arrangements(tuple(indices))]
 
 
+def _scaled(x, scale: int, what: str) -> int:
+    """x * scale as an int; ArithmeticError if that is not an integer."""
+    q, r = divmod(x.numerator * scale, x.denominator)
+    if r:
+        raise ArithmeticError(f"euler_theorem: {what} is not an integer")
+    return q
+
+
+@cache
+def _abel_scaled(s: int, v: int) -> int:
+    """abel_coefficient(s, v) * 2^(v+1), an integer."""
+    return _scaled(abel_coefficient(s, v), 2 ** (v + 1), f"abel_coefficient({s}, {v}) * 2^{v + 1}")
+
+
+@cache
+def _pair_scaled(coeff, h: int, m: int, ni: int, nj: int) -> int:
+    """_pair_coeff(coeff, m, ni, nj) * h!, an integer when ni + nj + m <= h."""
+    what = f"g_coeff({m}; {ni}, {nj}) * {h}!"
+    return _scaled(_pair_coeff(coeff, m, ni, nj), factorial(h), what)
+
+
 def euler_theorem(problem: PrymProblem) -> Fraction:
     """Euler characteristic by the closed summation formula.
 
@@ -458,6 +479,17 @@ def euler_theorem(problem: PrymProblem) -> Fraction:
     one perfect matching, and the sum over the (n-1)!! matchings with
     weight h! * 2^h is the same number.
 
+    The sum runs over ints, with one Fraction per problem. A pair
+    coefficient of degree m between indices with lambda + v equal to ni and
+    nj has a denominator dividing (ni + nj + m)!, and every lambda_i + v_i
+    is at least 1, so ni + nj + m <= |lambda| + |v| + k = h: each one read
+    is an integer once multiplied by h!, and each product of half of them
+    by h!^half. abel_coefficient(s, v) * 2^(v+1) is an integer, so the
+    prefactor of v is one once multiplied by 2^(|v| + l); shifting it left
+    by k = budget - |v| puts every v over the common 2^(budget + l). A
+    scaled value that is not an integer raises ArithmeticError instead of
+    being rounded.
+
     Must equal euler_oracle exactly.
     """
     g, lam, ell, s = problem.g, problem.lam, problem.ell, problem.s
@@ -469,39 +501,36 @@ def euler_theorem(problem: PrymProblem) -> Fraction:
     half = len(indices) // 2
     arrangements = _signed_arrangements(indices)
     pairs = [(i, j) for n, i in enumerate(indices) for j in indices[n + 1 :]]
-    total = Fraction(0)
+    total = 0
     for v in _bounded_sequences(ell, budget):
         k = budget - sum(v)
-        pre = Fraction(1)
+        pre = 1
         for i in range(ell):
-            pre *= abel_coefficient(s[i], v[i])
+            pre *= _abel_scaled(s[i], v[i])
         if not pre:
             continue
-        table = GTable(lam, v)
+        n = (None,) + tuple(p + x for p, x in zip(lam, v))
         # the boundary index 0 sits in slot 0 of every canonical
         # arrangement, so all of them share one set of distributions, and
         # those put degree 0 on the boundary pair
         rows = {
-            (i, j): [table.value(m, i, j) for m in range(k + 1 if i else 1)]
+            (i, j): [_pair_scaled(g_coeff, h, m, n[i], n[j]) for m in range(k + 1 if i else 1)]
             for i, j in pairs
         }
         dists = enumerate_f(arrangements[0][1], k, half)
-        inner = Fraction(0)
+        inner = 0
         for sign, sigma in arrangements:
             slots = [rows[sigma[2 * b], sigma[2 * b + 1]] for b in range(half)]
-            acc = Fraction(0)
+            acc = 0
             for f in dists:
-                prod = Fraction(1)
+                prod = 1
                 for row, fm in zip(slots, f):
-                    val = row[fm]
-                    if not val:
-                        break
-                    prod *= val
-                else:
-                    acc += prod
+                    prod *= row[fm]
+                acc += prod
             inner += acc if sign > 0 else -acc
-        total += pre * inner
-    return total * (factorial(h) * 2**h)
+        total += (pre * inner) << k
+    hf = factorial(h)
+    return Fraction((total << h) * hf, 2 ** (budget + ell) * hf**half)
 
 
 def classical_coefficient(r: int) -> Fraction:

@@ -225,6 +225,12 @@ class ThetaPoly:
         self._require_same_cap(other)
         return ThetaPoly(self._cap, [a - b for a, b in zip(self._coeffs, other._coeffs)])
 
+    def __rsub__(self, other):
+        # accumulators started at 0, like __radd__
+        if isinstance(other, int) and other == 0:
+            return -self
+        return NotImplemented
+
     def __neg__(self):
         return ThetaPoly(self._cap, [-c for c in self._coeffs])
 

@@ -1,5 +1,8 @@
+import hashlib
 import json
 from fractions import Fraction
+
+import pytest
 
 import prymck.cli as cli
 import prymck.prym_bn as prym_bn
@@ -139,6 +142,18 @@ def test_table_plain_deterministic(capsys):
     assert ["4", "1,2", "2,1", "1/24", "3", "2"] in [line.split() for line in first.splitlines()]
 
 
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [("plain", "b14b6c826507ef69"), ("json", "f5d29e0d0ccda639"), ("latex", "34ed4dcfb8cb659b")],
+)
+def test_table_output_is_frozen(capsys, fmt, digest):
+    # sha256 prefixes of the benchmark's table output, recorded before the
+    # theorem route moved to integer arithmetic
+    code, out, _ = run_cli(capsys, "table", "--g-max", "10", "--max-len", "5", "--output", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
 def test_table_json_parses(capsys):
     code, out, _ = run_cli(
         capsys, "table", "--g-min", "2", "--g-max", "3", "--output", "json"
@@ -235,3 +250,58 @@ def test_integer_arguments_accept_signed_ascii(capsys):
     assert code == 0 and out.strip() == "2"
     code, _, err = run_cli(capsys, "chi", "--genus", "-4", "--vanishing", "1,2")
     assert code == 2 and "genus" in err
+
+
+def test_work_bound_rejects_before_compute(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("a route ran on a problem over the work bound")
+
+    for name in ("euler_theorem", "euler_oracle", "class_result"):
+        monkeypatch.setattr(cli, name, never)
+    huge = ("--genus", "99999999999999999999", "-r", "0", "--vanishing", "1")
+    for argv in (
+        ("chi", *huge),
+        ("chi", *huge, "--verify"),
+        ("class", *huge, "--beta", "-1"),
+        ("class", *huge, "--beta", "symbolic", "--output", "json"),
+        # theorem 1000 + oracle 1000^2: the oracle alone is at the bound
+        ("chi", "--genus", "1001", "-r", "0", "--vanishing", "1", "--verify"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == "", argv
+        assert err.count("\n") == 1 and err.startswith("error: problem too large: "), (argv, err)
+        assert f"exceeds {cli._WORK_MAX}" in err
+
+
+def test_work_bound_admits_benchmark_and_anchor_problems(capsys):
+    # chi --verify anchors and ladder rungs, then class at beta -1 / symbolic
+    for g, lam in ((80, (1,)), (30, (7, 6, 5, 4, 3, 2, 1)), (25, (8, 5, 4, 3, 2, 1)), (1000, (1,))):
+        p = prym_bn.problem_from_partition(g, lam)
+        assert 0 < cli._theorem_work(p) + cli._oracle_work(p) <= cli._WORK_MAX, (g, lam)
+    for g, lam in ((28, (8, 6, 4, 3, 2, 1)), (40, (8, 6, 5, 4, 3, 2))):
+        p = prym_bn.problem_from_partition(g, lam)
+        assert 0 < cli._oracle_work(p) <= cli._WORK_MAX, (g, lam)
+    # the closed product answers beta 0 at any genus
+    code, out, _ = run_cli(capsys, "class", "--genus", "9" * 20, "-r", "0", "--vanishing", "1")
+    assert code == 0 and "gamma: 1/2" in out
+    code, out, _ = run_cli(capsys, "chi", "--genus", "80", "-r", "0", "-a", "1", "--verify")
+    assert code == 0 and out.strip() == "1"
+
+
+def test_work_estimates_closed_forms():
+    # g = 30, lambda = (7,...,1): 8 indices, 105 matchings, budget 1 over
+    # 7 shifts and 3 degree slots
+    p = prym_bn.problem_from_partition(30, (7, 6, 5, 4, 3, 2, 1))
+    assert cli._theorem_work(p) == 105 * 11
+    assert cli._oracle_work(p) == 105 * 29**2
+    # expected empty: the theorem route returns before summing
+    p = prym_bn.problem_from_partition(10, (8, 3, 1))
+    assert cli._theorem_work(p) == 0
+    assert cli._oracle_work(p) == 3 * 81
+
+
+def test_integer_argument_with_too_many_digits(capsys):
+    code, out, err = run_cli(capsys, "chi", "--genus", "9" * 5000, "-r", "0", "--vanishing", "1")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: --genus ")

@@ -291,6 +291,29 @@ def test_matching_sum_equals_permutation_sum():
     assert count == 202
 
 
+@pytest.mark.parametrize(
+    "g, lam",
+    [(2, (1,)), (12, (1,)), (9, (4,)), (11, (3, 2, 1)), (12, (5, 4, 2)), (17, (5, 4, 3, 2, 1))],
+)
+def test_integer_sum_odd_length(g, lam):
+    # odd l: the boundary index 0 joins the matching and its pair reads only
+    # degree 0, a 1/(lam_j + v_j)! with lam_j + v_j <= g - 1
+    p = problem_from_partition(g, lam)
+    assert euler_theorem(p) == reference_euler_theorem(p)
+
+
+def test_integer_sum_rejects_non_integral_scaled_coefficient(monkeypatch):
+    real = prym_bn.g_coeff
+
+    def off(m, i, j, lam, v):
+        # 10007 is a prime larger than g - 1, so no h! clears it
+        return real(m, i, j, lam, v) + Fraction(1, 10007)
+
+    monkeypatch.setattr(prym_bn, "g_coeff", off)
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        euler_theorem(problem_from_partition(6, (2, 1)))
+
+
 def _crossings(pairs):
     return sum(
         1
@@ -325,10 +348,12 @@ def test_euler_empty_problem_is_zero():
 
 
 def test_euler_whole_prym_is_zero():
-    # codimension-zero locus is the whole abelian variety: chi vanishes
-    for g in (2, 3, 4):
+    # codimension-zero locus is the whole abelian variety: chi vanishes; the
+    # theorem route has no indices and no pairs (half = 0), so no
+    # distribution spends the degree budget g - 1
+    for g in range(2, 12):
         p = problem_from_partition(g, ())
-        assert euler_theorem(p) == 0 == euler_oracle(p)
+        assert euler_theorem(p) == 0 == euler_oracle(p) == reference_euler_theorem(p)
 
 
 # ------------------------------------------------------------ g_coeff & f

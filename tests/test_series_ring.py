@@ -125,3 +125,14 @@ def test_mixed_scalar_theta_poly():
     y = x * b
     assert y.coeff(1) == BetaPoly({1: Fraction(1, 2)})
     assert y.specialize_beta(-1).coeff(1) == Fraction(-1, 2)
+
+
+def test_zero_minus_theta_poly_is_negation():
+    x = ThetaPoly(3, [Fraction(1, 3), Fraction(-2), Fraction(0), Fraction(7, 5)])
+    assert 0 - x == -x
+    acc = 0
+    acc -= x
+    assert acc == -x and isinstance(acc, ThetaPoly)
+    for other in (1, Fraction(0), 0.0):
+        with pytest.raises(TypeError):
+            other - x
