@@ -10,7 +10,6 @@ from .exact_arith import (
     parse_rational,
 )
 from .operator_engine import (
-    SYMBOLIC,
     ShiftMonomial,
     ShiftOperatorPoly,
     apply_pair_operator,
@@ -26,6 +25,7 @@ from .pfaffian import (
     pfaffian_permutations,
 )
 from .prym_bn import (
+    SYMBOLIC,
     ClassResult,
     GTable,
     PrymProblem,
@@ -44,7 +44,7 @@ from .prym_bn import (
     problem_from_partition,
     strict_partitions,
 )
-from .series_ring import BetaPoly, ThetaBetaPoly, ThetaPoly, d_value
+from .series_ring import BetaPoly, ThetaPoly, d_value
 
 __version__ = "0.1.0"
 
@@ -57,7 +57,6 @@ __all__ = [
     "ShiftMonomial",
     "ShiftOperatorPoly",
     "SkewMatrix",
-    "ThetaBetaPoly",
     "ThetaPoly",
     "ValidationError",
     "__version__",

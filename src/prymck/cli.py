@@ -17,8 +17,8 @@ from math import comb, prod
 
 from . import __version__, selfcheck
 from .exact_arith import format_rational
-from .operator_engine import SYMBOLIC
 from .prym_bn import (
+    SYMBOLIC,
     ValidationError,
     build_problem,
     chow_class_closed,
@@ -113,9 +113,7 @@ def _check_work(work: int) -> None:
 
 
 def _poly_strings(poly: ThetaPoly):
-    return [
-        str(c) if isinstance(c, BetaPoly) else format_rational(c) for c in poly.coeffs
-    ]
+    return [format_rational(c) for c in poly.coeffs]
 
 
 def _xi_coeffs(poly: ThetaPoly):

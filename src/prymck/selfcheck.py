@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from . import prym_bn
 from .exact_arith import abel_coefficient, binom_gen, factorial
-from .operator_engine import SYMBOLIC, interaction_expansion, prefactor_expansion
+from .operator_engine import interaction_expansion, prefactor_expansion
 from .pfaffian import (
     SkewMatrix,
     det_fraction_free,
@@ -19,6 +19,7 @@ from .pfaffian import (
     pfaffian_permutations,
 )
 from .prym_bn import (
+    SYMBOLIC,
     chow_class_closed,
     chow_class_pfaffian,
     classical_coefficient,
@@ -213,10 +214,21 @@ def check_emptiness(quick):
     return True, cases
 
 
+def _de_concini_pragacz(r):
+    """De Concini-Pragacz closed form of the staircase class coefficient,
+    2^C(r,2) * prod_{i=1..r} (i-1)!/(2i-1)! / 2^(r(r+1)/2)."""
+    value = Fraction(2 ** (r * (r - 1) // 2), 2 ** (r * (r + 1) // 2))
+    for i in range(1, r + 1):
+        value *= Fraction(factorial(i - 1), factorial(2 * i - 1))
+    return value
+
+
 def check_classical_recovery(quick):
     cases = 0
     for r in range(0, 7):
-        value = classical_coefficient(r)  # raises on branch disagreement
+        value = classical_coefficient(r)
+        if value != _de_concini_pragacz(r):
+            return False, cases
         staircase = tuple(range(r, 0, -1))
         if staircase and value != chow_class_closed(staircase):
             return False, cases
@@ -225,24 +237,26 @@ def check_classical_recovery(quick):
 
 
 def check_interaction_specialization(quick):
+    # the general-beta closed forms at beta = 0 and -1 against the engine's
+    # beta = -1 expansions, scaled by (-beta)^(a-b) and (-beta)^v
     cap = 6 if quick else 10
+    inter = interaction_expansion(cap)
     cases = 0
-    sym = interaction_expansion(cap, SYMBOLIC)
-    for beta in (0, -1):
-        direct = interaction_expansion(cap, beta)
+    for beta in (Fraction(0), Fraction(-1)):
         for a in range(cap + 1):
             for b in range(a + 1):
-                want = direct.coefficient(a, b)
-                got = sym.coefficient(a, b)
-                got = got.specialize(beta) if got else Fraction(0)
-                if Fraction(want if want else 0) != got:
+                base = binom_gen(a, b) + (binom_gen(a - 1, b - 1) if b else 0)
+                want = (-1) ** b * base * beta ** (a - b)
+                if inter.coefficient(a, b) * (-beta) ** (a - b) != want:
                     return False, cases
                 cases += 1
         for s in range(-4, 5):
-            sym_pre = prefactor_expansion(s, cap, SYMBOLIC)
-            dir_pre = prefactor_expansion(s, cap, beta)
+            pre = prefactor_expansion(s, cap)
             for v in range(cap + 1):
-                if sym_pre[v].specialize(beta) != dir_pre[v]:
+                want = beta**v * sum(
+                    Fraction((-1) ** j * binom_gen(s, j), 2 ** (v + 1 - j)) for j in range(v + 1)
+                )
+                if pre[v] * (-beta) ** v != want:
                     return False, cases
                 cases += 1
     return True, cases

@@ -6,8 +6,9 @@ dimension equal to the cap, so every discarded degree integrates to zero
 and the truncation is lossless for all exported results.
 
 Coefficients are Fractions, or BetaPoly values when the connective
-deformation parameter is kept symbolic. BetaPoly is never truncated: once
-the theta variable is capped, everything is an honest polynomial in it.
+deformation parameter is kept symbolic. Symbolic classes are read off the
+beta = -1 class (see prym_bn.ck_class), so BetaPoly only holds the one
+monomial each coefficient needs; it is never truncated.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from numbers import Rational
 
 from .exact_arith import factorial, format_rational, parse_rational
 
-__all__ = ["BetaPoly", "ThetaBetaPoly", "ThetaPoly", "d_value"]
+__all__ = ["BetaPoly", "ThetaPoly", "d_value"]
 
 
+# __mul__ and __add__ stay, unused by the class routes, as bench/layer_trace.py wraps them by name
 class BetaPoly:
     """Sparse exact polynomial in the deformation parameter.
 
@@ -301,10 +303,6 @@ class ThetaPoly:
             else:
                 coeffs.append(parse_rational(c))
         return cls(int(d["cap"]), coeffs)
-
-
-# A ThetaPoly whose coefficients are BetaPoly values; same ring machinery.
-ThetaBetaPoly = ThetaPoly
 
 
 def d_value(j: int, cap: int) -> ThetaPoly:

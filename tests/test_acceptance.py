@@ -164,7 +164,8 @@ def test_criterion_09_emptiness():
 
 
 def test_criterion_10_classical_recovery():
-    # classical_coefficient raises if its two product branches disagree
+    # the staircase coefficient (its De Concini-Pragacz closed form is
+    # checked in test_prym_bn) against the closed product of the staircase
     for r in range(0, 7):
         value = classical_coefficient(r)
         if r:

@@ -154,6 +154,39 @@ def test_table_output_is_frozen(capsys, fmt, digest):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
+@pytest.mark.parametrize(
+    "beta, fmt, digest",
+    [
+        ("0", "plain", "648a5326d511745a"),
+        ("0", "json", "a6344ce2978bd74c"),
+        ("0", "latex", "3620d2ae5b725a2a"),
+        ("-1", "plain", "8e73fa8de46174a7"),
+        ("-1", "json", "a7a3c7602a3e75e4"),
+        ("-1", "latex", "05eef9c488249aec"),
+        ("symbolic", "plain", "e5a1466c6ac1d4af"),
+        ("symbolic", "json", "ed029f23c96bcb9f"),
+        ("symbolic", "latex", "0a3bc3d386ec3ab6"),
+    ],
+)
+def test_class_output_is_frozen(capsys, beta, fmt, digest):
+    # sha256 prefixes of the concatenated class stdout over g = 2..8 and
+    # every nonempty strict partition with at most 5 parts and size at most
+    # 2g - 2 (265 problems, zero-coefficient types included), recorded
+    # while every beta mode still had its own operator expansion
+    h = hashlib.sha256()
+    for g in range(2, 9):
+        for lam in prym_bn.strict_partitions(2 * g - 2, 5, 2 * g - 2):
+            if not lam:
+                continue
+            a = ",".join(str(p) for p in sorted(lam))
+            code, out, _ = run_cli(
+                capsys, "class", "--genus", str(g), "--vanishing", a, "--beta", beta, "--output", fmt
+            )
+            assert code == 0, (g, lam)
+            h.update(out.encode())
+    assert h.hexdigest()[:16] == digest
+
+
 def test_table_json_parses(capsys):
     code, out, _ = run_cli(
         capsys, "table", "--g-min", "2", "--g-max", "3", "--output", "json"

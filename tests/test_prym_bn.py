@@ -186,6 +186,9 @@ def test_ck_class_symbolic_specializes():
             sym = ck_class(p, "symbolic")
             assert sym.specialize_beta(-1) == ch_k_class(p)
             assert sym.specialize_beta(0) == ck_class(p, 0)
+            if lam:
+                want = ThetaPoly.monomial(g - 1, sum(lam), chow_class_pfaffian(lam))
+                assert sym.specialize_beta(0) == want
 
 
 def test_leading_term_is_cohomology_class():
@@ -454,6 +457,16 @@ def test_classical_matches_staircase():
         assert classical_coefficient(r) == chow_class_closed(staircase)
 
 
+def test_classical_coefficient_matches_de_concini_pragacz():
+    # outside anchor: the De Concini-Pragacz class of the Prym-Brill-Noether
+    # locus (Math. Ann. 1995), gamma * 2^(r(r+1)/2) = 2^C(r,2) * prod (i-1)!/(2i-1)!
+    for r in range(13):
+        closed = Fraction(2 ** (r * (r - 1) // 2))
+        for i in range(1, r + 1):
+            closed *= Fraction(factorial(i - 1), factorial(2 * i - 1))
+        assert classical_coefficient(r) * 2 ** (r * (r + 1) // 2) == closed, r
+
+
 # ----------------------------------------------------------- class_result
 
 
@@ -471,6 +484,9 @@ def test_class_result_kinds():
     assert "engine-convention-symbolic-beta" in ress.flags
     with pytest.raises(ValueError):
         class_result(p, 2)
+    for mode in (1, "beta", None):
+        with pytest.raises(ValueError):
+            ck_class(p, mode)
 
 
 # ------------------------------------------------- large-genus closed forms
