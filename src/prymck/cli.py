@@ -83,14 +83,25 @@ def _matchings(problem) -> int:
 
 def _theorem_work(problem) -> int:
     """(n-1)!! signed matchings times the (v, f) pairs with |v| + |f| at
-    most the degree budget: v over the l parts, f over the l // 2 pair
+    most the degree budget B: v over the l parts, f over the l // 2 pair
     slots that carry degree. That also bounds the v sequences visited and
-    the degrees read per pair; 0 when the budget is negative."""
+    the degrees read per pair.
+
+    Plus the g_coeff cost: for each pair i < j of parts (the boundary
+    index 0 reads degree 0 alone), the (m, n_i, n_j) keys times the n_j
+    terms each sums, that is sum over v_j = 0..B of
+    (lambda_j + v_j + 1) * C(B - v_j + 2, 2), in closed form
+    (lambda_j + B + 1) * C(B + 3, 3) - 3 * C(B + 3, 4). 0 when B < 0."""
     budget = problem.dim_prym - problem.codim
     if budget < 0:
         return 0
     dims = problem.ell + problem.ell // 2
-    return _matchings(problem) * comb(budget + dims, dims)
+    keys = comb(budget + 3, 3)
+    per_pair = sum(
+        j * ((lam_j + budget + 1) * keys - 3 * comb(budget + 3, 4))
+        for j, lam_j in enumerate(problem.lam)
+    )
+    return _matchings(problem) * comb(budget + dims, dims) + per_pair
 
 
 def _oracle_work(problem) -> int:

@@ -54,14 +54,6 @@ class BetaPoly:
         """Sorted (exponent, coefficient) pairs."""
         return tuple(sorted(self._coeffs.items()))
 
-    def specialize(self, beta) -> Fraction:
-        """Evaluate at a rational value of the parameter."""
-        beta = Fraction(beta)
-        total = Fraction(0)
-        for exp, c in self._coeffs.items():
-            total += c * beta**exp
-        return total
-
     def __bool__(self):
         return bool(self._coeffs)
 
@@ -83,9 +75,6 @@ class BetaPoly:
             return hash(self._coeffs[0])
         return hash(self.items())
 
-    def __neg__(self):
-        return BetaPoly({e: -c for e, c in self._coeffs.items()})
-
     def __add__(self, other):
         if isinstance(other, Rational):
             other = BetaPoly.term(other)
@@ -97,14 +86,6 @@ class BetaPoly:
         return BetaPoly(data)
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (BetaPoly, Rational)):
-            return self + (-other if isinstance(other, BetaPoly) else BetaPoly.term(-other))
-        return NotImplemented
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, Rational):
@@ -148,10 +129,6 @@ class BetaPoly:
     @classmethod
     def from_json_obj(cls, obj) -> "BetaPoly":
         return cls({int(e): parse_rational(c) for e, c in obj.items()})
-
-
-def _is_scalar(x) -> bool:
-    return isinstance(x, (Rational, BetaPoly))
 
 
 class ThetaPoly:
@@ -248,25 +225,14 @@ class ThetaPoly:
                     if c2:
                         out[d1 + d2] = out[d1 + d2] + c1 * c2
             return ThetaPoly(self._cap, out)
-        if _is_scalar(other):
+        if isinstance(other, Rational):
             return ThetaPoly(self._cap, [c * other for c in self._coeffs])
         return NotImplemented
 
     def __rmul__(self, other):
-        if _is_scalar(other):
+        if isinstance(other, Rational):
             return ThetaPoly(self._cap, [other * c for c in self._coeffs])
         return NotImplemented
-
-    def map_coeffs(self, fn) -> "ThetaPoly":
-        return ThetaPoly(self._cap, [fn(c) for c in self._coeffs])
-
-    def specialize_beta(self, beta) -> "ThetaPoly":
-        """Evaluate BetaPoly coefficients at a rational parameter value."""
-
-        def ev(c):
-            return c.specialize(beta) if isinstance(c, BetaPoly) else Fraction(c)
-
-        return self.map_coeffs(ev)
 
     def __bool__(self):
         return any(bool(c) for c in self._coeffs)

@@ -6,6 +6,7 @@ import pytest
 
 import prymck.cli as cli
 import prymck.prym_bn as prym_bn
+from prymck import selfcheck
 from prymck.cli import main
 from prymck.series_ring import ThetaPoly
 
@@ -299,6 +300,9 @@ def test_work_bound_rejects_before_compute(capsys, monkeypatch):
         ("class", *huge, "--beta", "symbolic", "--output", "json"),
         # theorem 1000 + oracle 1000^2: the oracle alone is at the bound
         ("chi", "--genus", "1001", "-r", "0", "--vanishing", "1", "--verify"),
+        # lambda = (3, 1), budget 145: the g_coeff keys times their n_j
+        # terms, about 2.0 * 10^7, once admitted and ran for minutes
+        ("chi", "--genus", "150", "-r", "1", "-a", "1,3"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
@@ -324,9 +328,10 @@ def test_work_bound_admits_benchmark_and_anchor_problems(capsys):
 
 def test_work_estimates_closed_forms():
     # g = 30, lambda = (7,...,1): 8 indices, 105 matchings, budget 1 over
-    # 7 shifts and 3 degree slots
+    # 7 shifts and 3 degree slots; g_coeff cost 4 * lambda_j + 5 for each
+    # of the j - 1 pairs below part j, 329 in all
     p = prym_bn.problem_from_partition(30, (7, 6, 5, 4, 3, 2, 1))
-    assert cli._theorem_work(p) == 105 * 11
+    assert cli._theorem_work(p) == 105 * 11 + 329
     assert cli._oracle_work(p) == 105 * 29**2
     # expected empty: the theorem route returns before summing
     p = prym_bn.problem_from_partition(10, (8, 3, 1))
@@ -338,3 +343,33 @@ def test_integer_argument_with_too_many_digits(capsys):
     code, out, err = run_cli(capsys, "chi", "--genus", "9" * 5000, "-r", "0", "--vanishing", "1")
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: --genus ")
+
+
+def test_cli_determinism_and_roundtrip(capsys):
+    # every selfcheck suite problem (g = 2..7, at most 4 parts): class and
+    # chi JSON are the same on a second run and parse back to the values
+    checked = 0
+    for p in selfcheck._suite_problems(7):
+        a = ",".join(str(x) for x in p.a)
+        base = ["--genus", str(p.g), "-r", str(p.r), "--vanishing", a]
+
+        for args in (
+            ["class", *base, "--beta", "-1", "--output", "json"],
+            ["chi", *base, "--output", "json"],
+        ):
+            assert main(args) == 0
+            first = capsys.readouterr().out
+            assert main(args) == 0
+            second = capsys.readouterr().out
+            assert first == second, args
+
+            doc = json.loads(first)
+            assert doc["problem"]["g"] == p.g
+            assert doc["problem"]["lambda"] == list(p.lam)
+            if args[0] == "class":
+                poly = ThetaPoly.from_json_dict(doc["result"]["theta_poly"])
+                assert poly == prym_bn.ch_k_class(p)
+            else:
+                assert Fraction(doc["result"]["chi"]) == prym_bn.euler_theorem(p)
+        checked += 1
+    assert checked == 41

@@ -1,0 +1,57 @@
+"""The invariant registry in tier-1: every check at both sizes, counts pinned.
+
+selfcheck.CHECKS is the only place each invariant is written; these tests
+run it and pin how many cases each check covers, so a check that silently
+shrinks fails here as well as in `prymck selfcheck`.
+"""
+
+import random
+
+import pytest
+
+from prymck import selfcheck
+
+# (quick, full) case counts, as `prymck selfcheck --quick` and
+# `prymck selfcheck` print them
+CASES = {
+    "pascal-rule": (78, 465),
+    "binomial-tail-identity": (28, 66),
+    "abel-series-crosscheck": (63, 221),
+    "series-ring-laws": (40, 120),
+    "series-vanishing": (20, 20),
+    "pfaffian-engines": (18, 62),
+    "pfaffian-closed-product": (31, 381),
+    "kclass-leading-term": (7, 35),
+    "oracle-equivalence": (10, 41),
+    "integrality": (10, 41),
+    "zero-dimensional-degree": (4, 13),
+    "emptiness": (10, 50),
+    "classical-recovery": (7, 7),
+    "interaction-specialization": (182, 330),
+    "json-roundtrip": (5, 10),
+}
+
+
+def test_every_check_has_pinned_counts():
+    assert [name for name, _ in selfcheck.CHECKS] == list(CASES)
+
+
+@pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
+@pytest.mark.parametrize("name, fn", selfcheck.CHECKS, ids=[name for name, _ in selfcheck.CHECKS])
+def test_registry_check(name, fn, quick):
+    assert fn(quick) == (True, CASES[name][0 if quick else 1])
+
+
+def test_pfaffian_engines_200_matrices():
+    # the one check run larger than selfcheck runs it: 200 random matrices
+    # up to 8 x 8, each engine pair compared
+    plan = {2: 80, 4: 60, 6: 50, 8: 10}
+    got = selfcheck._pfaffian_engine_cases(random.Random(selfcheck._SEED), plan)
+    assert got == (True, 200)
+
+
+def test_empty_problems_refuse_a_short_list():
+    # the generator stops at g = 7; a shorter list than asked for would let
+    # the emptiness check pass on fewer cases than it reports wanting
+    with pytest.raises(ValueError, match="expected-empty problems"):
+        selfcheck._empty_problems(10**6)
