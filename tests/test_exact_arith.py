@@ -51,6 +51,18 @@ def test_pascal_rule_any_top(s, t):
     assert binom_gen(s, t) == binom_gen(s - 1, t - 1) + binom_gen(s - 1, t)
 
 
+def test_alternating_binomial_tail_identity():
+    # sum_{u=1}^{lj} (-1)^u C(li+lj, li+u) == -C(li+lj-1, li), checked
+    # against math.comb on both sides
+    for lj in range(2, 13):
+        for li in range(1, lj):
+            lhs = sum((-1) ** u * comb(li + lj, li + u) for u in range(1, lj + 1))
+            assert lhs == -comb(li + lj - 1, li)
+            assert lhs == sum(
+                (-1) ** u * binom_gen(li + lj, li + u) for u in range(1, lj + 1)
+            )
+
+
 def test_abel_examples():
     # frozen from the convolution oracle:
     # (1+T)^0/(2+T) = 1/2 - T/4 + ..., (1+T)/(2+T) = 1/2 + T/4 - ...

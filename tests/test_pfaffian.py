@@ -119,6 +119,23 @@ def test_from_rows_validation():
         SkewMatrix.from_rows([[0, 2, 3], [-2, 0, 4]])  # not square
 
 
+def test_engines_agree_random():
+    rng = random.Random(1234)
+    for n in (2, 4, 6, 8):
+        for _ in range(3):
+            m = random_skew(rng, n)
+            assert pfaffian_matchings(m) == pfaffian_permutations(m)
+
+
+def test_pfaffian_squared_is_determinant():
+    rng = random.Random(4321)
+    for n in (2, 4, 6):
+        for _ in range(5):
+            m = random_skew(rng, n)
+            pf = pfaffian_matchings(m)
+            assert pf * pf == det_fraction_free(m.rows())
+
+
 def test_odd_size_det_is_zero():
     rng = random.Random(99)
     for n in (3, 5):

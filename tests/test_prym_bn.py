@@ -127,6 +127,12 @@ def test_chow_pfaffian_values():
     assert chow_class_pfaffian((2,)) == Fraction(1, 4)
 
 
+def test_chow_pfaffian_matches_closed():
+    for lam in strict_partitions(24, 4, 7):
+        if lam:
+            assert chow_class_pfaffian(lam) == chow_class_closed(lam), lam
+
+
 # ------------------------------------------------------------------ classes
 
 
@@ -193,6 +199,15 @@ def test_ck_class_symbolic_specializes():
                 assert at(0) == want
 
 
+def test_leading_term_is_cohomology_class():
+    for g in range(2, 7):
+        for lam in strict_partitions(g - 1, 4, 2 * g - 2):
+            if not lam:
+                continue
+            p = problem_from_partition(g, lam)
+            assert ch_k_class(p).coeff(sum(lam)) == chow_class_closed(lam)
+
+
 # --------------------------------------------------- Euler characteristics
 
 
@@ -214,6 +229,20 @@ def test_euler_anchors(g, a, chi):
     p = build_problem(g, len(a) - 1, a)
     assert euler_oracle(p) == chi
     assert euler_theorem(p) == chi
+
+
+def test_euler_routes_agree():
+    for g in range(2, 6):
+        for lam in strict_partitions(g - 1, 4, 2 * g - 2):
+            p = problem_from_partition(g, lam)
+            assert euler_theorem(p) == euler_oracle(p), (g, lam)
+
+
+def test_euler_integrality():
+    for g in range(2, 6):
+        for lam in strict_partitions(g - 1, 4, 2 * g - 2):
+            p = problem_from_partition(g, lam)
+            assert euler_theorem(p).denominator == 1
 
 
 def reference_euler_theorem(problem):
@@ -418,6 +447,12 @@ def test_classical_coefficient_values():
     assert classical_coefficient(0) == 1
     assert classical_coefficient(1) == Fraction(1, 2)
     assert classical_coefficient(2) == Fraction(1, 24)
+
+
+def test_classical_matches_staircase():
+    for r in range(1, 7):
+        staircase = tuple(range(r, 0, -1))
+        assert classical_coefficient(r) == chow_class_closed(staircase)
 
 
 def test_classical_coefficient_matches_de_concini_pragacz():

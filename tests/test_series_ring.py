@@ -62,6 +62,14 @@ def test_ring_laws(polys):
     assert a * (b + c) == a * b + a * c
 
 
+def test_series_vanishing():
+    # degree-j coefficient of e^{-x} * e^{x}: sum_k (-1)^k / (k! (j-k)!) == 0
+    for j in range(1, 21):
+        prod = exp_series(j, sign=-1) * exp_series(j, sign=1)
+        assert prod.coeff(j) == 0
+        assert prod == ThetaPoly.one(j)
+
+
 def test_d_value_examples():
     assert d_value(0, 4) == ThetaPoly.one(4)
     assert not d_value(-2, 4)
