@@ -17,13 +17,21 @@ so the sign is carried down as one parity bit, and the product of the
 ordered prefix is carried down with it. Each permutation still adds its own
 term, read from the matrix entries at (x, y) and (y, x) alike, into the
 running total of its parity, and the odd total is negated once at the end;
-nothing is merged through skew-symmetry, memoized over subsets or factored
-across permutations.
+nothing is merged through skew-symmetry, stored per set of used indices or
+factored across permutations.
+
+Rational matrices are put over one common denominator D first, the lcm of
+the entry denominators: the permutation walk and the Bareiss elimination
+then run on the ints D * entry, and D^(n/2) (for the Pfaffian) or D^n (for
+the determinant) is divided out in the one final Fraction. The matching
+expansion walks the entries as they are.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from numbers import Rational
 
 from .exact_arith import factorial
 
@@ -169,8 +177,13 @@ def pfaffian_permutations(m: SkewMatrix):
     the running total of its parity; the odd total is negated once at the
     end. Entries are read once, with m.rows().
 
-    Requires the coefficient ring to contain the rationals; the
-    normalization is applied as an exact Fraction scale.
+    When every entry is Rational, the grid is first put over one common
+    denominator D (the lcm of the entry denominators) and the walk runs on
+    the ints D * entry; every term is a product of n/2 entries, so
+    Pf(D M) = D^(n/2) Pf(M), and D^(n/2) is divided out together with the
+    normalization in the one final Fraction. Other entry rings walk as they
+    are; they must contain the rationals, as the normalization is applied
+    as an exact Fraction scale.
     """
     if m.n % 2:
         raise ValueError(f"pfaffian: size must be even, got {m.n}")
@@ -178,29 +191,44 @@ def pfaffian_permutations(m: SkewMatrix):
         return 1
     half = m.n // 2
     grid = m.rows()
+    norm = (1 << half) * factorial(half)
+    if all(isinstance(e, Rational) for row in grid for e in row):
+        den = lcm(*(e.denominator for row in grid for e in row))
+        grid = [[e.numerator * (den // e.denominator) for e in row] for row in grid]
+        norm *= den**half
     totals = [0, 0]  # sums of the even and of the odd permutations' terms
 
     def walk(left, prefix, odd):
         # left: unused indices in increasing order; odd: parity of the prefix
-        last = len(left) == 2
+        if len(left) == 2:
+            # the two leaves (a, b) and (b, a): p + q is 0 and 1
+            a, b = left
+            ab, ba = grid[a][b], grid[b][a]
+            if prefix is not None:
+                ab, ba = prefix * ab, prefix * ba
+            totals[odd] = totals[odd] + ab
+            totals[odd ^ 1] = totals[odd ^ 1] + ba
+            return
         for p, x in enumerate(left):
             rest = left[:p] + left[p + 1 :]
             row = grid[x]
             for q, y in enumerate(rest):
                 term = row[y] if prefix is None else prefix * row[y]
-                flip = odd ^ ((p + q) & 1)
-                if last:
-                    totals[flip] = totals[flip] + term
-                else:
-                    walk(rest[:q] + rest[q + 1 :], term, flip)
+                walk(rest[:q] + rest[q + 1 :], term, odd ^ ((p + q) & 1))
 
     walk(list(range(m.n)), None, 0)
     even, odd = totals
-    return (even + -odd) * Fraction(1, (1 << half) * factorial(half))
+    return (even + -odd) * Fraction(1, norm)
 
 
 def det_fraction_free(rows) -> Fraction:
     """Determinant by fraction-free (Bareiss) elimination, exact throughout.
+
+    The rational entries are put over one common denominator D (the lcm of
+    their denominators) and the elimination runs on the ints D * entry.
+    Every Bareiss quotient is exact, so each step divides with divmod and a
+    nonzero remainder raises ArithmeticError; det(D A) = D^n det(A), and D^n
+    is divided out in the one final Fraction.
 
     Independent of both Pfaffian routes; used as the Pf(M)^2 == det(M)
     cross-check oracle.
@@ -211,8 +239,10 @@ def det_fraction_free(rows) -> Fraction:
         raise ValueError("det_fraction_free: grid is not square")
     if n == 0:
         return Fraction(1)
+    den = lcm(*(x.denominator for row in a for x in row))
+    a = [[x.numerator * (den // x.denominator) for x in row] for row in a]
     sign = 1
-    prev = Fraction(1)
+    prev = 1
     for k in range(n - 1):
         if not a[k][k]:
             for r in range(k + 1, n):
@@ -222,8 +252,13 @@ def det_fraction_free(rows) -> Fraction:
                     break
             else:
                 return Fraction(0)
+        pivot, pivot_row = a[k][k], a[k]
         for i in range(k + 1, n):
+            row, lead = a[i], a[i][k]
             for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+                quot, rem = divmod(row[j] * pivot - lead * pivot_row[j], prev)
+                if rem:
+                    raise ArithmeticError("det_fraction_free: inexact Bareiss step")
+                row[j] = quot
+        prev = pivot
+    return Fraction(sign * a[n - 1][n - 1], den**n)

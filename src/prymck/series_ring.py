@@ -13,12 +13,24 @@ monomial each coefficient needs; it is never truncated.
 
 from __future__ import annotations
 
+import operator
+import re
 from fractions import Fraction
 from numbers import Rational
 
 from .exact_arith import factorial, format_rational, parse_rational
 
 __all__ = ["BetaPoly", "ThetaPoly", "d_value"]
+
+_EXPONENT = re.compile("[0-9]+")
+# format_rational's output: p, or p/q with q nonzero
+_RATIONAL = re.compile("-?[0-9]+(/[0-9]*[1-9][0-9]*)?")
+
+
+def _read_rational(text) -> Fraction:
+    if not (isinstance(text, str) and _RATIONAL.fullmatch(text)):
+        raise ValueError(f"series_ring: coefficient {text!r} is not a JSON string p or p/q")
+    return parse_rational(text)
 
 
 # __mul__ and __add__ stay, unused by the class routes, as bench/layer_trace.py wraps them by name
@@ -35,7 +47,10 @@ class BetaPoly:
         data = {}
         if coeffs:
             for exp, c in coeffs.items():
-                exp = int(exp)
+                try:
+                    exp = operator.index(exp)
+                except TypeError:
+                    raise ValueError(f"BetaPoly: exponent {exp!r} is not an integer") from None
                 if exp < 0:
                     raise ValueError(f"BetaPoly: negative exponent {exp}")
                 c = Fraction(c)
@@ -128,7 +143,12 @@ class BetaPoly:
 
     @classmethod
     def from_json_obj(cls, obj) -> "BetaPoly":
-        return cls({int(e): parse_rational(c) for e, c in obj.items()})
+        if not isinstance(obj, dict):
+            raise ValueError(f"BetaPoly: {obj!r} is not an object of exponents")
+        for e in obj:
+            if not (isinstance(e, str) and _EXPONENT.fullmatch(e)):
+                raise ValueError(f"BetaPoly: exponent key {e!r} is not [0-9]+")
+        return cls({int(e): _read_rational(c) for e, c in obj.items()})
 
 
 class ThetaPoly:
@@ -262,13 +282,21 @@ class ThetaPoly:
 
     @classmethod
     def from_json_dict(cls, d) -> "ThetaPoly":
+        if not (isinstance(d, dict) and "cap" in d and "coeffs" in d):
+            raise ValueError("ThetaPoly: expected an object with 'cap' and 'coeffs'")
+        cap = d["cap"]
+        if not isinstance(cap, int) or isinstance(cap, bool):
+            raise ValueError(f"ThetaPoly: cap {cap!r} is not an integer")
+        raw = d["coeffs"]
+        if not isinstance(raw, (list, tuple)) or len(raw) != cap + 1:
+            raise ValueError(f"ThetaPoly: cap {cap} needs a list of {cap + 1} coefficients")
         coeffs = []
-        for c in d["coeffs"]:
+        for c in raw:
             if isinstance(c, dict):
                 coeffs.append(BetaPoly.from_json_obj(c))
             else:
-                coeffs.append(parse_rational(c))
-        return cls(int(d["cap"]), coeffs)
+                coeffs.append(_read_rational(c))
+        return cls(cap, coeffs)
 
 
 def d_value(j: int, cap: int) -> ThetaPoly:

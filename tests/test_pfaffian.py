@@ -272,3 +272,105 @@ def test_permutation_engine_adds_one_term_per_permutation(n):
             word.append((min(x, y), max(x, y)))
         expected[(coeff, tuple(word))] += 1
     assert Counter(total.terms) == expected
+
+
+def prime_denominator_skew(rng, n):
+    """n x n skew matrix whose upper entries have distinct prime denominators,
+    so the common denominator is their product and not a power of 2."""
+    upper = {}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for ij, p in zip(pairs, PRIMES):
+        num = rng.randint(1, 9)
+        num += num % p == 0  # keep p in the reduced denominator
+        upper[ij] = Fraction(rng.choice((-1, 1)) * num, p)
+    return SkewMatrix(n, upper)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_permutation_engine_prime_denominators(n):
+    m = prime_denominator_skew(random.Random(1000 + n), n)
+    pf = pfaffian_permutations(m)
+    assert isinstance(pf, Fraction)
+    assert pf == reference_pfaffian_permutations(m)
+    assert pf == pfaffian_matchings(m)
+
+
+def test_permutation_engine_mixed_int_and_fraction_entries():
+    rng = random.Random(8642)
+    m = SkewMatrix.from_upper(
+        6,
+        lambda i, j: rng.randint(-9, 9) if (i + j) % 2 else Fraction(rng.randint(-9, 9), 5),
+    )
+    pf = pfaffian_permutations(m)
+    assert isinstance(pf, Fraction)
+    assert pf == reference_pfaffian_permutations(m) == pfaffian_matchings(m)
+
+
+def test_permutation_engine_zero_matrix():
+    m = SkewMatrix(6, {})
+    pf = pfaffian_permutations(m)
+    assert isinstance(pf, Fraction) and pf == 0
+
+
+class NoArithFraction(Fraction):
+    """A Fraction whose +, * and their reflections raise: an engine that reads
+    only numerator and denominator works on it, one doing Fraction arithmetic
+    on the entries does not."""
+
+    def _refuse(self, other):
+        raise AssertionError("Fraction arithmetic on a matrix entry")
+
+    __mul__ = __rmul__ = __add__ = __radd__ = _refuse
+
+
+def test_permutation_engine_runs_on_ints_for_rational_entries():
+    for n in (2, 4, 6, 8):
+        plain = prime_denominator_skew(random.Random(2000 + n), n)
+        guarded = SkewMatrix(
+            n,
+            {
+                (i, j): NoArithFraction(plain.entry(i, j))
+                for i in range(n)
+                for j in range(i + 1, n)
+            },
+        )
+        with pytest.raises(AssertionError):
+            pfaffian_matchings(guarded)
+        assert pfaffian_permutations(guarded) == pfaffian_matchings(plain)
+
+
+def leibniz_det(rows):
+    n = len(rows)
+    total = Fraction(0)
+    for sigma in itertools.permutations(range(n)):
+        term = Fraction(perm_sign(sigma))
+        for i in range(n):
+            term *= rows[i][sigma[i]]
+        total += term
+    return total
+
+
+def test_det_matches_leibniz_on_rational_matrices():
+    rng = random.Random(97531)
+    for n in range(1, 6):
+        for _ in range(4):
+            rows = [
+                [Fraction(rng.randint(-9, 9), rng.choice(PRIMES[:6])) for _ in range(n)]
+                for _ in range(n)
+            ]
+            det = det_fraction_free(rows)
+            assert isinstance(det, Fraction)
+            assert det == leibniz_det(rows), rows
+
+
+def test_det_row_swap_on_zero_leading_pivot():
+    rows = [
+        [0, Fraction(2, 3), Fraction(-1, 5), 4],
+        [Fraction(7, 2), 1, 0, Fraction(-3, 7)],
+        [Fraction(1, 11), Fraction(5, 3), 2, Fraction(1, 2)],
+        [-1, Fraction(4, 13), Fraction(9, 5), 0],
+    ]
+    det = det_fraction_free(rows)
+    assert det == leibniz_det(rows) != 0
+    # a zero pivot that no lower row can replace makes the matrix singular
+    assert det_fraction_free([[0, Fraction(1, 3)], [0, Fraction(2, 7)]]) == 0

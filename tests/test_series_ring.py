@@ -89,6 +89,77 @@ def test_theta_json_roundtrip_beta_coeffs():
     assert ThetaPoly.from_json_dict(x.to_json_dict()) == x
 
 
+@pytest.mark.parametrize(
+    "d",
+    [
+        {"cap": 2.9, "coeffs": ["1", "2", "3"]},
+        {"cap": 2.0, "coeffs": ["1", "2", "3"]},
+        {"cap": True, "coeffs": ["1", "2"]},
+        {"cap": True, "coeffs": ["1", "2", "3"]},
+        {"cap": "2", "coeffs": ["1", "2", "3"]},
+        {"cap": 2, "coeffs": ["1", "2"]},
+        {"cap": 2, "coeffs": ["1", "2", "3", "4"]},
+        {"cap": 2, "coeffs": "123"},
+        {"cap": -1, "coeffs": []},
+        {"coeffs": ["1"]},
+        {"cap": 0},
+        [],
+    ],
+    ids=[
+        "float-cap",
+        "integral-float-cap",
+        "bool-cap",
+        "bool-cap-extra-coeff",
+        "string-cap",
+        "short-coeffs",
+        "long-coeffs",
+        "string-coeffs",
+        "negative-cap",
+        "no-cap",
+        "no-coeffs",
+        "not-an-object",
+    ],
+)
+def test_theta_json_rejects_bad_cap_or_length(d):
+    with pytest.raises(ValueError):
+        ThetaPoly.from_json_dict(d)
+
+
+@pytest.mark.parametrize("key", [" 1_0", "1_0", "-1", "+1", "1.5", "", " 1", "1\n", "\u0661", 1])
+def test_beta_json_rejects_non_digit_exponent_keys(key):
+    with pytest.raises(ValueError):
+        BetaPoly.from_json_obj({key: "2"})
+    with pytest.raises(ValueError):
+        ThetaPoly.from_json_dict({"cap": 0, "coeffs": [{key: "2"}]})
+
+
+def test_beta_json_rejects_non_object():
+    with pytest.raises(ValueError):
+        BetaPoly.from_json_obj(["1"])
+
+
+@pytest.mark.parametrize("exp", [1.7, 1.0, "1", Fraction(1)], ids=repr)
+def test_beta_poly_rejects_non_integer_exponents(exp):
+    with pytest.raises(ValueError):
+        BetaPoly({exp: 3})
+
+
+@pytest.mark.parametrize(
+    "coeff", [" 3 ", "1_0", "\u0661/2", "1.5", "+1", "1e3", "1/0", "1/-2", "", 0.1, 7, None]
+)
+def test_json_rejects_coefficients_not_written_by_format_rational(coeff):
+    with pytest.raises(ValueError):
+        ThetaPoly.from_json_dict({"cap": 0, "coeffs": [coeff]})
+    with pytest.raises(ValueError):
+        BetaPoly.from_json_obj({"1": coeff})
+
+
+def test_beta_json_reads_digit_exponent_keys():
+    assert BetaPoly.from_json_obj({"0": "1/2", "10": "-3", "2": "-4/10"}) == BetaPoly(
+        {0: Fraction(1, 2), 10: -3, 2: Fraction(-2, 5)}
+    )
+
+
 def test_beta_poly_arithmetic():
     b = BetaPoly({1: Fraction(1)})
     two_b = b + b
