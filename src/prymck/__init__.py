@@ -10,8 +10,6 @@ from .exact_arith import (
     parse_rational,
 )
 from .operator_engine import (
-    ShiftMonomial,
-    ShiftOperatorPoly,
     apply_pair_operator,
     interaction_expansion,
     prefactor_expansion,
@@ -54,8 +52,6 @@ __all__ = [
     "GTable",
     "PrymProblem",
     "SYMBOLIC",
-    "ShiftMonomial",
-    "ShiftOperatorPoly",
     "SkewMatrix",
     "ThetaPoly",
     "ValidationError",

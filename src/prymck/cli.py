@@ -35,9 +35,12 @@ _TABLE_G_MAX = 10
 _TABLE_LEN_MAX = 5
 _INT_RE = re.compile(r"[+-]?[0-9]+")
 # largest estimated work (see _theorem_work, _oracle_work) a class or chi
-# command starts on; near it, the oracle takes about 100 s at g = 1000,
-# lambda = (1) on a 2-vCPU VM
+# command starts on; near it, class --beta -1 takes about 100 s at
+# g = 1000, lambda = (1) on a 2-vCPU VM
 _WORK_MAX = 10**6
+# most digits in an int that class --beta 0 prints (see _gamma_digits):
+# Python's default limit on converting an int to a string
+_DIGITS_MAX = 4300
 
 
 @dataclass(frozen=True)
@@ -91,7 +94,11 @@ def _theorem_work(problem) -> int:
     index 0 reads degree 0 alone), the (m, n_i, n_j) keys times the n_j
     terms each sums, that is sum over v_j = 0..B of
     (lambda_j + v_j + 1) * C(B - v_j + 2, 2), in closed form
-    (lambda_j + B + 1) * C(B + 3, 3) - 3 * C(B + 3, 4). 0 when B < 0."""
+    (lambda_j + B + 1) * C(B + 3, 3) - 3 * C(B + 3, 4).
+
+    Plus the Abel prefactor cost: abel_coefficient(s_i, v) for v = 0..B on
+    each of the l parts, where binom_gen multiplies v - k factors for each
+    k = 0..v, so l * C(B + 2, 3) factors in all. 0 when B < 0."""
     budget = problem.dim_prym - problem.codim
     if budget < 0:
         return 0
@@ -101,7 +108,8 @@ def _theorem_work(problem) -> int:
         j * ((lam_j + budget + 1) * keys - 3 * comb(budget + 3, 4))
         for j, lam_j in enumerate(problem.lam)
     )
-    return _matchings(problem) * comb(budget + dims, dims) + per_pair
+    abel = problem.ell * comb(budget + 2, 3)
+    return _matchings(problem) * comb(budget + dims, dims) + per_pair + abel
 
 
 def _oracle_work(problem) -> int:
@@ -109,6 +117,27 @@ def _oracle_work(problem) -> int:
     series of cap = g - 1 for the oracle and for class at beta -1 or
     symbolic."""
     return _matchings(problem) * problem.dim_prym**2
+
+
+def _gamma_digits(problem) -> int:
+    """At least the decimal digits of every integer class --beta 0 prints:
+    the numerator and denominator of gamma and of gamma * 2^|lambda|.
+
+    chow_class_closed's denominator divides 2^l * prod lambda_i! *
+    prod_{i<j} (lambda_i + lambda_j) and its numerator
+    prod_{i<j} (lambda_i - lambda_j). A product has at most the summed bit
+    lengths of its factors, so n! has at most
+    sum_{k=1..n} bitlen(k) = L(n + 1) - 2^L + 1 bits, L = bitlen(n), and
+    each of the C(l, 2) pair factors at most bitlen(2 * max lambda)."""
+    lam = problem.lam
+    pairs, largest = comb(len(lam), 2), max(lam, default=0)
+    den = len(lam) + pairs * (2 * largest).bit_length()
+    for p in lam:
+        top = p.bit_length()
+        den += top * (p + 1) - 2**top + 1
+    num = pairs * largest.bit_length() + sum(lam)
+    # 30103 / 100000 > log10(2)
+    return max(den, num) * 30103 // 100000 + 1
 
 
 def _check_work(work: int) -> None:
@@ -267,8 +296,13 @@ def _emit_class_latex(res, out):
 
 def run_class(req: RunRequest, out) -> int:
     problem = _build(req)
-    if req.beta != 0:  # beta 0 is the closed product, whatever the genus
+    if req.beta != 0:
         _check_work(_oracle_work(problem))
+    elif (digits := _gamma_digits(problem)) > _DIGITS_MAX:
+        # beta 0 is the closed product, whatever the genus; only its size is bounded
+        raise ValidationError(
+            f"problem too large: gamma has up to {digits} digits, more than {_DIGITS_MAX}"
+        )
     res = class_result(problem, req.beta)
     if req.output == "json":
         out(json.dumps(_result_json(res), indent=2))

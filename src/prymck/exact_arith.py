@@ -13,6 +13,7 @@ that the rest of the code relies on live here:
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import factorial as _math_factorial, prod
 
@@ -68,6 +69,17 @@ def format_rational(x) -> str:
     return str(Fraction(x))
 
 
+# format_rational's output: p, or p/q with q nonzero
+_RATIONAL = re.compile("-?[0-9]+(/[0-9]*[1-9][0-9]*)?")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Inverse of format_rational."""
+    """Inverse of format_rational: reads a string p or p/q, q nonzero.
+
+    Raises ValueError on anything else, including what Fraction() alone
+    would take: whitespace, a leading +, non-ASCII digits, decimals,
+    exponents and underscores.
+    """
+    if not (isinstance(text, str) and _RATIONAL.fullmatch(text)):
+        raise ValueError(f"parse_rational: {text!r} is not a string p or p/q of ASCII digits")
     return Fraction(text)

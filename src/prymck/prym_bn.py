@@ -46,7 +46,7 @@ from functools import cache
 from math import comb
 
 from .exact_arith import abel_coefficient, factorial
-from .operator_engine import apply_pair_operator, interaction_expansion, prefactor_expansion
+from .operator_engine import apply_pair_operator, prefactor_expansion
 from .pfaffian import SkewMatrix, augment_odd, perm_sign, pfaffian_matchings
 from .series_ring import BetaPoly, ThetaPoly, d_value
 
@@ -265,10 +265,9 @@ def ch_k_class(problem: PrymProblem) -> ThetaPoly:
         return ThetaPoly.one(cap)
     lam, s = problem.lam, problem.s
     pre = [prefactor_expansion(s[i], cap) for i in range(ell)]
-    inter = interaction_expansion(cap)
 
     def entry(i, j):
-        return apply_pair_operator(inter, (lam[i], lam[j]), pre[i], pre[j], cap)
+        return apply_pair_operator((lam[i], lam[j]), pre[i], pre[j], cap)
 
     m = SkewMatrix.from_upper(ell, entry)
     if ell % 2:

@@ -261,7 +261,7 @@ def check_interaction_specialization(quick):
             for b in range(a + 1):
                 base = binom_gen(a, b) + (binom_gen(a - 1, b - 1) if b else 0)
                 want = (-1) ** b * base * beta ** (a - b)
-                if inter.coefficient(a, b) * (-beta) ** (a - b) != want:
+                if inter[b][a] * (-beta) ** (a - b) != want:
                     return False, cases
                 cases += 1
         for s in range(-4, 5):

@@ -23,14 +23,6 @@ from .exact_arith import factorial, format_rational, parse_rational
 __all__ = ["BetaPoly", "ThetaPoly", "d_value"]
 
 _EXPONENT = re.compile("[0-9]+")
-# format_rational's output: p, or p/q with q nonzero
-_RATIONAL = re.compile("-?[0-9]+(/[0-9]*[1-9][0-9]*)?")
-
-
-def _read_rational(text) -> Fraction:
-    if not (isinstance(text, str) and _RATIONAL.fullmatch(text)):
-        raise ValueError(f"series_ring: coefficient {text!r} is not a JSON string p or p/q")
-    return parse_rational(text)
 
 
 # __mul__ and __add__ stay, unused by the class routes, as bench/layer_trace.py wraps them by name
@@ -148,7 +140,7 @@ class BetaPoly:
         for e in obj:
             if not (isinstance(e, str) and _EXPONENT.fullmatch(e)):
                 raise ValueError(f"BetaPoly: exponent key {e!r} is not [0-9]+")
-        return cls({int(e): _read_rational(c) for e, c in obj.items()})
+        return cls({int(e): parse_rational(c) for e, c in obj.items()})
 
 
 class ThetaPoly:
@@ -218,18 +210,6 @@ class ThetaPoly:
             return self
         return NotImplemented
 
-    def __sub__(self, other):
-        if not isinstance(other, ThetaPoly):
-            return NotImplemented
-        self._require_same_cap(other)
-        return ThetaPoly(self._cap, [a - b for a, b in zip(self._coeffs, other._coeffs)])
-
-    def __rsub__(self, other):
-        # accumulators started at 0, like __radd__
-        if isinstance(other, int) and other == 0:
-            return -self
-        return NotImplemented
-
     def __neg__(self):
         return ThetaPoly(self._cap, [-c for c in self._coeffs])
 
@@ -295,7 +275,7 @@ class ThetaPoly:
             if isinstance(c, dict):
                 coeffs.append(BetaPoly.from_json_obj(c))
             else:
-                coeffs.append(_read_rational(c))
+                coeffs.append(parse_rational(c))
         return cls(cap, coeffs)
 
 

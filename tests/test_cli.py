@@ -1,6 +1,9 @@
 import hashlib
 import json
+import pathlib
+import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -313,10 +316,10 @@ def test_work_bound_rejects_before_compute(capsys, monkeypatch):
 
 def test_work_bound_admits_benchmark_and_anchor_problems(capsys):
     # chi --verify anchors and ladder rungs, then class at beta -1 / symbolic
-    for g, lam in ((80, (1,)), (30, (7, 6, 5, 4, 3, 2, 1)), (25, (8, 5, 4, 3, 2, 1)), (1000, (1,))):
+    for g, lam in ((80, (1,)), (30, (7, 6, 5, 4, 3, 2, 1)), (25, (8, 5, 4, 3, 2, 1))):
         p = prym_bn.problem_from_partition(g, lam)
         assert 0 < cli._theorem_work(p) + cli._oracle_work(p) <= cli._WORK_MAX, (g, lam)
-    for g, lam in ((28, (8, 6, 4, 3, 2, 1)), (40, (8, 6, 5, 4, 3, 2))):
+    for g, lam in ((28, (8, 6, 4, 3, 2, 1)), (40, (8, 6, 5, 4, 3, 2)), (1000, (1,))):
         p = prym_bn.problem_from_partition(g, lam)
         assert 0 < cli._oracle_work(p) <= cli._WORK_MAX, (g, lam)
     # the closed product answers beta 0 at any genus
@@ -329,14 +332,90 @@ def test_work_bound_admits_benchmark_and_anchor_problems(capsys):
 def test_work_estimates_closed_forms():
     # g = 30, lambda = (7,...,1): 8 indices, 105 matchings, budget 1 over
     # 7 shifts and 3 degree slots; g_coeff cost 4 * lambda_j + 5 for each
-    # of the j - 1 pairs below part j, 329 in all
+    # of the j - 1 pairs below part j, 329 in all; Abel prefactors
+    # 7 * C(3, 3): the one factor of binom_gen(s, 1) on each part
     p = prym_bn.problem_from_partition(30, (7, 6, 5, 4, 3, 2, 1))
-    assert cli._theorem_work(p) == 105 * 11 + 329
+    assert cli._theorem_work(p) == 105 * 11 + 329 + 7
     assert cli._oracle_work(p) == 105 * 29**2
     # expected empty: the theorem route returns before summing
     p = prym_bn.problem_from_partition(10, (8, 3, 1))
     assert cli._theorem_work(p) == 0
     assert cli._oracle_work(p) == 3 * 81
+
+
+def test_work_bound_counts_abel_prefactors(capsys, monkeypatch):
+    # abel_coefficient(s, v) multiplies v - k factors in binom_gen(s, v - k)
+    # for k = 0..v; over v = 0..B on each of the l parts that is l * C(B + 2, 3)
+    for budget in range(8):
+        assert sum(v - k for v in range(budget + 1) for k in range(v + 1)) == comb(budget + 2, 3)
+    p = prym_bn.problem_from_partition(1000, (1,))  # budget 998, one part
+    assert cli._theorem_work(p) == 999 + comb(1000, 3)
+
+    def never(*args):
+        raise AssertionError("a route ran on a problem over the work bound")
+
+    monkeypatch.setattr(cli, "euler_theorem", never)
+    # g = 1000 ran for 30 s and g = 2000 for over a minute while estimated at g - 1
+    for genus in ("1000", "2000"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "chi", "--genus", genus, "-r", "0", "-a", "1")
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == "", genus
+        assert err.count("\n") == 1 and err.startswith("error: problem too large: "), err
+
+
+def test_benchmark_reference_commands_are_admitted(capsys):
+    # every class and chi command of the benchmark runs and prints its recorded stdout
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+    reference = json.loads(path.read_text())
+    commands = [c for c in reference if c.split()[0] in ("class", "chi")]
+    assert len(commands) == 24
+    for command in commands:
+        code, out, err = run_cli(capsys, *command.split())
+        assert (code, err) == (0, ""), command
+        assert out == reference[command], command
+
+
+def test_class_beta_zero_bounds_gamma_digits(capsys, monkeypatch):
+    # gamma of lambda = (70, ..., 1) has 4481 digits, more than str() converts
+    def never(*args):
+        raise AssertionError("class_result ran on a problem over the digit bound")
+
+    monkeypatch.setattr(cli, "class_result", never)
+    staircase = ",".join(str(k) for k in range(1, 71))
+    for fmt in ("plain", "json", "latex"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "class", "-g", "40", "-a", staircase, "--beta", "0", "--output", fmt)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == "", fmt
+        assert err.count("\n") == 1 and err.startswith("error: problem too large: "), err
+        assert f"more than {cli._DIGITS_MAX}" in err
+
+
+def decimal_digits(x):
+    # len(str(x)) without str(), which refuses more than 4300 digits
+    d = max(1, x.bit_length() * 30103 // 100000)
+    while 10**d <= x:
+        d += 1
+    while d > 1 and 10 ** (d - 1) > x:
+        d -= 1
+    return d
+
+
+def test_gamma_digits_bound_every_printed_integer(capsys):
+    # staircases up to 50 parts and single large parts: the estimate is at
+    # least the digits of each integer class --beta 0 prints
+    assert [decimal_digits(x) for x in (0, 9, 10, 99, 100, 10**50 - 1, 10**50)] == [1, 1, 2, 2, 3, 50, 51]
+    cases = [tuple(range(k, 0, -1)) for k in range(0, 51, 5)] + [(2000,), (3000, 1), (300, 299, 298)]
+    for lam in cases:
+        p = prym_bn.problem_from_partition(max(2, (max(lam, default=0) + 3) // 2), lam)
+        gamma = prym_bn.chow_class_closed(lam)
+        scaled = gamma * 2 ** sum(lam)
+        digits = max(map(decimal_digits, (gamma.numerator, gamma.denominator, scaled.numerator, scaled.denominator)))
+        assert digits <= cli._gamma_digits(p), lam
+    # 1..40 is admitted and prints, 1..70 is not
+    code, out, _ = run_cli(capsys, "class", "-g", "40", "-a", ",".join(str(k) for k in range(1, 41)), "--beta", "0")
+    assert code == 0 and "gamma: " in out
 
 
 def test_integer_argument_with_too_many_digits(capsys):

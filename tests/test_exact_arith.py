@@ -81,6 +81,22 @@ def test_rational_string_roundtrip(x):
     assert parse_rational(format_rational(x)) == x
 
 
+@pytest.mark.parametrize(
+    "text", [" 3 ", "\u0661/2", "1e3", "1.5", "1_0", "+1", "1/0", "1/-2", "3/ 4", "", 7, None], ids=repr
+)
+def test_parse_rational_rejects_what_format_rational_never_writes(text):
+    # Fraction() alone reads the first four, and "1_0" on Python >= 3.11 only
+    with pytest.raises(ValueError):
+        parse_rational(text)
+
+
+def test_parse_rational_reads_p_and_p_over_q():
+    assert parse_rational("-3") == -3
+    assert parse_rational("0") == 0
+    assert parse_rational("-6/4") == Fraction(-3, 2)
+    assert type(parse_rational("5")) is Fraction
+
+
 def test_rational_format():
     assert format_rational(Fraction(3, 1)) == "3"
     assert format_rational(Fraction(-1, 8)) == "-1/8"

@@ -178,14 +178,3 @@ def test_beta_poly_str():
     assert str(BetaPoly()) == "0"
     assert str(BetaPoly({0: Fraction(1, 2), 1: Fraction(-1, 4)})) == "1/2 - 1/4*b"
     assert str(BetaPoly({2: Fraction(3)})) == "3*b^2"
-
-
-def test_zero_minus_theta_poly_is_negation():
-    x = ThetaPoly(3, [Fraction(1, 3), Fraction(-2), Fraction(0), Fraction(7, 5)])
-    assert 0 - x == -x
-    acc = 0
-    acc -= x
-    assert acc == -x and isinstance(acc, ThetaPoly)
-    for other in (1, Fraction(0), 0.0):
-        with pytest.raises(TypeError):
-            other - x
