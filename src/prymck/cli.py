@@ -13,7 +13,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, prod
+from math import comb, lgamma, log, prod
 
 from . import __version__, selfcheck
 from .exact_arith import format_rational
@@ -38,9 +38,9 @@ _INT_RE = re.compile(r"[+-]?[0-9]+")
 # command starts on; near it, class --beta -1 takes about 100 s at
 # g = 1000, lambda = (1) on a 2-vCPU VM
 _WORK_MAX = 10**6
-# most digits in an int that class --beta 0 prints (see _gamma_digits):
-# Python's default limit on converting an int to a string
-_DIGITS_MAX = 4300
+# binom_gen factors per unit of work: chi --genus 1000 -r 0 -a 1 multiplies
+# C(1000, 3) of them in about 30 s, where a unit is about 10^-4 s
+_ABEL_FACTORS_PER_UNIT = 500
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,8 @@ def _theorem_work(problem) -> int:
 
     Plus the Abel prefactor cost: abel_coefficient(s_i, v) for v = 0..B on
     each of the l parts, where binom_gen multiplies v - k factors for each
-    k = 0..v, so l * C(B + 2, 3) factors in all. 0 when B < 0."""
+    k = 0..v, so l * C(B + 2, 3) factors in all, _ABEL_FACTORS_PER_UNIT to
+    a unit. 0 when B < 0."""
     budget = problem.dim_prym - problem.codim
     if budget < 0:
         return 0
@@ -108,7 +109,7 @@ def _theorem_work(problem) -> int:
         j * ((lam_j + budget + 1) * keys - 3 * comb(budget + 3, 4))
         for j, lam_j in enumerate(problem.lam)
     )
-    abel = problem.ell * comb(budget + 2, 3)
+    abel = problem.ell * comb(budget + 2, 3) // _ABEL_FACTORS_PER_UNIT
     return _matchings(problem) * comb(budget + dims, dims) + per_pair + abel
 
 
@@ -119,25 +120,22 @@ def _oracle_work(problem) -> int:
     return _matchings(problem) * problem.dim_prym**2
 
 
-def _gamma_digits(problem) -> int:
-    """At least the decimal digits of every integer class --beta 0 prints:
-    the numerator and denominator of gamma and of gamma * 2^|lambda|.
-
-    chow_class_closed's denominator divides 2^l * prod lambda_i! *
-    prod_{i<j} (lambda_i + lambda_j) and its numerator
-    prod_{i<j} (lambda_i - lambda_j). A product has at most the summed bit
-    lengths of its factors, so n! has at most
-    sum_{k=1..n} bitlen(k) = L(n + 1) - 2^L + 1 bits, L = bitlen(n), and
-    each of the C(l, 2) pair factors at most bitlen(2 * max lambda)."""
-    lam = problem.lam
-    pairs, largest = comb(len(lam), 2), max(lam, default=0)
-    den = len(lam) + pairs * (2 * largest).bit_length()
-    for p in lam:
-        top = p.bit_length()
-        den += top * (p + 1) - 2**top + 1
-    num = pairs * largest.bit_length() + sum(lam)
-    # 30103 / 100000 > log10(2)
-    return max(den, num) * 30103 // 100000 + 1
+def _gamma_too_long(lam, limit: int) -> bool:
+    """Whether gamma = chow_class_closed(lam) surely has a denominator of
+    more than limit digits. Its reduced numerator is a nonzero integer, so
+    the denominator is at least 1 / |gamma| = 2^l * prod lambda_i! *
+    prod_{i<j} (lambda_i + lambda_j) / (lambda_i - lambda_j). Sums the logs
+    of those factors, all positive, and stops once past limit + 1 digits
+    (the one digit of slack covers the float rounding); the factorials
+    alone pass it long before the l^2 / 2 pairs grow many. Parts are
+    capped at 2^1000 so that they convert to floats: still a lower bound."""
+    stop = (limit + 1) * log(10)
+    size = len(lam) * log(2) + sum(lgamma(min(p, 2**1000) + 1) for p in lam)
+    for i, p in enumerate(lam):
+        if size > stop:
+            break
+        size += sum(log((p + q) / (p - q)) for q in lam[i + 1 :])
+    return size > stop
 
 
 def _check_work(work: int) -> None:
@@ -296,14 +294,22 @@ def _emit_class_latex(res, out):
 
 def run_class(req: RunRequest, out) -> int:
     problem = _build(req)
+    # the most digits str() converts from an int: 0 for no limit, as before Python 3.10.7
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    too_long = f"problem too large: gamma has more than {limit} digits"
     if req.beta != 0:
         _check_work(_oracle_work(problem))
-    elif (digits := _gamma_digits(problem)) > _DIGITS_MAX:
+    elif limit and _gamma_too_long(problem.lam, limit):
         # beta 0 is the closed product, whatever the genus; only its size is bounded
-        raise ValidationError(
-            f"problem too large: gamma has up to {digits} digits, more than {_DIGITS_MAX}"
-        )
+        raise ValidationError(too_long)
     res = class_result(problem, req.beta)
+    if res.kind == "cohomology" and limit:
+        # the exact check on what plain and json print (latex: gamma alone);
+        # under 3 * limit bits is under 10^limit
+        shown = (res.gamma, res.gamma * 2**res.exponent)
+        ints = [n for x in shown for n in (abs(x.numerator), x.denominator)]
+        if any(n.bit_length() > 3 * limit and n >= 10**limit for n in ints):
+            raise ValidationError(too_long)
     if req.output == "json":
         out(json.dumps(_result_json(res), indent=2))
     elif req.output == "latex":

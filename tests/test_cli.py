@@ -1,6 +1,7 @@
 import hashlib
 import json
 import pathlib
+import sys
 import time
 from fractions import Fraction
 from math import comb
@@ -335,7 +336,7 @@ def test_work_estimates_closed_forms():
     # of the j - 1 pairs below part j, 329 in all; Abel prefactors
     # 7 * C(3, 3): the one factor of binom_gen(s, 1) on each part
     p = prym_bn.problem_from_partition(30, (7, 6, 5, 4, 3, 2, 1))
-    assert cli._theorem_work(p) == 105 * 11 + 329 + 7
+    assert cli._theorem_work(p) == 105 * 11 + 329 + 7 // cli._ABEL_FACTORS_PER_UNIT
     assert cli._oracle_work(p) == 105 * 29**2
     # expected empty: the theorem route returns before summing
     p = prym_bn.problem_from_partition(10, (8, 3, 1))
@@ -348,20 +349,22 @@ def test_work_bound_counts_abel_prefactors(capsys, monkeypatch):
     # for k = 0..v; over v = 0..B on each of the l parts that is l * C(B + 2, 3)
     for budget in range(8):
         assert sum(v - k for v in range(budget + 1) for k in range(v + 1)) == comb(budget + 2, 3)
-    p = prym_bn.problem_from_partition(1000, (1,))  # budget 998, one part
-    assert cli._theorem_work(p) == 999 + comb(1000, 3)
+    # budget 998, one part: about 30 s, admitted; g = 2000 took over a minute
+    p = prym_bn.problem_from_partition(1000, (1,))
+    assert cli._theorem_work(p) == 999 + comb(1000, 3) // cli._ABEL_FACTORS_PER_UNIT
+    assert cli._theorem_work(p) <= cli._WORK_MAX
+    p = prym_bn.problem_from_partition(2000, (1,))
+    assert cli._theorem_work(p) > cli._WORK_MAX
 
     def never(*args):
         raise AssertionError("a route ran on a problem over the work bound")
 
     monkeypatch.setattr(cli, "euler_theorem", never)
-    # g = 1000 ran for 30 s and g = 2000 for over a minute while estimated at g - 1
-    for genus in ("1000", "2000"):
-        start = time.perf_counter()
-        code, out, err = run_cli(capsys, "chi", "--genus", genus, "-r", "0", "-a", "1")
-        assert time.perf_counter() - start < 1
-        assert code == 2 and out == "", genus
-        assert err.count("\n") == 1 and err.startswith("error: problem too large: "), err
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "chi", "--genus", "2000", "-r", "0", "-a", "1")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: problem too large: "), err
 
 
 def test_benchmark_reference_commands_are_admitted(capsys):
@@ -376,20 +379,51 @@ def test_benchmark_reference_commands_are_admitted(capsys):
         assert out == reference[command], command
 
 
-def test_class_beta_zero_bounds_gamma_digits(capsys, monkeypatch):
-    # gamma of lambda = (70, ..., 1) has 4481 digits, more than str() converts
+def staircase(k):
+    return ",".join(str(p) for p in range(1, k + 1))
+
+
+def test_class_beta_zero_refuses_gamma_over_the_str_limit(capsys, monkeypatch):
+    # gamma of lambda = (70, ..., 1) has 4481 digits, more than str()
+    # converts by default; (300, ..., 1) took seconds before failing
     def never(*args):
         raise AssertionError("class_result ran on a problem over the digit bound")
 
     monkeypatch.setattr(cli, "class_result", never)
-    staircase = ",".join(str(k) for k in range(1, 71))
-    for fmt in ("plain", "json", "latex"):
-        start = time.perf_counter()
-        code, out, err = run_cli(capsys, "class", "-g", "40", "-a", staircase, "--beta", "0", "--output", fmt)
-        assert time.perf_counter() - start < 1
-        assert code == 2 and out == "", fmt
-        assert err.count("\n") == 1 and err.startswith("error: problem too large: "), err
-        assert f"more than {cli._DIGITS_MAX}" in err
+    assert sys.get_int_max_str_digits() == 4300
+    huge = "1" + "0" * 400
+    for argv in (
+        ("-g", "40", "-a", staircase(70)),
+        ("-g", "400", "-a", staircase(300)),
+        ("-g", huge, "-a", huge[:-1]),  # one part of 10^399, past a float
+    ):
+        for fmt in ("plain", "json", "latex"):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, "class", *argv, "--beta", "0", "--output", fmt)
+            assert time.perf_counter() - start < 1
+            assert code == 2 and out == "", fmt
+            assert err == "error: problem too large: gamma has more than 4300 digits\n"
+
+
+def test_class_beta_zero_prints_up_to_the_str_limit(capsys):
+    # gamma of lambda = (52, ..., 1) is 1 / q with q of 2311 digits, and
+    # gamma * 2^|lambda| has 1896: it prints until str() converts fewer
+    code, out, _ = run_cli(capsys, "class", "-g", "40", "-a", staircase(52), "--beta", "0")
+    assert code == 0 and "gamma: 1/" in out
+    previous = sys.get_int_max_str_digits()
+    try:
+        for limit, printed in ((2311, True), (2310, False)):
+            sys.set_int_max_str_digits(limit)
+            for fmt in ("plain", "json", "latex"):
+                argv = ("class", "-g", "40", "-a", staircase(52), "--beta", "0", "--output", fmt)
+                code, out, err = run_cli(capsys, *argv)
+                if printed:
+                    assert code == 0 and err == "" and out, fmt
+                else:  # refused by the exact check after computing
+                    assert code == 2 and out == "", fmt
+                    assert err == f"error: problem too large: gamma has more than {limit} digits\n"
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def decimal_digits(x):
@@ -402,20 +436,20 @@ def decimal_digits(x):
     return d
 
 
-def test_gamma_digits_bound_every_printed_integer(capsys):
-    # staircases up to 50 parts and single large parts: the estimate is at
-    # least the digits of each integer class --beta 0 prints
-    assert [decimal_digits(x) for x in (0, 9, 10, 99, 100, 10**50 - 1, 10**50)] == [1, 1, 2, 2, 3, 50, 51]
-    cases = [tuple(range(k, 0, -1)) for k in range(0, 51, 5)] + [(2000,), (3000, 1), (300, 299, 298)]
+def test_gamma_too_long_only_when_the_denominator_is():
+    # a lower bound on the digits of gamma's denominator, within one digit
+    # on staircases, whose reduced numerator is 1
+    cases = [tuple(range(k, 0, -1)) for k in range(1, 61, 5)]
+    cases += [(2000,), (3000, 1), (300, 299, 298), (900, 451, 7, 2)]
     for lam in cases:
-        p = prym_bn.problem_from_partition(max(2, (max(lam, default=0) + 3) // 2), lam)
         gamma = prym_bn.chow_class_closed(lam)
-        scaled = gamma * 2 ** sum(lam)
-        digits = max(map(decimal_digits, (gamma.numerator, gamma.denominator, scaled.numerator, scaled.denominator)))
-        assert digits <= cli._gamma_digits(p), lam
-    # 1..40 is admitted and prints, 1..70 is not
-    code, out, _ = run_cli(capsys, "class", "-g", "40", "-a", ",".join(str(k) for k in range(1, 41)), "--beta", "0")
-    assert code == 0 and "gamma: " in out
+        digits = decimal_digits(gamma.denominator)
+        for limit in range(digits - 3, digits + 3):
+            assert not cli._gamma_too_long(lam, limit) or digits > limit, (lam, limit)
+        if gamma.numerator == 1:
+            assert cli._gamma_too_long(lam, digits - 2), lam
+    assert not cli._gamma_too_long((), 640)
+    assert [decimal_digits(x) for x in (0, 9, 10, 99, 100, 10**50 - 1, 10**50)] == [1, 1, 2, 2, 3, 50, 51]
 
 
 def test_integer_argument_with_too_many_digits(capsys):
