@@ -42,7 +42,7 @@ from .prym_bn import (
     problem_from_partition,
     strict_partitions,
 )
-from .series_ring import BetaPoly, ThetaPoly, d_value
+from .series_ring import BetaPoly, ThetaPoly
 
 __version__ = "0.1.0"
 
@@ -67,7 +67,6 @@ __all__ = [
     "ck_class",
     "class_result",
     "classical_coefficient",
-    "d_value",
     "det_fraction_free",
     "enumerate_f",
     "euler_oracle",

@@ -35,12 +35,15 @@ _TABLE_G_MAX = 10
 _TABLE_LEN_MAX = 5
 _INT_RE = re.compile(r"[+-]?[0-9]+")
 # largest estimated work (see _theorem_work, _oracle_work) a class or chi
-# command starts on; near it, class --beta -1 takes about 100 s at
-# g = 1000, lambda = (1) on a 2-vCPU VM
+# command starts on; a unit is about 10^-4 s, so near it a command runs
+# for about 100 s on a 2-vCPU VM
 _WORK_MAX = 10**6
-# binom_gen factors per unit of work: chi --genus 1000 -r 0 -a 1 multiplies
-# C(1000, 3) of them in about 30 s, where a unit is about 10^-4 s
-_ABEL_FACTORS_PER_UNIT = 500
+# steps on h!-scaled ints per unit of work: chi --genus 6000 -r 0 -a 1
+# takes 5999^3 of them in about 20 s
+_SCALED_STEPS_PER_UNIT = 10**6
+# entry kernel steps per unit of work: class --genus 450 -r 1 -a 1,2
+# --beta -1 takes 449^3 of them in about 16 s, about 570 to a unit
+_KERNEL_STEPS_PER_UNIT = 500
 
 
 @dataclass(frozen=True)
@@ -96,10 +99,11 @@ def _theorem_work(problem) -> int:
     (lambda_j + v_j + 1) * C(B - v_j + 2, 2), in closed form
     (lambda_j + B + 1) * C(B + 3, 3) - 3 * C(B + 3, 4).
 
-    Plus the Abel prefactor cost: abel_coefficient(s_i, v) for v = 0..B on
-    each of the l parts, where binom_gen multiplies v - k factors for each
-    k = 0..v, so l * C(B + 2, 3) factors in all, _ABEL_FACTORS_PER_UNIT to
-    a unit. 0 when B < 0."""
+    Plus the size of the scaled integers: each of the l parts meets B + 1
+    values scaled by h! = (g - 1)!, of about h log h bits, and dividing or
+    multiplying them costs about h^2 steps, so l * (B + 1) * h^2 steps in
+    all, _SCALED_STEPS_PER_UNIT to a unit. At one part this term is the
+    whole cost, which grows like g^3. 0 when B < 0."""
     budget = problem.dim_prym - problem.codim
     if budget < 0:
         return 0
@@ -109,15 +113,18 @@ def _theorem_work(problem) -> int:
         j * ((lam_j + budget + 1) * keys - 3 * comb(budget + 3, 4))
         for j, lam_j in enumerate(problem.lam)
     )
-    abel = problem.ell * comb(budget + 2, 3) // _ABEL_FACTORS_PER_UNIT
-    return _matchings(problem) * comb(budget + dims, dims) + per_pair + abel
+    scaled = problem.ell * (budget + 1) * problem.dim_prym**2 // _SCALED_STEPS_PER_UNIT
+    return _matchings(problem) * comb(budget + dims, dims) + per_pair + scaled
 
 
 def _oracle_work(problem) -> int:
     """(n-1)!! signed matchings times cap^2: one Pfaffian of truncated
     series of cap = g - 1 for the oracle and for class at beta -1 or
-    symbolic."""
-    return _matchings(problem) * problem.dim_prym**2
+    symbolic. Plus its l(l-1)/2 entries, cap^3 kernel steps each,
+    _KERNEL_STEPS_PER_UNIT to a unit."""
+    cap = problem.dim_prym
+    entries = comb(problem.ell, 2) * cap**3 // _KERNEL_STEPS_PER_UNIT
+    return _matchings(problem) * cap**2 + entries
 
 
 def _gamma_too_long(lam, limit: int) -> bool:

@@ -8,7 +8,8 @@ that the rest of the code relies on live here:
   the falling-factorial product, so binom_gen(-2, 3) == -4;
 * the alternating prefactor sums appearing in the Euler characteristic
   formula diverge term by term and are evaluated in Abel-summed form,
-  as the T^v coefficient of (1 + T)^s / (2 + T).
+  as the T^v coefficient of (1 + T)^s / (2 + T); abel_row gives a whole
+  row of them, scaled to ints, by its recurrence.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from math import factorial as _math_factorial, prod
 
 __all__ = [
     "abel_coefficient",
+    "abel_row",
     "binom_gen",
     "factorial",
     "format_rational",
@@ -46,22 +48,35 @@ def binom_gen(s: int, t: int) -> int:
     return prod(range(s - t + 1, s + 1)) // _math_factorial(t)
 
 
+def abel_row(s: int, n: int) -> list:
+    """Ints a_v = 2^(v+1) * [T^v] (1 + T)^s / (2 + T) for v = 0..n.
+
+    Multiplying the series by 2 + T gives 2 c_v + c_(v-1) = binom(s, v),
+    so a_v = 2^v binom(s, v) - a_(v-1) with a_(-1) = 0, and each binom(s, v)
+    is binom(s, v-1) * (s - v + 1) / v, an exact division for any integer s.
+    The whole row costs O(n) big-int steps.
+    """
+    if n < 0:
+        raise ValueError(f"abel_row: n must be nonnegative, got {n}")
+    row = []
+    binom, prev = 1, 0
+    for v in range(n + 1):
+        if v:
+            binom = binom * (s - v + 1) // v
+        prev = (binom << v) - prev
+        row.append(prev)
+    return row
+
+
 def abel_coefficient(s: int, v: int) -> Fraction:
     """T^v coefficient of the series (1 + T)^s / (2 + T).
 
     This is the regularized value of the divergent alternating sum
-    sum_{u>=0} (-1)^u binom(u+s, v). Expanding 1/(2+T) as a geometric
-    series in T/2 gives the finite form evaluated here:
-
-        sum_{k=0}^{v} (-1)^k binom_gen(s, v-k) / 2^(k+1)
+    sum_{u>=0} (-1)^u binom(u+s, v), read off abel_row(s, v).
     """
     if v < 0:
         raise ValueError(f"abel_coefficient: v must be nonnegative, got {v}")
-    total = Fraction(0)
-    for k in range(v + 1):
-        term = Fraction(binom_gen(s, v - k), 2 ** (k + 1))
-        total += -term if k % 2 else term
-    return total
+    return Fraction(abel_row(s, v)[v], 2 ** (v + 1))
 
 
 def format_rational(x) -> str:

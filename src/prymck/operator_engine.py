@@ -17,14 +17,14 @@ and the pairwise interaction is
 
 Both series are expanded here at beta = -1, the Chern character route,
 truncated by the total degree cap of the target ring: the prefactor into
-a tuple of rationals, the interaction into a cached table of ints. No
-other value of beta is needed: the T^v prefactor coefficient is a rational
-multiple of beta^v and the interaction coefficient of raise a and lowering
-b one of beta^(a-b), so every entry is homogeneous with beta of degree -1
-against theta' of degree 1, the grading of the connective K-theory
-Pfaffian formulas. Its degree-d coefficient at general beta is the
-beta = -1 one times (-beta)^(d - base_i - base_j), and prym_bn reads the
-beta = 0 and symbolic classes off the beta = -1 class this way.
+a tuple of ints scaled by 2^(cap+1), the interaction into a cached table
+of ints. No other value of beta is needed: the T^v prefactor coefficient
+is a rational multiple of beta^v and the interaction coefficient of raise
+a and lowering b one of beta^(a-b), so every entry is homogeneous with
+beta of degree -1 against theta' of degree 1, the grading of the
+connective K-theory Pfaffian formulas. Its degree-d coefficient at general
+beta is the beta = -1 one times (-beta)^(d - base_i - base_j), and prym_bn
+reads the beta = 0 and symbolic classes off the beta = -1 class this way.
 
 apply_pair_operator builds an entry from the expansions with one integer
 kernel. With P_i, P_j the prefactor coefficients, I[b][a] the interaction
@@ -41,12 +41,12 @@ the direct sum over (v_i, v_j, a, b) is O(cap^4):
     E[ii][jj] = sum over b of Q[ii - l_i][b] * P_j[jj - l_j + b]
 
 and adds E[ii][jj] * cap! / (ii! * jj!) into degree ii + jj. Everything is
-scaled by 4^(cap+1) * cap!, so both stages run on plain ints: the T^v
-prefactor coefficient has a denominator dividing 2^(v+1), the interaction
-coefficients are integers, and cap! / (ii! * jj!) is an integer whenever
-ii + jj <= cap. Only one Fraction is built per output degree, for each
-degree from l_i + l_j to the cap; the degrees below stay int 0. Prefactors
-that break the integral scaling raise ValueError.
+scaled by 4^(cap+1) * cap!, so both stages run on plain ints: each
+prefactor comes as the ints 2^(cap+1) * P[v] (the T^v coefficient has a
+denominator dividing 2^(v+1)), the interaction coefficients are integers,
+and cap! / (ii! * jj!) is an integer whenever ii + jj <= cap. Only one
+Fraction is built per output degree, for each degree from l_i + l_j to the
+cap; the degrees below stay int 0.
 
 A class with l nonzero parts has l(l-1)/2 entries, so its entries cost
 O(l^2 * cap^3) integer operations.
@@ -58,7 +58,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .exact_arith import abel_coefficient, binom_gen, factorial
+from .exact_arith import abel_row, binom_gen, factorial
 from .series_ring import ThetaPoly
 
 __all__ = [
@@ -70,14 +70,16 @@ __all__ = [
 
 @lru_cache(maxsize=None)
 def prefactor_expansion(s: int, cap: int) -> tuple:
-    """T^0..T^cap coefficients of (1 + T)^s / (2 + T), the beta = -1 prefactor.
+    """T^0..T^cap coefficients of (1 + T)^s / (2 + T), the beta = -1 prefactor,
+    as the ints 2^(cap+1) * c_v that apply_pair_operator reads.
 
-    The v-th coefficient is abel_coefficient(s, v). For general beta it is
-    (-beta)^v times that (see the module docstring).
+    c_v is abel_coefficient(s, v), so the v-th int is abel_row(s, cap)[v]
+    shifted left by cap - v. For general beta the coefficient is (-beta)^v
+    times c_v (see the module docstring).
     """
     if cap < 0:
         raise ValueError(f"prefactor_expansion: cap must be nonnegative, got {cap}")
-    return tuple(abel_coefficient(s, v) for v in range(cap + 1))
+    return tuple(a << (cap - v) for v, a in enumerate(abel_row(s, cap)))
 
 
 @lru_cache(maxsize=None)
@@ -105,21 +107,6 @@ def interaction_expansion(cap: int) -> tuple:
     )
 
 
-def _scaled_prefactors(prefactors, cap: int) -> list:
-    """Ints 2^(cap+1) * P[v] for v <= cap."""
-    scale = 2 ** (cap + 1)
-    ints = []
-    for v, c in enumerate(prefactors[: cap + 1]):
-        num, rem = divmod(c.numerator * scale, c.denominator)
-        if rem:
-            raise ValueError(
-                f"apply_pair_operator: prefactor coefficient {c} at T^{v} "
-                f"does not become integral when scaled by 2^{cap + 1}"
-            )
-        ints.append(num)
-    return ints
-
-
 @lru_cache(maxsize=None)
 def _pair_weights(cap: int):
     """Rows cap! / (ii! * jj!) over ii + jj <= cap, and the scale 4^(cap+1) * cap!."""
@@ -134,9 +121,10 @@ def _pair_weights(cap: int):
 def apply_pair_operator(base, prefactors_i, prefactors_j, cap: int) -> ThetaPoly:
     """Act with the interaction and both prefactor series on d(base_i) d(base_j).
 
-    base is the pair of starting indices. Each combination of prefactor
-    shifts (v_i, v_j) and an interaction term (a, b) of
-    interaction_expansion(cap) contributes
+    base is the pair of starting indices, and prefactors_i and prefactors_j
+    are the scaled ints prefactor_expansion(s, cap) of the two exponents.
+    Each combination of prefactor shifts (v_i, v_j) and an interaction term
+    (a, b) of interaction_expansion(cap) contributes
 
         pre_i[v_i] * pre_j[v_j] * I[b][a] * d(base_i + v_i + a) * d(base_j + v_j - b)
 
@@ -151,35 +139,32 @@ def apply_pair_operator(base, prefactors_i, prefactors_j, cap: int) -> ThetaPoly
     b <= a, so no term lands below base_i + base_j, and the prefactor's
     T^0 coefficient (1/2 for every exponent) with the (d - base_i - base_j, 0)
     term reaches every degree from there to the cap. Raises ValueError on
-    negative bases and on prefactor coefficients whose denominators do not
-    divide 2^(cap+1). A class of l parts costs O(l^2 * cap^3) this way.
+    negative bases. A class of l parts costs O(l^2 * cap^3) this way.
     """
     li, lj = base
     if li < 0 or lj < 0:
         raise ValueError(f"apply_pair_operator: negative base indices ({li}, {lj})")
     table = interaction_expansion(cap)
-    pi = _scaled_prefactors(prefactors_i, cap)[::-1]
-    pj = _scaled_prefactors(prefactors_j, cap)
+    pi = prefactors_i[::-1]
+    pj = prefactors_j
     weights, scale = _pair_weights(cap)
 
     # stage 1: q[x][b] = sum_{v_i + a = x} P_i[v_i] * I[b][a], for ii = li + x <= cap;
-    # pi is reversed, so P_i[x - a] for a = lo..x is the slice pi[top - x + lo:]
+    # pi is reversed, so P_i[x - a] for a = 0..x is the slice pi[cap - x:]
     # and b runs up to x, as I[b][a] vanishes for b > a
-    q = []
-    top = len(pi) - 1
-    for x in range(cap - li + 1):
-        lo = max(0, x - top)
-        q.append([sum(map(mul, row[lo : x + 1], pi[top - x + lo :])) for row in table[: x + 1]])
+    q = [
+        [sum(map(mul, row[: x + 1], pi[cap - x :])) for row in table[: x + 1]]
+        for x in range(cap - li + 1)
+    ]
 
     # stage 2: E[ii][jj] = sum_b q[ii - li][b] * P_j[jj - lj + b], weighted into ii + jj
     acc = [0] * (cap + 1)
-    npj = len(pj)
     for x, qx in enumerate(q):
         ii = li + x
         row = weights[ii]
         for jj in range(cap - ii + 1):
             k = jj - lj
-            blo, bhi = max(0, -k), min(len(qx), npj - k)
+            blo, bhi = max(0, -k), min(len(qx), cap + 1 - k)
             if blo < bhi:
                 e = sum(map(mul, qx[blo:bhi], pj[k + blo : k + bhi]))
                 if e:

@@ -45,10 +45,10 @@ from fractions import Fraction
 from functools import cache
 from math import comb
 
-from .exact_arith import abel_coefficient, factorial
+from .exact_arith import abel_row, factorial
 from .operator_engine import apply_pair_operator, prefactor_expansion
 from .pfaffian import SkewMatrix, augment_odd, perm_sign, pfaffian_matchings
-from .series_ring import BetaPoly, ThetaPoly, d_value
+from .series_ring import BetaPoly, ThetaPoly
 
 __all__ = [
     "SYMBOLIC",
@@ -244,11 +244,18 @@ def chow_class_pfaffian(lam) -> Fraction:
 
 
 def _boundary_entry(lj: int, prefactors, cap: int) -> ThetaPoly:
-    acc = ThetaPoly.zero(cap)
-    for v, c in enumerate(prefactors):
-        if c and lj + v <= cap:
-            acc = acc + d_value(lj + v, cap) * c
-    return acc
+    """Sum over v of the prefactor's c_v * theta'^(lj+v) / (lj+v)!, from
+    prefactor_expansion's ints 2^(cap+1) * c_v: all int 0 when lj > cap,
+    else a Fraction at every degree, 0 below lj."""
+    if lj > cap:
+        return ThetaPoly.zero(cap)
+    coeffs = [Fraction(0)] * lj
+    denom = 2 ** (cap + 1) * factorial(lj)
+    for d in range(lj, cap + 1):
+        if d > lj:
+            denom *= d
+        coeffs.append(Fraction(prefactors[d - lj], denom))
+    return ThetaPoly(cap, coeffs)
 
 
 def ch_k_class(problem: PrymProblem) -> ThetaPoly:
@@ -466,12 +473,6 @@ def _scaled(x, scale: int, what: str) -> int:
 
 
 @cache
-def _abel_scaled(s: int, v: int) -> int:
-    """abel_coefficient(s, v) * 2^(v+1), an integer."""
-    return _scaled(abel_coefficient(s, v), 2 ** (v + 1), f"abel_coefficient({s}, {v}) * 2^{v + 1}")
-
-
-@cache
 def _pair_scaled(coeff, h: int, m: int, ni: int, nj: int) -> int:
     """_pair_coeff(coeff, m, ni, nj) * h!, an integer when ni + nj + m <= h."""
     what = f"g_coeff({m}; {ni}, {nj}) * {h}!"
@@ -486,7 +487,8 @@ def euler_theorem(problem: PrymProblem) -> Fraction:
     over the pairs. Integration kills every total degree except g - 1, so
     the sum is restricted to |lambda| + |v| + k = g - 1; each surviving
     term carries the weight h! * 2^h with h = g - 1. The alternating
-    u-sums are evaluated as abel_coefficient(s_i, v_i).
+    u-sums are evaluated as the Abel-summed T^(v_i) coefficient of
+    (1 + T)^(s_i) / (2 + T), read from abel_row.
 
     The formula is stated as a sum over all n! arrangements of the n
     indices, paired off in order, with weight h! / (2^(n/2 - h) (n/2)!).
@@ -502,11 +504,11 @@ def euler_theorem(problem: PrymProblem) -> Fraction:
     nj has a denominator dividing (ni + nj + m)!, and every lambda_i + v_i
     is at least 1, so ni + nj + m <= |lambda| + |v| + k = h: each one read
     is an integer once multiplied by h!, and each product of half of them
-    by h!^half. abel_coefficient(s, v) * 2^(v+1) is an integer, so the
-    prefactor of v is one once multiplied by 2^(|v| + l); shifting it left
-    by k = budget - |v| puts every v over the common 2^(budget + l). A
-    scaled value that is not an integer raises ArithmeticError instead of
-    being rounded.
+    by h!^half. abel_row(s_i, budget) gives the T^v Abel coefficients
+    times 2^(v+1) as ints, so the product of the l prefactors of v is
+    over 2^(|v| + l); shifting it left by k = budget - |v| puts every v
+    over the common 2^(budget + l). A scaled pair coefficient that is not
+    an integer raises ArithmeticError instead of being rounded.
 
     Must equal euler_oracle exactly.
     """
@@ -519,12 +521,13 @@ def euler_theorem(problem: PrymProblem) -> Fraction:
     half = len(indices) // 2
     arrangements = _signed_arrangements(indices)
     pairs = [(i, j) for n, i in enumerate(indices) for j in indices[n + 1 :]]
+    abel = [abel_row(si, budget) for si in s]
     total = 0
     for v in _bounded_sequences(ell, budget):
         k = budget - sum(v)
         pre = 1
         for i in range(ell):
-            pre *= _abel_scaled(s[i], v[i])
+            pre *= abel[i][v[i]]
         if not pre:
             continue
         n = (None,) + tuple(p + x for p, x in zip(lam, v))

@@ -252,7 +252,8 @@ def check_classical_recovery(quick):
 
 def check_interaction_specialization(quick):
     # the general-beta closed forms at beta = 0 and -1 against the engine's
-    # beta = -1 expansions, scaled by (-beta)^(a-b) and (-beta)^v
+    # beta = -1 expansions, scaled by (-beta)^(a-b) and (-beta)^v; the
+    # prefactor comes as ints over 2^(cap+1)
     cap = 6 if quick else 10
     inter = interaction_expansion(cap)
     cases = 0
@@ -270,7 +271,7 @@ def check_interaction_specialization(quick):
                 want = beta**v * sum(
                     Fraction((-1) ** j * binom_gen(s, j), 2 ** (v + 1 - j)) for j in range(v + 1)
                 )
-                if pre[v] * (-beta) ** v != want:
+                if Fraction(pre[v], 2 ** (cap + 1)) * (-beta) ** v != want:
                     return False, cases
                 cases += 1
     return True, cases

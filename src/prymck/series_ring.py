@@ -18,9 +18,9 @@ import re
 from fractions import Fraction
 from numbers import Rational
 
-from .exact_arith import factorial, format_rational, parse_rational
+from .exact_arith import format_rational, parse_rational
 
-__all__ = ["BetaPoly", "ThetaPoly", "d_value"]
+__all__ = ["BetaPoly", "ThetaPoly"]
 
 _EXPONENT = re.compile("[0-9]+")
 
@@ -277,14 +277,3 @@ class ThetaPoly:
             else:
                 coeffs.append(parse_rational(c))
         return cls(cap, coeffs)
-
-
-def d_value(j: int, cap: int) -> ThetaPoly:
-    """Degree-j class theta'^j / j!, as a ThetaPoly; zero outside 0..cap.
-
-    Negative indices vanish (classes of negative degree are zero) and
-    indices above the cap are discarded by truncation.
-    """
-    if j < 0 or j > cap:
-        return ThetaPoly.zero(cap)
-    return ThetaPoly.monomial(cap, j, Fraction(1, factorial(j)))

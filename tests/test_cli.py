@@ -4,7 +4,6 @@ import pathlib
 import sys
 import time
 from fractions import Fraction
-from math import comb
 
 import pytest
 
@@ -192,6 +191,28 @@ def test_class_output_is_frozen(capsys, beta, fmt, digest):
     assert h.hexdigest()[:16] == digest
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            "class --genus 300 -r 0 -a 1 --beta -1 --output json",
+            "96fdac2c284da6c019905e641dda68f2d7c6560e5f1bd8444360e1770c206957",
+        ),
+        (
+            "class --genus 40 -r 2 -a 1,2,3 --beta symbolic --output json",
+            "fbcfd314a99fcc844fc10a2ccdfe0dd6852f399bfa264e8f84ec40c776425ebc",
+        ),
+    ],
+    ids=("g300-beta-minus-one-json", "g40-symbolic-json"),
+)
+def test_large_class_output_is_frozen(capsys, argv, digest):
+    # sha256 of the stdout, recorded while the prefactors were Fraction sums
+    # and the boundary row was built from ThetaPoly additions
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_table_json_parses(capsys):
     code, out, _ = run_cli(
         capsys, "table", "--g-min", "2", "--g-max", "3", "--output", "json"
@@ -302,7 +323,7 @@ def test_work_bound_rejects_before_compute(capsys, monkeypatch):
         ("chi", *huge, "--verify"),
         ("class", *huge, "--beta", "-1"),
         ("class", *huge, "--beta", "symbolic", "--output", "json"),
-        # theorem 1000 + oracle 1000^2: the oracle alone is at the bound
+        # theorem about 2000 + oracle 1000^2: the oracle alone is at the bound
         ("chi", "--genus", "1001", "-r", "0", "--vanishing", "1", "--verify"),
         # lambda = (3, 1), budget 145: the g_coeff keys times their n_j
         # terms, about 2.0 * 10^7, once admitted and ran for minutes
@@ -333,27 +354,26 @@ def test_work_bound_admits_benchmark_and_anchor_problems(capsys):
 def test_work_estimates_closed_forms():
     # g = 30, lambda = (7,...,1): 8 indices, 105 matchings, budget 1 over
     # 7 shifts and 3 degree slots; g_coeff cost 4 * lambda_j + 5 for each
-    # of the j - 1 pairs below part j, 329 in all; Abel prefactors
-    # 7 * C(3, 3): the one factor of binom_gen(s, 1) on each part
+    # of the j - 1 pairs below part j, 329 in all; scaled integers
+    # 7 parts * (B + 1) * h^2 steps; the oracle's 21 entries cap^3 steps each
     p = prym_bn.problem_from_partition(30, (7, 6, 5, 4, 3, 2, 1))
-    assert cli._theorem_work(p) == 105 * 11 + 329 + 7 // cli._ABEL_FACTORS_PER_UNIT
-    assert cli._oracle_work(p) == 105 * 29**2
+    assert cli._theorem_work(p) == 105 * 11 + 329 + 7 * 2 * 29**2 // cli._SCALED_STEPS_PER_UNIT
+    assert cli._oracle_work(p) == 105 * 29**2 + 21 * 29**3 // cli._KERNEL_STEPS_PER_UNIT
     # expected empty: the theorem route returns before summing
     p = prym_bn.problem_from_partition(10, (8, 3, 1))
     assert cli._theorem_work(p) == 0
-    assert cli._oracle_work(p) == 3 * 81
+    assert cli._oracle_work(p) == 3 * 81 + 3 * 9**3 // cli._KERNEL_STEPS_PER_UNIT
 
 
 def test_work_bound_counts_abel_prefactors(capsys, monkeypatch):
-    # abel_coefficient(s, v) multiplies v - k factors in binom_gen(s, v - k)
-    # for k = 0..v; over v = 0..B on each of the l parts that is l * C(B + 2, 3)
-    for budget in range(8):
-        assert sum(v - k for v in range(budget + 1) for k in range(v + 1)) == comb(budget + 2, 3)
-    # budget 998, one part: about 30 s, admitted; g = 2000 took over a minute
+    # the Abel prefactor row costs O(B); at one part what grows is the size
+    # of the h!-scaled integers, (B + 1) * h^2 steps, so the cost grows like
+    # g^3: g = 1000 is admitted, and g = 20000 (about 8 * 10^6) is not
     p = prym_bn.problem_from_partition(1000, (1,))
-    assert cli._theorem_work(p) == 999 + comb(1000, 3) // cli._ABEL_FACTORS_PER_UNIT
+    assert cli._theorem_work(p) == 999 + 999**3 // cli._SCALED_STEPS_PER_UNIT
     assert cli._theorem_work(p) <= cli._WORK_MAX
-    p = prym_bn.problem_from_partition(2000, (1,))
+    p = prym_bn.problem_from_partition(20000, (1,))
+    assert cli._theorem_work(p) == 19999 + 19999**3 // cli._SCALED_STEPS_PER_UNIT
     assert cli._theorem_work(p) > cli._WORK_MAX
 
     def never(*args):
@@ -361,10 +381,34 @@ def test_work_bound_counts_abel_prefactors(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "euler_theorem", never)
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "chi", "--genus", "2000", "-r", "0", "-a", "1")
+    code, out, err = run_cli(capsys, "chi", "--genus", "20000", "-r", "0", "-a", "1")
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: problem too large: "), err
+
+
+def test_work_bound_counts_entry_kernel(capsys, monkeypatch):
+    # class at beta -1 builds l(l-1)/2 entries of cap^3 kernel steps each:
+    # at g = 1000, lambda = (2, 1) that is 999^3 steps, about 2 * 10^6
+    p = prym_bn.problem_from_partition(1000, (2, 1))
+    assert cli._oracle_work(p) == 999**2 + 999**3 // cli._KERNEL_STEPS_PER_UNIT
+    assert cli._oracle_work(p) > cli._WORK_MAX
+
+    def never(*args):
+        raise AssertionError("a route ran on a problem over the work bound")
+
+    monkeypatch.setattr(cli, "class_result", never)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "class", "--genus", "1000", "-r", "1", "-a", "1,2", "--beta", "-1")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: problem too large: "), err
+
+
+def test_one_part_at_genus_1000_runs(capsys):
+    # both routes at budget 998, admitted since the Abel row is O(B)
+    code, out, err = run_cli(capsys, "chi", "--genus", "1000", "-r", "0", "-a", "1", "--verify")
+    assert (code, out, err) == (0, "1\n", "")
 
 
 def test_benchmark_reference_commands_are_admitted(capsys):

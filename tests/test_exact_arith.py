@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from math import comb
 
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from prymck.exact_arith import (
     abel_coefficient,
+    abel_row,
     binom_gen,
     factorial,
     format_rational,
@@ -74,6 +76,33 @@ def test_abel_examples():
 def test_abel_rejects_negative_v():
     with pytest.raises(ValueError):
         abel_coefficient(0, -1)
+    with pytest.raises(ValueError):
+        abel_row(0, -1)
+
+
+def test_abel_row_matches_closed_forms():
+    # outside anchors. For v >= s >= 0: (1 + T)^s = ((2 + T) - 1)^s leaves,
+    # after dividing by 2 + T, a polynomial of degree s - 1 plus
+    # (-1)^s / (2 + T), so c_v = (-1)^(s+v) / 2^(v+1). For s = -1: partial
+    # fractions 1/((1 + T)(2 + T)) = 1/(1 + T) - 1/(2 + T) give
+    # c_v = (-1)^v (1 - 2^-(v+1))
+    top = 300
+    for s in (0, 1, 2, 3, 7, 40):
+        row = abel_row(s, top)
+        assert len(row) == top + 1
+        for v in range(s, top + 1):
+            assert Fraction(row[v], 2 ** (v + 1)) == Fraction((-1) ** (s + v), 2 ** (v + 1)), (s, v)
+    row = abel_row(-1, top)
+    for v in range(top + 1):
+        assert Fraction(row[v], 2 ** (v + 1)) == (-1) ** v * (1 - Fraction(1, 2 ** (v + 1))), v
+
+
+def test_abel_row_is_linear_in_its_length():
+    # the recurrence builds the row in O(n) big-int steps
+    start = time.perf_counter()
+    row = abel_row(3, 5000)
+    assert time.perf_counter() - start < 1
+    assert row[5000] == -1  # (-1)^(3 + 5000) / 2^5001, scaled by 2^5001
 
 
 @given(st.fractions(max_denominator=10**6))

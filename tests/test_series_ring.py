@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from prymck.exact_arith import factorial
-from prymck.series_ring import BetaPoly, ThetaPoly, d_value
+from prymck.series_ring import BetaPoly, ThetaPoly
 
 
 def exp_series(cap, sign=1):
@@ -68,13 +68,6 @@ def test_series_vanishing():
         prod = exp_series(j, sign=-1) * exp_series(j, sign=1)
         assert prod.coeff(j) == 0
         assert prod == ThetaPoly.one(j)
-
-
-def test_d_value_examples():
-    assert d_value(0, 4) == ThetaPoly.one(4)
-    assert not d_value(-2, 4)
-    assert d_value(3, 4) == ThetaPoly.monomial(4, 3, Fraction(1, 6))
-    assert not d_value(5, 4)
 
 
 def test_theta_json_roundtrip():
