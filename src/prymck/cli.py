@@ -41,9 +41,16 @@ _WORK_MAX = 10**6
 # steps on h!-scaled ints per unit of work: chi --genus 6000 -r 0 -a 1
 # takes 5999^3 of them in about 20 s
 _SCALED_STEPS_PER_UNIT = 10**6
-# entry kernel steps per unit of work: class --genus 450 -r 1 -a 1,2
-# --beta -1 takes 449^3 of them in about 16 s, about 570 to a unit
+# entry kernel steps per unit of work, a first or second stage counting
+# cap^3: ch_k_class at g = 601, lambda = (2, 1) takes its two stages,
+# 2 * 600^3 steps, in about 56 s, about 770 to a unit; a step slows as the
+# ints grow with the cap (1,900 to a unit at cap 150, 650 at 700), and two
+# parts reach the bound at cap 630
 _KERNEL_STEPS_PER_UNIT = 500
+# steps of the one-part class per unit of work, cap^3 in all for its cap + 1
+# boundary Fractions: ch_k_class at g = 12001, lambda = (20) takes 12000^3
+# of them in about 30 s, about 5.7 * 10^6 to a unit
+_BOUNDARY_STEPS_PER_UNIT = 2 * 10**6
 
 
 @dataclass(frozen=True)
@@ -118,13 +125,22 @@ def _theorem_work(problem) -> int:
 
 
 def _oracle_work(problem) -> int:
-    """(n-1)!! signed matchings times cap^2: one Pfaffian of truncated
-    series of cap = g - 1 for the oracle and for class at beta -1 or
-    symbolic. Plus its l(l-1)/2 entries, cap^3 kernel steps each,
-    _KERNEL_STEPS_PER_UNIT to a unit."""
-    cap = problem.dim_prym
-    entries = comb(problem.ell, 2) * cap**3 // _KERNEL_STEPS_PER_UNIT
-    return _matchings(problem) * cap**2 + entries
+    """Work of ch_k_class at cap = g - 1, for the oracle and for class at
+    beta -1 or symbolic.
+
+    The Pfaffian: (n-1)!! signed matchings of n/2 - 1 products each, of
+    two truncated int series, cap^2 coefficient products to a product and
+    one to a unit; none when n = 2, where the Pfaffian is its one entry.
+    Plus the entry kernel: l - 1 first stages, one per i-side prefactor
+    row, and l(l-1)/2 second stages, one per entry, cap^3 steps each,
+    _KERNEL_STEPS_PER_UNIT to a unit. Plus, at one part, the cap + 1
+    boundary Fractions, cap^3 steps in all, _BOUNDARY_STEPS_PER_UNIT to a
+    unit."""
+    cap, ell = problem.dim_prym, problem.ell
+    products = _matchings(problem) * max(0, (ell + 1) // 2 - 1) * cap**2
+    stages = ell - 1 + comb(ell, 2) if ell > 1 else 0
+    boundary = cap**3 // _BOUNDARY_STEPS_PER_UNIT if ell == 1 else 0
+    return products + stages * cap**3 // _KERNEL_STEPS_PER_UNIT + boundary
 
 
 def _gamma_too_long(lam, limit: int) -> bool:
@@ -299,22 +315,34 @@ def _emit_class_latex(res, out):
         out(_latex_poly(res.poly))
 
 
+def _shown_rationals(res):
+    """The rationals that plain and json print for a class: gamma and its
+    xi form, the theta' and xi coefficients, or the symbolic coefficients'
+    rationals."""
+    if res.kind == "cohomology":
+        return [res.gamma, res.gamma * 2**res.exponent]
+    if res.beta == SYMBOLIC:
+        # the other coefficients are the int 0, or the 1 of the empty partition
+        return [x for c in res.poly.coeffs if isinstance(c, BetaPoly) for _, x in c.items()]
+    return [*res.poly.coeffs, *_xi_coeffs(res.poly)]
+
+
 def run_class(req: RunRequest, out) -> int:
     problem = _build(req)
     # the most digits str() converts from an int: 0 for no limit, as before Python 3.10.7
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    too_long = f"problem too large: gamma has more than {limit} digits"
+    what = "gamma" if req.beta == 0 else "a coefficient"
+    too_long = f"problem too large: {what} has more than {limit} digits"
     if req.beta != 0:
         _check_work(_oracle_work(problem))
     elif limit and _gamma_too_long(problem.lam, limit):
         # beta 0 is the closed product, whatever the genus; only its size is bounded
         raise ValidationError(too_long)
     res = class_result(problem, req.beta)
-    if res.kind == "cohomology" and limit:
-        # the exact check on what plain and json print (latex: gamma alone);
+    if limit:
+        # the exact check on what plain and json print (latex: a subset);
         # under 3 * limit bits is under 10^limit
-        shown = (res.gamma, res.gamma * 2**res.exponent)
-        ints = [n for x in shown for n in (abs(x.numerator), x.denominator)]
+        ints = [n for x in _shown_rationals(res) for n in (abs(x.numerator), x.denominator)]
         if any(n.bit_length() > 3 * limit and n >= 10**limit for n in ints):
             raise ValidationError(too_long)
     if req.output == "json":

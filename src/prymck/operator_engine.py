@@ -40,21 +40,25 @@ the direct sum over (v_i, v_j, a, b) is O(cap^4):
     Q[x][b]   = sum over v_i + a = x of P_i[v_i] * I[b][a]
     E[ii][jj] = sum over b of Q[ii - l_i][b] * P_j[jj - l_j + b]
 
-and adds E[ii][jj] * cap! / (ii! * jj!) into degree ii + jj. Everything is
-scaled by 4^(cap+1) * cap!, so both stages run on plain ints: each
-prefactor comes as the ints 2^(cap+1) * P[v] (the T^v coefficient has a
-denominator dividing 2^(v+1)), the interaction coefficients are integers,
-and cap! / (ii! * jj!) is an integer whenever ii + jj <= cap. Only one
-Fraction is built per output degree, for each degree from l_i + l_j to the
-cap; the degrees below stay int 0.
+and adds E[ii][jj] * cap! / (ii! * jj!) into degree ii + jj. The first
+stage depends only on the i-side prefactor, so it is cached per prefactor
+row and reused by every entry of that row, whatever its bases; an entry
+reads the rows x = 0..cap - l_i of it. Everything is scaled by
+S = 4^(cap+1) * cap!, so both stages run on plain ints: each prefactor
+comes as the ints 2^(cap+1) * P[v] (the T^v coefficient has a denominator
+dividing 2^(v+1)), the interaction coefficients are integers, and
+cap! / (ii! * jj!) is an integer whenever ii + jj <= cap. The entry is
+returned as those ints, S times its coefficients, and no Fraction is built
+here: prym_bn.ch_k_class runs the Pfaffian on the scaled entries and
+divides S^(n/2) out once per degree of the product.
 
-A class with l nonzero parts has l(l-1)/2 entries, so its entries cost
-O(l^2 * cap^3) integer operations.
+A class with l nonzero parts has l(l-1)/2 entries over l - 1 distinct
+i-side rows, so its entries cost l - 1 first stages and l(l-1)/2 second
+stages, O(l^2 * cap^3) integer operations in all.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
@@ -109,17 +113,35 @@ def interaction_expansion(cap: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _pair_weights(cap: int):
-    """Rows cap! / (ii! * jj!) over ii + jj <= cap, and the scale 4^(cap+1) * cap!."""
+    """Rows cap! / (ii! * jj!) over ii + jj <= cap."""
     top = factorial(cap)
-    rows = tuple(
+    return tuple(
         tuple(top // (factorial(ii) * factorial(jj)) for jj in range(cap + 1 - ii))
         for ii in range(cap + 1)
     )
-    return rows, 4 ** (cap + 1) * top
+
+
+@lru_cache(maxsize=None)
+def _raised_prefactor(prefactors: tuple, cap: int) -> tuple:
+    """Stage 1 of the entry kernel for one i-side prefactor row:
+    Q[x][b] = sum over v + a = x of P[v] * I[b][a], for x = 0..cap and
+    b = 0..x (I[b][a] vanishes for b > a).
+
+    It depends on neither base index, so every entry of the row reads the
+    one cached table; it holds O(cap^2) ints, like interaction_expansion.
+    """
+    table = interaction_expansion(cap)
+    # reversed, P[x - a] for a = 0..x is the slice rev[cap - x:]
+    rev = prefactors[::-1]
+    return tuple(
+        tuple(sum(map(mul, row[: x + 1], rev[cap - x :])) for row in table[: x + 1])
+        for x in range(cap + 1)
+    )
 
 
 def apply_pair_operator(base, prefactors_i, prefactors_j, cap: int) -> ThetaPoly:
-    """Act with the interaction and both prefactor series on d(base_i) d(base_j).
+    """Act with the interaction and both prefactor series on d(base_i) d(base_j),
+    and return the entry times S = 4^(cap+1) * cap!, as ints.
 
     base is the pair of starting indices, and prefactors_i and prefactors_j
     are the scaled ints prefactor_expansion(s, cap) of the two exponents.
@@ -132,34 +154,24 @@ def apply_pair_operator(base, prefactors_i, prefactors_j, cap: int) -> ThetaPoly
     degrees above the cap are discarded.
 
     The sum is taken in two O(cap^3) convolution stages, first the i-side
-    prefactor into the interaction raise, then the result into the j-side
-    lowering, over ints scaled by 4^(cap+1) * cap! (see the module
-    docstring). Degrees base_i + base_j .. cap are a Fraction even when
-    their terms cancel, and lower degrees stay int 0: every term has
-    b <= a, so no term lands below base_i + base_j, and the prefactor's
-    T^0 coefficient (1/2 for every exponent) with the (d - base_i - base_j, 0)
-    term reaches every degree from there to the cap. Raises ValueError on
-    negative bases. A class of l parts costs O(l^2 * cap^3) this way.
+    prefactor into the interaction raise, cached per prefactor row, then
+    the result into the j-side lowering (see the module docstring). Every
+    coefficient is an int, S times the entry's: every term has b <= a, so
+    degrees below base_i + base_j are 0. Raises ValueError on negative
+    bases. A class of l parts costs O(l^2 * cap^3) this way.
     """
     li, lj = base
     if li < 0 or lj < 0:
         raise ValueError(f"apply_pair_operator: negative base indices ({li}, {lj})")
-    table = interaction_expansion(cap)
-    pi = prefactors_i[::-1]
+    q = _raised_prefactor(prefactors_i, cap)
     pj = prefactors_j
-    weights, scale = _pair_weights(cap)
+    weights = _pair_weights(cap)
 
-    # stage 1: q[x][b] = sum_{v_i + a = x} P_i[v_i] * I[b][a], for ii = li + x <= cap;
-    # pi is reversed, so P_i[x - a] for a = 0..x is the slice pi[cap - x:]
-    # and b runs up to x, as I[b][a] vanishes for b > a
-    q = [
-        [sum(map(mul, row[: x + 1], pi[cap - x :])) for row in table[: x + 1]]
-        for x in range(cap - li + 1)
-    ]
-
-    # stage 2: E[ii][jj] = sum_b q[ii - li][b] * P_j[jj - lj + b], weighted into ii + jj
+    # stage 2: E[ii][jj] = sum_b q[ii - li][b] * P_j[jj - lj + b], weighted into
+    # ii + jj; ii = li + x <= cap, so x runs to cap - li, none when li > cap
     acc = [0] * (cap + 1)
-    for x, qx in enumerate(q):
+    for x in range(max(0, cap - li + 1)):
+        qx = q[x]
         ii = li + x
         row = weights[ii]
         for jj in range(cap - ii + 1):
@@ -169,6 +181,4 @@ def apply_pair_operator(base, prefactors_i, prefactors_j, cap: int) -> ThetaPoly
                 e = sum(map(mul, qx[blo:bhi], pj[k + blo : k + bhi]))
                 if e:
                     acc[ii + jj] += e * row[jj]
-
-    low = li + lj
-    return ThetaPoly(cap, [0] * min(low, cap + 1) + [Fraction(c, scale) for c in acc[low:]])
+    return ThetaPoly(cap, acc)

@@ -244,9 +244,23 @@ def chow_class_pfaffian(lam) -> Fraction:
 
 
 def _boundary_entry(lj: int, prefactors, cap: int) -> ThetaPoly:
-    """Sum over v of the prefactor's c_v * theta'^(lj+v) / (lj+v)!, from
-    prefactor_expansion's ints 2^(cap+1) * c_v: all int 0 when lj > cap,
-    else a Fraction at every degree, 0 below lj."""
+    """S = 4^(cap+1) * cap! times the boundary entry, the sum over v of the
+    prefactor's c_v * theta'^(lj+v) / (lj+v)!, from prefactor_expansion's
+    ints 2^(cap+1) * c_v: the ints 2^(cap+1) * c_v * 2^(cap+1) * cap! / d!
+    at each degree d = lj..cap, 0 below lj (all 0 when lj > cap)."""
+    coeffs = [0] * (cap + 1)
+    weight = 2 ** (cap + 1)  # 2^(cap+1) * cap! / d!, from d = cap down
+    for d in range(cap, lj - 1, -1):
+        coeffs[d] = prefactors[d - lj] * weight
+        weight *= d
+    return ThetaPoly(cap, coeffs)
+
+
+def _one_part_class(lj: int, prefactors, cap: int) -> ThetaPoly:
+    """ch_k_class of one part: the boundary entry alone, each degree
+    d = lj..cap the Fraction 2^(cap+1) * c_(d-lj) / (2^(cap+1) * d!) and
+    Fraction 0 below lj; all int 0 when lj > cap. Over 2^(cap+1) * d!
+    rather than S, as reducing cap + 1 fractions over S costs far more."""
     if lj > cap:
         return ThetaPoly.zero(cap)
     coeffs = [Fraction(0)] * lj
@@ -265,6 +279,15 @@ def ch_k_class(problem: PrymProblem) -> ThetaPoly:
     appended for an odd number of parts. The lowest-degree coefficient
     (degree |lambda|) equals chow_class_closed(lam); problems with
     |lambda| > g - 1 give 0.
+
+    From two parts on, the entries come from apply_pair_operator and
+    _boundary_entry as ints, S = 4^(cap+1) * cap! times their coefficients,
+    and the Pfaffian of the n x n matrix runs on them; every term is a
+    product of n/2 entries, so S^(n/2) is divided out once per degree, at
+    degrees |lambda|..cap, each a Fraction. The degrees below, and every
+    degree when |lambda| > cap, are int 0; the Pfaffian is still computed
+    there, and a nonzero int below |lambda| raises ArithmeticError. One part
+    is the boundary entry alone (_one_part_class).
     """
     cap = problem.g - 1
     ell = problem.ell
@@ -272,6 +295,8 @@ def ch_k_class(problem: PrymProblem) -> ThetaPoly:
         return ThetaPoly.one(cap)
     lam, s = problem.lam, problem.s
     pre = [prefactor_expansion(s[i], cap) for i in range(ell)]
+    if ell == 1:
+        return _one_part_class(lam[0], pre[0], cap)
 
     def entry(i, j):
         return apply_pair_operator((lam[i], lam[j]), pre[i], pre[j], cap)
@@ -279,7 +304,12 @@ def ch_k_class(problem: PrymProblem) -> ThetaPoly:
     m = SkewMatrix.from_upper(ell, entry)
     if ell % 2:
         m = augment_odd(m, [_boundary_entry(lam[j], pre[j], cap) for j in range(ell)])
-    return pfaffian_matchings(m)
+    scaled = pfaffian_matchings(m).coeffs
+    low = min(problem.codim, cap + 1)
+    if any(scaled[:low]):
+        raise ArithmeticError(f"ch_k_class: a degree below |lambda| = {problem.codim} is nonzero")
+    den = (4 ** (cap + 1) * factorial(cap)) ** (m.n // 2)
+    return ThetaPoly(cap, [0] * low + [Fraction(c, den) for c in scaled[low:]])
 
 
 def ck_class(problem: PrymProblem, beta_mode) -> ThetaPoly:

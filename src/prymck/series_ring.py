@@ -5,8 +5,9 @@ theta class), truncated above a fixed degree cap. The ambient variety has
 dimension equal to the cap, so every discarded degree integrates to zero
 and the truncation is lossless for all exported results.
 
-Coefficients are Fractions, or BetaPoly values when the connective
-deformation parameter is kept symbolic. Symbolic classes are read off the
+Coefficients are Fractions, ints (the integer-scaled Pfaffian entries of
+prym_bn.ch_k_class), or BetaPoly values when the connective deformation
+parameter is kept symbolic. Symbolic classes are read off the
 beta = -1 class (see prym_bn.ck_class), so BetaPoly only holds the one
 monomial each coefficient needs; it is never truncated.
 """

@@ -323,8 +323,6 @@ def test_work_bound_rejects_before_compute(capsys, monkeypatch):
         ("chi", *huge, "--verify"),
         ("class", *huge, "--beta", "-1"),
         ("class", *huge, "--beta", "symbolic", "--output", "json"),
-        # theorem about 2000 + oracle 1000^2: the oracle alone is at the bound
-        ("chi", "--genus", "1001", "-r", "0", "--vanishing", "1", "--verify"),
         # lambda = (3, 1), budget 145: the g_coeff keys times their n_j
         # terms, about 2.0 * 10^7, once admitted and ran for minutes
         ("chi", "--genus", "150", "-r", "1", "-a", "1,3"),
@@ -355,14 +353,23 @@ def test_work_estimates_closed_forms():
     # g = 30, lambda = (7,...,1): 8 indices, 105 matchings, budget 1 over
     # 7 shifts and 3 degree slots; g_coeff cost 4 * lambda_j + 5 for each
     # of the j - 1 pairs below part j, 329 in all; scaled integers
-    # 7 parts * (B + 1) * h^2 steps; the oracle's 21 entries cap^3 steps each
+    # 7 parts * (B + 1) * h^2 steps; the oracle's 105 matchings of 3
+    # products, cap^2 each, and 6 first plus 21 second kernel stages,
+    # cap^3 steps each
     p = prym_bn.problem_from_partition(30, (7, 6, 5, 4, 3, 2, 1))
     assert cli._theorem_work(p) == 105 * 11 + 329 + 7 * 2 * 29**2 // cli._SCALED_STEPS_PER_UNIT
-    assert cli._oracle_work(p) == 105 * 29**2 + 21 * 29**3 // cli._KERNEL_STEPS_PER_UNIT
-    # expected empty: the theorem route returns before summing
+    assert cli._oracle_work(p) == 105 * 3 * 29**2 + (6 + 21) * 29**3 // cli._KERNEL_STEPS_PER_UNIT
+    # expected empty: the theorem route returns before summing, the oracle
+    # still computes its zero: 3 matchings of 1 product, 2 + 3 stages
     p = prym_bn.problem_from_partition(10, (8, 3, 1))
     assert cli._theorem_work(p) == 0
-    assert cli._oracle_work(p) == 3 * 81 + 3 * 9**3 // cli._KERNEL_STEPS_PER_UNIT
+    assert cli._oracle_work(p) == 3 * 81 + (2 + 3) * 9**3 // cli._KERNEL_STEPS_PER_UNIT
+    # n = 2: the Pfaffian is its one entry, so no products; two parts are
+    # one entry of two stages, one part only the boundary Fractions
+    p = prym_bn.problem_from_partition(50, (2, 1))
+    assert cli._oracle_work(p) == 2 * 49**3 // cli._KERNEL_STEPS_PER_UNIT
+    p = prym_bn.problem_from_partition(1001, (1,))
+    assert cli._oracle_work(p) == 1000**3 // cli._BOUNDARY_STEPS_PER_UNIT
 
 
 def test_work_bound_counts_abel_prefactors(capsys, monkeypatch):
@@ -388,10 +395,11 @@ def test_work_bound_counts_abel_prefactors(capsys, monkeypatch):
 
 
 def test_work_bound_counts_entry_kernel(capsys, monkeypatch):
-    # class at beta -1 builds l(l-1)/2 entries of cap^3 kernel steps each:
-    # at g = 1000, lambda = (2, 1) that is 999^3 steps, about 2 * 10^6
+    # class at beta -1 runs l - 1 first and l(l-1)/2 second kernel stages
+    # of cap^3 steps each: at g = 1000, lambda = (2, 1) that is 2 * 999^3
+    # steps, about 4 * 10^6 units
     p = prym_bn.problem_from_partition(1000, (2, 1))
-    assert cli._oracle_work(p) == 999**2 + 999**3 // cli._KERNEL_STEPS_PER_UNIT
+    assert cli._oracle_work(p) == 2 * 999**3 // cli._KERNEL_STEPS_PER_UNIT
     assert cli._oracle_work(p) > cli._WORK_MAX
 
     def never(*args):
@@ -406,9 +414,13 @@ def test_work_bound_counts_entry_kernel(capsys, monkeypatch):
 
 
 def test_one_part_at_genus_1000_runs(capsys):
-    # both routes at budget 998, admitted since the Abel row is O(B)
+    # both routes at budget 998, admitted since the Abel row is O(B); at
+    # g = 1001 the oracle is priced by its boundary Fractions, not by
+    # Pfaffian products it never takes
     code, out, err = run_cli(capsys, "chi", "--genus", "1000", "-r", "0", "-a", "1", "--verify")
     assert (code, out, err) == (0, "1\n", "")
+    code, out, err = run_cli(capsys, "chi", "--genus", "1001", "-r", "0", "-a", "1", "--verify")
+    assert (code, out, err) == (0, "-1\n", "")
 
 
 def test_benchmark_reference_commands_are_admitted(capsys):
@@ -447,6 +459,21 @@ def test_class_beta_zero_refuses_gamma_over_the_str_limit(capsys, monkeypatch):
             assert time.perf_counter() - start < 1
             assert code == 2 and out == "", fmt
             assert err == "error: problem too large: gamma has more than 4300 digits\n"
+
+
+def test_class_refuses_coefficients_over_the_str_limit(capsys):
+    # one part at g = 1500 is well inside the work bound, but its top theta'
+    # coefficients have denominators near 2^1500 * 1499!, of over 4300
+    # digits: exit 2 after computing, not an internal error while printing;
+    # at g = 1400 every coefficient still prints
+    assert sys.get_int_max_str_digits() == 4300
+    for beta in ("-1", "symbolic"):
+        for fmt in ("plain", "json", "latex"):
+            code, out, err = run_cli(capsys, "class", "-g", "1500", "-a", "2", "--beta", beta, "--output", fmt)
+            assert code == 2 and out == "", (beta, fmt)
+            assert err == "error: problem too large: a coefficient has more than 4300 digits\n"
+    code, out, err = run_cli(capsys, "class", "-g", "1400", "-a", "2", "--beta", "-1")
+    assert code == 0 and err == "" and out.startswith("problem: g=1400 ")
 
 
 def test_class_beta_zero_prints_up_to_the_str_limit(capsys):

@@ -50,6 +50,14 @@ def general_interaction(cap, beta):
     return terms
 
 
+def entry_fractions(entry, low):
+    """apply_pair_operator's ints, S = 4^(cap+1) * cap! times the entry, as
+    the entry itself: a Fraction at each degree low..cap, int 0 below."""
+    cap = entry.cap
+    scale = 4 ** (cap + 1) * factorial(cap)
+    return ThetaPoly(cap, [0] * min(low, cap + 1) + [Fraction(c, scale) for c in entry.coeffs[low:]])
+
+
 def lift_entry(entry, low, mode):
     """A beta = -1 entry with base degree low at another mode, by homogeneity:
     degree d gains (-beta)^(d - low), so beta = 0 keeps degree low alone."""
@@ -161,13 +169,17 @@ def test_apply_full_entry_coefficient():
     # is (1/2)^2 * (1/2 - 1/3) = 1/24, frozen from the hand expansion
     cap = 4
     pre = prefactor_expansion(0, cap)
-    entry = apply_pair_operator((2, 1), pre, pre, cap)
+    entry = entry_fractions(apply_pair_operator((2, 1), pre, pre, cap), 3)
     assert entry.coeff(3) == Fraction(1, 24)
 
 
 def test_apply_cap_below_base_degree_gives_zero():
+    # bases past cap + 1 on either side included: no row of the cached
+    # first stage is read, and every coefficient is int 0
     pre = prefactor_expansion(0, 2)
-    assert not apply_pair_operator((2, 1), pre, pre, 2)
+    for base in ((2, 1), (5, 1), (1, 5), (6, 6)):
+        entry = apply_pair_operator(base, pre, pre, 2)
+        assert entry.coeffs == (0, 0, 0) and all(type(c) is int for c in entry.coeffs), base
 
 
 def test_symbolic_entry_specializes_to_direct():
@@ -176,7 +188,8 @@ def test_symbolic_entry_specializes_to_direct():
     cap = 5
     pre_i, pre_j = prefactor_expansion(0, cap), prefactor_expansion(-1, cap)
     for li, lj in ((1, 0), (2, 1), (3, 2)):
-        sym = lift_entry(apply_pair_operator((li, lj), pre_i, pre_j, cap), li + lj, SYMBOLIC)
+        entry = entry_fractions(apply_pair_operator((li, lj), pre_i, pre_j, cap), li + lj)
+        sym = lift_entry(entry, li + lj, SYMBOLIC)
         for beta in (Fraction(0), Fraction(-1), Fraction(1, 2), Fraction(3)):
             direct = reference_apply(
                 general_interaction(cap, beta),
@@ -208,7 +221,9 @@ def test_kernel_matches_reference(mode, cap):
             si = -8 + (li + 3 * lj + cap) % 12
             sj = -8 + (5 * li + lj + 7) % 12
             got = apply_pair_operator((li, lj), prefactor_expansion(si, cap), prefactor_expansion(sj, cap), cap)
-            got = lift_entry(got, li + lj, mode)
+            # the kernel's own output: ints, S times the entry, 0 below li + lj
+            assert all(type(c) is int for c in got.coeffs) and not any(got.coeffs[: li + lj])
+            got = lift_entry(entry_fractions(got, li + lj), li + lj, mode)
             want = reference_apply(
                 ref_op, (li, lj), general_prefactor(si, cap, mode), general_prefactor(sj, cap, mode), cap
             )

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 from itertools import permutations
 
@@ -5,7 +7,8 @@ import pytest
 
 from prymck import prym_bn
 from prymck.exact_arith import abel_coefficient, factorial
-from prymck.pfaffian import _signed_pairings, perm_sign
+from prymck.operator_engine import apply_pair_operator, prefactor_expansion
+from prymck.pfaffian import SkewMatrix, _signed_pairings, augment_odd, perm_sign, pfaffian_matchings
 from prymck.prym_bn import (
     GTable,
     ValidationError,
@@ -149,6 +152,60 @@ def test_ch_k_class_top_coefficient():
 def test_ch_k_class_empty_problem_is_zero():
     p = build_problem(3, 1, (3, 4))
     assert not ch_k_class(p)
+
+
+def fraction_first_class(p):
+    """ch_k_class restated with every entry divided to Fractions before the
+    Pfaffian: apply_pair_operator's ints over S = 4^(cap+1) * cap! at
+    degrees lambda_i + lambda_j..cap (int 0 below), and the boundary row
+    from abel_coefficient, c_v / (lambda_j + v)! (Fraction 0 below
+    lambda_j, all int 0 past the cap)."""
+    cap, lam, s, ell = p.g - 1, p.lam, p.s, p.ell
+    if not ell:
+        return ThetaPoly.one(cap)
+    scale = 4 ** (cap + 1) * factorial(cap)
+
+    def entry(i, j):
+        low = lam[i] + lam[j]
+        pre_i, pre_j = prefactor_expansion(s[i], cap), prefactor_expansion(s[j], cap)
+        raw = apply_pair_operator((lam[i], lam[j]), pre_i, pre_j, cap)
+        return ThetaPoly(cap, [0] * min(low, cap + 1) + [Fraction(c, scale) for c in raw.coeffs[low:]])
+
+    def boundary(j):
+        lj = lam[j]
+        if lj > cap:
+            return ThetaPoly.zero(cap)
+        tail = [abel_coefficient(s[j], d - lj) / factorial(d) for d in range(lj, cap + 1)]
+        return ThetaPoly(cap, [Fraction(0)] * lj + tail)
+
+    m = SkewMatrix.from_upper(ell, entry)
+    if ell % 2:
+        m = augment_odd(m, [boundary(j) for j in range(ell)])
+    return pfaffian_matchings(m)
+
+
+@pytest.mark.parametrize("g", range(2, 11))
+def test_ch_k_class_matches_fraction_first_pfaffian(g):
+    # every strict partition with at most 5 parts bounded by 2g - 2,
+    # one-part and expected-empty ones included: the same values and the
+    # same coefficient types (Fraction, or int 0) at every degree
+    for lam in strict_partitions(5 * (2 * g - 2), 5, 2 * g - 2):
+        p = problem_from_partition(g, lam)
+        got, want = ch_k_class(p), fraction_first_class(p)
+        assert got == want, lam
+        assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs], lam
+
+
+def test_ch_k_class_rejects_nonzero_low_degree(monkeypatch):
+    # a scaled entry with a term below its base degree leaves a nonzero int
+    # below |lambda| in the Pfaffian, which is raised, not dropped
+    def shifted(base, pre_i, pre_j, cap):
+        return apply_pair_operator(base, pre_i, pre_j, cap) + ThetaPoly.monomial(cap, 0, 1)
+
+    monkeypatch.setattr(prym_bn, "apply_pair_operator", shifted)
+    for lam in ((2, 1), (3, 2, 1)):
+        with pytest.raises(ArithmeticError):
+            ch_k_class(problem_from_partition(8, lam))
 
 
 def test_ck_class_beta_zero_is_single_monomial():
@@ -494,6 +551,22 @@ def test_class_result_kinds():
 def test_ch_k_leading_term_large_genus(g, lam):
     p = problem_from_partition(g, lam)
     assert ch_k_class(p).coeff(p.codim) == chow_class_closed(lam)
+
+
+@pytest.mark.parametrize(
+    "g, lam, digest",
+    [
+        (46, tuple(range(9, 0, -1)), "320b8dc65625b87afac5df8ed5cc7a2a340678a818acfd0e08320b01a9ed886e"),
+        (56, tuple(range(10, 0, -1)), "d027d28751814395bba2839bbf67d2aff536ea6e484838b7f055f6d141f0a762"),
+    ],
+)
+def test_ch_k_class_frozen_at_nine_and_ten_parts(g, lam, digest):
+    # sha256 of json.dumps(to_json_dict()), recorded while each entry was
+    # divided to Fractions before the Pfaffian; the lowest degree is the
+    # closed product
+    ch = ch_k_class(problem_from_partition(g, lam))
+    assert hashlib.sha256(json.dumps(ch.to_json_dict()).encode()).hexdigest() == digest
+    assert ch.coeff(sum(lam)) == chow_class_closed(lam)
 
 
 @pytest.mark.parametrize(
