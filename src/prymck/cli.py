@@ -38,9 +38,31 @@ _INT_RE = re.compile(r"[+-]?[0-9]+")
 # command starts on; a unit is about 10^-4 s, so near it a command runs
 # for about 100 s on a 2-vCPU VM
 _WORK_MAX = 10**6
-# steps on h!-scaled ints per unit of work: chi --genus 6000 -r 0 -a 1
-# takes 5999^3 of them in about 20 s
-_SCALED_STEPS_PER_UNIT = 10**6
+# series product steps per unit of work, a product of two series truncated
+# at degree B counting (B + 1)^2 coefficient products of ints of about h
+# bits, h = g - 1 (cap^3 at the oracle's cap = h): ch_k_class at g = 200,
+# lambda = (8, ..., 1) takes 105 * 3 * 199^3 of them in its Pfaffian in
+# about 28 s, about 9,000 to a unit, and 96,000 at g = 46 on the nine-part
+# staircase, where the Pfaffian takes 0.36 s; euler_theorem at g = 120 on
+# the eight-part staircase takes 105 * 3 * 84^2 * 119 in about 1 s, 26,000
+_PRODUCT_STEPS_PER_UNIT = 8000
+# theorem pair series steps per unit, each of the C(B + 2, 2) terms of a
+# pair of parts counting h steps: euler_theorem at g = 6000,
+# lambda = (2, 1) takes C(5999, 2) * 5999 of them in about 47 s, 230,000
+# to a unit, and at g = 3000, lambda = (1500, 1000, 1), where the Abel rows
+# hold larger ints, 3 * C(500, 2) * 2999 in about 2.5 s, 45,000 to a unit
+_PAIR_STEPS_PER_UNIT = 5 * 10**4
+# theorem Abel row steps per unit, each of the l rows counting B + 1 ints of
+# up to about 2h bits as (B + 1) * h: set by their memory rather than
+# their time, as one part keeps its whole row to read its last int; at
+# g = 40000, lambda = (20000), 20000 * 39999 of them take 0.32 s and a peak
+# of 108 MiB, so at the bound the rows hold about 130 MiB
+_ROW_STEPS_PER_UNIT = 1000
+# steps on h!-scaled ints per unit of work, from four indices on, each of the
+# C(n, 2) pair series counting h^2 for its factorial quotient:
+# euler_theorem at g = 100000, lambda = (99990, 3, 2, 1) takes 6 * 99999^2
+# in about 1.4 s, about 4 * 10^6 to a unit
+_SCALED_STEPS_PER_UNIT = 2 * 10**6
 # entry kernel steps per unit of work, a first or second stage counting
 # cap^3: ch_k_class at g = 601, lambda = (2, 1) takes its two stages,
 # 2 * 600^3 steps, in about 56 s, about 770 to a unit; a step slows as the
@@ -95,33 +117,38 @@ def _matchings(problem) -> int:
 
 
 def _theorem_work(problem) -> int:
-    """(n-1)!! signed matchings times the (v, f) pairs with |v| + |f| at
-    most the degree budget B: v over the l parts, f over the l // 2 pair
-    slots that carry degree. That also bounds the v sequences visited and
-    the degrees read per pair.
+    """Work of euler_theorem, the pair series sum, with h = g - 1, degree
+    budget B = h - |lambda| and n the number of parts rounded up to even;
+    0 when B < 0.
 
-    Plus the g_coeff cost: for each pair i < j of parts (the boundary
-    index 0 reads degree 0 alone), the (m, n_i, n_j) keys times the n_j
-    terms each sums, that is sum over v_j = 0..B of
-    (lambda_j + v_j + 1) * C(B - v_j + 2, 2), in closed form
-    (lambda_j + B + 1) * C(B + 3, 3) - 3 * C(B + 3, 4).
-
-    Plus the size of the scaled integers: each of the l parts meets B + 1
-    values scaled by h! = (g - 1)!, of about h log h bits, and dividing or
-    multiplying them costs about h^2 steps, so l * (B + 1) * h^2 steps in
-    all, _SCALED_STEPS_PER_UNIT to a unit. At one part this term is the
-    whole cost, which grows like g^3. 0 when B < 0."""
+    The series products: (n-1)!! signed matchings of n/2 - 1 products
+    each (none when n = 2, where the lone series is read at x^B; the last
+    is one x^B coefficient, counted in full), of (B + 1)^2 coefficient
+    products of ints of about h bits, so (B + 1)^2 * h steps a product,
+    _PRODUCT_STEPS_PER_UNIT to a unit.
+    Plus the pair series: each of the l(l-1)/2 pairs of parts sums
+    C(B + 2, 2) terms, h steps each, _PAIR_STEPS_PER_UNIT to a unit (a
+    pair with the boundary index 0 reads its Abel row as it is). Plus the
+    l Abel rows of B + 1 ints, (B + 1) * h steps each,
+    _ROW_STEPS_PER_UNIT to a unit. Plus, from four indices on, where the
+    series are put over h!, the factorial quotient of each of the
+    n(n-1)/2 pair series, h^2 steps each, _SCALED_STEPS_PER_UNIT to a
+    unit."""
     budget = problem.dim_prym - problem.codim
     if budget < 0:
         return 0
-    dims = problem.ell + problem.ell // 2
-    keys = comb(budget + 3, 3)
-    per_pair = sum(
-        j * ((lam_j + budget + 1) * keys - 3 * comb(budget + 3, 4))
-        for j, lam_j in enumerate(problem.lam)
+    h, ell = problem.dim_prym, problem.ell
+    n = ell + ell % 2
+    products = _matchings(problem) * max(0, n // 2 - 1) * (budget + 1) ** 2 * h
+    pairs = comb(ell, 2) * comb(budget + 2, 2) * h
+    rows = ell * (budget + 1) * h
+    scaled = comb(n, 2) * h**2 if n >= 4 else 0
+    return (
+        products // _PRODUCT_STEPS_PER_UNIT
+        + pairs // _PAIR_STEPS_PER_UNIT
+        + rows // _ROW_STEPS_PER_UNIT
+        + scaled // _SCALED_STEPS_PER_UNIT
     )
-    scaled = problem.ell * (budget + 1) * problem.dim_prym**2 // _SCALED_STEPS_PER_UNIT
-    return _matchings(problem) * comb(budget + dims, dims) + per_pair + scaled
 
 
 def _oracle_work(problem) -> int:
@@ -129,18 +156,23 @@ def _oracle_work(problem) -> int:
     beta -1 or symbolic.
 
     The Pfaffian: (n-1)!! signed matchings of n/2 - 1 products each, of
-    two truncated int series, cap^2 coefficient products to a product and
-    one to a unit; none when n = 2, where the Pfaffian is its one entry.
-    Plus the entry kernel: l - 1 first stages, one per i-side prefactor
-    row, and l(l-1)/2 second stages, one per entry, cap^3 steps each,
+    two truncated int series, cap^3 steps a product (cap^2 coefficient
+    products of ints of about cap bits), _PRODUCT_STEPS_PER_UNIT to a
+    unit; none when n = 2, where the Pfaffian is its one entry. Plus the
+    entry kernel: l - 1 first stages, one per i-side prefactor row, and
+    l(l-1)/2 second stages, one per entry, cap^3 steps each,
     _KERNEL_STEPS_PER_UNIT to a unit. Plus, at one part, the cap + 1
     boundary Fractions, cap^3 steps in all, _BOUNDARY_STEPS_PER_UNIT to a
     unit."""
     cap, ell = problem.dim_prym, problem.ell
-    products = _matchings(problem) * max(0, (ell + 1) // 2 - 1) * cap**2
+    products = _matchings(problem) * max(0, (ell + 1) // 2 - 1) * cap**3
     stages = ell - 1 + comb(ell, 2) if ell > 1 else 0
     boundary = cap**3 // _BOUNDARY_STEPS_PER_UNIT if ell == 1 else 0
-    return products + stages * cap**3 // _KERNEL_STEPS_PER_UNIT + boundary
+    return (
+        products // _PRODUCT_STEPS_PER_UNIT
+        + stages * cap**3 // _KERNEL_STEPS_PER_UNIT
+        + boundary
+    )
 
 
 def _gamma_too_long(lam, limit: int) -> bool:

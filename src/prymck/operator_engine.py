@@ -62,7 +62,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import mul
 
-from .exact_arith import abel_row, binom_gen, factorial
+from .exact_arith import abel_row, factorial
 from .series_ring import ThetaPoly
 
 __all__ = [
@@ -99,16 +99,22 @@ def interaction_expansion(cap: int) -> tuple:
     b > a. At beta = -1 this is the alternating integer
     (-1)^a * (binom(a, b) + binom(a-1, b-1)). Returned as a tuple of int
     tuples indexed [b][a], for a, b = 0..cap.
+
+    The binomials come by Pascal's rule, one row of binom(a, .) from the
+    last, so the table costs O(cap^2) additions.
     """
     if cap < 0:
         raise ValueError(f"interaction_expansion: cap must be nonnegative, got {cap}")
-    return tuple(
-        tuple(
-            (-1) ** a * (binom_gen(a, b) + (binom_gen(a - 1, b - 1) if b else 0)) if b <= a else 0
-            for a in range(cap + 1)
-        )
-        for b in range(cap + 1)
-    )
+    table = [[0] * (cap + 1) for _ in range(cap + 1)]
+    prev = [0] * (cap + 1)  # binom(a - 1, b): all 0 at a = 0
+    row = [1] + [0] * cap  # binom(a, b)
+    for a in range(cap + 1):
+        sign = -1 if a % 2 else 1
+        table[0][a] = sign
+        for b in range(1, a + 1):
+            table[b][a] = sign * (row[b] + prev[b - 1])
+        prev, row = row, [1] + [row[b] + row[b - 1] for b in range(1, cap + 1)]
+    return tuple(map(tuple, table))
 
 
 @lru_cache(maxsize=None)

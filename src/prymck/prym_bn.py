@@ -26,11 +26,18 @@ routes. euler_oracle integrates the top coefficient of ch_k_class against
 the theta polarization. euler_theorem evaluates the closed summation
 formula over shift sequences, signed matchings and degree distributions;
 only terms whose total degree equals g - 1 survive integration, and the
-divergent alternating prefactor sums are taken in Abel-summed form. The
-routes share no series or entry code, and the theorem route enumerates
-and signs its own matchings instead of calling the oracle's Pfaffian
-engine. They must agree exactly, which the test suite and the command line
+divergent alternating prefactor sums are taken in Abel-summed form. Each
+index sits in one pair of a matching, so the sum for one matching is the
+top coefficient of a product of one int series per pair, built from the
+Abel rows and an integer closed form of the pair coefficient. The routes
+share no series or entry code, and the theorem route enumerates and signs
+its own matchings instead of calling the oracle's Pfaffian engine. They
+must agree exactly, which the test suite and the command line
 verification switch enforce.
+
+g_coeff, GTable and enumerate_f state the formula's pair coefficients and
+degree distributions term by term, in Fractions. No route calls them:
+they are the tests' reference for the pair series sum.
 
 Problems whose codimension exceeds g - 1 are computed rather than
 rejected: every route consistently returns 0 for them, and the problem
@@ -360,6 +367,10 @@ def g_coeff(m: int, i: int, j: int, lam, v) -> Fraction:
     for an odd number of parts. Antisymmetric in (i, j); boundary row has
     1/(lam_j + v_j)! at m = 0 and 0 for m > 0. Terms whose lowered index
     would drop below zero are 0, so the inner sum runs to lam_j + v_j.
+
+    No route calls it: euler_theorem reads the integer closed form of
+    _pair_ints. It stays as the tests' term-by-term reference, and the
+    benchmark's tracer wraps it by name, until ROADMAP items 1 and 5.
     """
     lam = tuple(lam)
     v = tuple(v)
@@ -413,6 +424,8 @@ class GTable:
 
     Values come from a cache shared by every table, keyed on the degree
     and the two sums lam_i + v_i, lam_j + v_j; g_coeff runs only on a miss.
+    No route reads it; it stays for the tests, and the benchmark's tracer
+    wraps GTable.value by name, until ROADMAP items 1 and 5.
     """
 
     def __init__(self, lam, v):
@@ -439,7 +452,10 @@ def enumerate_f(sigma, k: int, n_pairs: int):
 
     Slot b collects indices (sigma[2b], sigma[2b+1]); slots touching the
     boundary index 0 only admit 0, so k > 0 with no free slot gives no
-    assignments at all.
+    assignments at all. No route calls it: the pair series sum takes the
+    degree of each pair inside its series. It stays as the tests'
+    reference, and the benchmark's tracer wraps it by name, until ROADMAP
+    items 1 and 5.
     """
     if k < 0:
         raise ValueError(f"enumerate_f: k must be nonnegative, got {k}")
@@ -464,15 +480,6 @@ def _compositions(total, slots):
             yield (first,) + rest
 
 
-def _bounded_sequences(length, max_sum):
-    if length == 0:
-        yield ()
-        return
-    for first in range(max_sum + 1):
-        for rest in _bounded_sequences(length - 1, max_sum - first):
-            yield (first,) + rest
-
-
 def _signed_arrangements(indices) -> list:
     """(sign, sigma) for every canonical arrangement of the sorted indices.
 
@@ -494,31 +501,53 @@ def _signed_arrangements(indices) -> list:
     return [(perm_sign(sigma), sigma) for sigma in arrangements(tuple(indices))]
 
 
-def _scaled(x, scale: int, what: str) -> int:
-    """x * scale as an int; ArithmeticError if that is not an integer."""
-    q, r = divmod(x.numerator * scale, x.denominator)
-    if r:
-        raise ArithmeticError(f"euler_theorem: {what} is not an integer")
-    return q
+def _pair_ints(ni: int, nj: int, count: int) -> list:
+    """G(ni, nj + x) for x = 0..count-1, where for ni, nj >= 1
+
+        G(ni, nj) = C(ni + nj - 1, nj) - C(ni + nj - 1, nj - 1)
+                  = C(ni + nj - 1, nj) * (ni - nj) / ni.
+
+    The pair coefficient of degree m is g_coeff(m, 1, 2, (ni, nj), (0, 0))
+    = (-1)^m G(ni, nj) / (ni + nj + m)!, whatever m. Times N! with
+    N = ni + nj + m each term of g_coeff is a binomial, and (-1)^m times
+    the whole is
+
+        C(N, nj) + sum_{l=1..nj} (-1)^l w_l C(N, nj - l),
+        w_l = C(l + m - 1, m) + C(l + m, m)   (2 at m = 0).
+
+    As sum_{l>=1} (-1)^l w_l x^l = (1 - x) (1 + x)^-(m+1) - 1, the sum is
+    the x^nj coefficient of (1 + x)^N times that series, and the whole is
+    the x^nj coefficient of (1 - x) (1 + x)^(ni + nj - 1), which is G.
+
+    One math.comb starts the row at c = C(ni + k - 1, k), k = nj; then
+    G = c - c * k / ni and the next c is c * (ni + k) / (k + 1), both exact
+    divisions.
+    """
+    out = []
+    c = comb(ni + nj - 1, nj)
+    for k in range(nj, nj + count):
+        out.append(c - c * k // ni)
+        c = c * (ni + k) // (k + 1)
+    return out
 
 
-@cache
-def _pair_scaled(coeff, h: int, m: int, ni: int, nj: int) -> int:
-    """_pair_coeff(coeff, m, ni, nj) * h!, an integer when ni + nj + m <= h."""
-    what = f"g_coeff({m}; {ni}, {nj}) * {h}!"
-    return _scaled(_pair_coeff(coeff, m, ni, nj), factorial(h), what)
+def _times(p: list, q: list) -> list:
+    """p * q truncated at the common length of the two int series."""
+    rev = q[::-1]
+    top = len(p) - 1
+    return [sum(map(operator.mul, p[: t + 1], rev[top - t :])) for t in range(top + 1)]
 
 
 def euler_theorem(problem: PrymProblem) -> Fraction:
     """Euler characteristic by the closed summation formula.
 
-    Sums over shift sequences v, signed perfect matchings of the (possibly
-    augmented) index set, and distributions f of the interaction degree k
-    over the pairs. Integration kills every total degree except g - 1, so
-    the sum is restricted to |lambda| + |v| + k = g - 1; each surviving
-    term carries the weight h! * 2^h with h = g - 1. The alternating
-    u-sums are evaluated as the Abel-summed T^(v_i) coefficient of
-    (1 + T)^(s_i) / (2 + T), read from abel_row.
+    The formula sums over shift sequences v, signed perfect matchings of
+    the (possibly augmented) index set, and distributions f of the
+    interaction degree over the pairs. Integration kills every total
+    degree except h = g - 1, so the sum is restricted to
+    |lambda| + |v| + |f| = h; each surviving term carries the weight
+    h! * 2^h. The alternating u-sums are evaluated as the Abel-summed
+    T^(v_i) coefficient of (1 + T)^(s_i) / (2 + T), read from abel_row.
 
     The formula is stated as a sum over all n! arrangements of the n
     indices, paired off in order, with weight h! / (2^(n/2 - h) (n/2)!).
@@ -529,59 +558,77 @@ def euler_theorem(problem: PrymProblem) -> Fraction:
     one perfect matching, and the sum over the (n-1)!! matchings with
     weight h! * 2^h is the same number.
 
-    The sum runs over ints, with one Fraction per problem. A pair
-    coefficient of degree m between indices with lambda + v equal to ni and
-    nj has a denominator dividing (ni + nj + m)!, and every lambda_i + v_i
-    is at least 1, so ni + nj + m <= |lambda| + |v| + k = h: each one read
-    is an integer once multiplied by h!, and each product of half of them
-    by h!^half. abel_row(s_i, budget) gives the T^v Abel coefficients
-    times 2^(v+1) as ints, so the product of the l prefactors of v is
-    over 2^(|v| + l); shifting it left by k = budget - |v| puts every v
-    over the common 2^(budget + l). A scaled pair coefficient that is not
-    an integer raises ArithmeticError instead of being rounded.
+    Each index sits in exactly one pair of a matching and each pair takes
+    its own degree f_b, so for one matching the sum over (v, f) with
+    |v| + |f| = B = h - |lambda| is the x^B coefficient of a product of one
+    series per pair. With a_i = abel_row(s_i, B), the ints 2^(v+1) times
+    the T^v Abel coefficients, and G the integer pair coefficient of
+    _pair_ints, the x^t coefficient of the series of a pair i < j of parts
+    is R_ij[t] / (lambda_i + lambda_j + t)!, with
+
+        R_ij[t] = sum over v_i + v_j + m = t of
+                  a_i[v_i] * a_j[v_j] * (-2)^m * G(lambda_i + v_i, lambda_j + v_j),
+
+    that is P / (1 + 2x) for P the sum at m = 0 alone: the recurrence
+    R[t] = P[t] - 2 R[t-1]. The boundary index 0 pairs with part j at
+    degree 0 alone, with coefficient 1 / (lambda_j + v_j)!, so
+    R_0j = a_j over (lambda_j + t)!.
+
+    A pair series with lowest factorial L (lambda_i + lambda_j, or
+    lambda_j) reads (L + t)! for t <= B, and L + B <= h because every
+    other part is at least 1. So F[k] = h! / k!, one running product over
+    k = L + B down to L per series, puts it over h!, as ints. Each
+    matching convolves its n/2 scaled series, truncated at x^B, and reads
+    the x^B coefficient of the last product alone. Every term is then over
+    2^(B + l) * h!^(n/2), the 2^m and the 2^(|v| + l) of the prefactors
+    making up the power of 2, and the sum stays on ints up to the one
+    Fraction per problem. With one or two parts the one matching's lone
+    series is read at x^B, where L + B = h and F[h] = 1, so nothing is
+    scaled.
 
     Must equal euler_oracle exactly.
     """
     g, lam, ell, s = problem.g, problem.lam, problem.ell, problem.s
     h = g - 1
     budget = h - sum(lam)
-    if budget < 0:
+    if budget < 0 or not ell:  # no parts: no pair takes the budget h >= 1
         return Fraction(0)
     indices = tuple(range(1, ell + 1)) if ell % 2 == 0 else tuple(range(ell + 1))
     half = len(indices) // 2
-    arrangements = _signed_arrangements(indices)
-    pairs = [(i, j) for n, i in enumerate(indices) for j in indices[n + 1 :]]
     abel = [abel_row(si, budget) for si in s]
-    total = 0
-    for v in _bounded_sequences(ell, budget):
-        k = budget - sum(v)
-        pre = 1
-        for i in range(ell):
-            pre *= abel[i][v[i]]
-        if not pre:
-            continue
-        n = (None,) + tuple(p + x for p, x in zip(lam, v))
-        # the boundary index 0 sits in slot 0 of every canonical
-        # arrangement, so all of them share one set of distributions, and
-        # those put degree 0 on the boundary pair
-        rows = {
-            (i, j): [_pair_scaled(g_coeff, h, m, n[i], n[j]) for m in range(k + 1 if i else 1)]
-            for i, j in pairs
-        }
-        dists = enumerate_f(arrangements[0][1], k, half)
-        inner = 0
-        for sign, sigma in arrangements:
-            slots = [rows[sigma[2 * b], sigma[2 * b + 1]] for b in range(half)]
-            acc = 0
-            for f in dists:
-                prod = 1
-                for row, fm in zip(slots, f):
-                    prod *= row[fm]
-                acc += prod
-            inner += acc if sign > 0 else -acc
-        total += (pre * inner) << k
+
+    def pair_series(i, j):
+        aj = abel[j - 1]
+        if i == 0:
+            return aj[:]
+        ai, li, lj = abel[i - 1], lam[i - 1], lam[j - 1]
+        acc = [0] * (budget + 1)
+        for vi, pre in enumerate(ai):
+            for vj, x in enumerate(_pair_ints(li + vi, lj, budget + 1 - vi)):
+                acc[vi + vj] += pre * aj[vj] * x
+        for t in range(1, budget + 1):  # divide by 1 + 2x: the sum over m
+            acc[t] -= 2 * acc[t - 1]
+        return acc
+
+    series = {(i, j): pair_series(i, j) for n, i in enumerate(indices) for j in indices[n + 1 :]}
+    if half == 1:
+        return Fraction(series[indices][budget] << h, 2 ** (budget + ell))
     hf = factorial(h)
-    return Fraction((total << h) * hf, 2 ** (budget + ell) * hf**half)
+    for (i, j), row in series.items():  # in place, onto h!
+        low = sum(lam[x - 1] for x in (i, j) if x)
+        scale = hf // factorial(low + budget)  # F[low + t], from t = B down
+        for t in range(budget, -1, -1):
+            row[t] *= scale
+            scale *= low + t
+    total = 0
+    for sign, sigma in _signed_arrangements(indices):
+        first, *mid, last = (series[sigma[2 * b], sigma[2 * b + 1]] for b in range(half))
+        for row in mid:
+            first = _times(first, row)
+        top = sum(map(operator.mul, first, reversed(last)))  # the x^B coefficient
+        total += top if sign > 0 else -top
+    # the weight h! * 2^h over the terms' 2^(B + l) * h!^(n/2)
+    return Fraction(total << h, 2 ** (budget + ell) * hf ** (half - 1))
 
 
 def classical_coefficient(r: int) -> Fraction:

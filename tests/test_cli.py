@@ -113,14 +113,15 @@ def test_chi_verify_clean(capsys):
 
 
 def test_chi_verify_detects_route_mismatch(capsys, monkeypatch):
-    real = prym_bn.g_coeff
+    real = prym_bn._pair_ints
 
-    def flipped(m, i, j, lam, v):
-        return -real(m, i, j, lam, v)
+    def flipped(ni, nj, count):
+        return [-x for x in real(ni, nj, count)]
 
-    monkeypatch.setattr(prym_bn, "g_coeff", flipped)
+    # lambda = (2, 1): the theorem route's one pair series flips sign
+    monkeypatch.setattr(prym_bn, "_pair_ints", flipped)
     code, out, err = run_cli(
-        capsys, "chi", "--genus", "3", "-r", "1", "--vanishing", "0,1", "--verify"
+        capsys, "chi", "--genus", "6", "-r", "1", "--vanishing", "1,2", "--verify"
     )
     assert code == 3
     assert "route mismatch" in err
@@ -249,12 +250,12 @@ def test_selfcheck_quick_passes(capsys):
 
 
 def test_selfcheck_detects_injected_sign_flip(capsys, monkeypatch):
-    real = prym_bn.g_coeff
+    real = prym_bn._pair_ints
 
-    def flipped(m, i, j, lam, v):
-        return -real(m, i, j, lam, v)
+    def flipped(ni, nj, count):
+        return [-x for x in real(ni, nj, count)]
 
-    monkeypatch.setattr(prym_bn, "g_coeff", flipped)
+    monkeypatch.setattr(prym_bn, "_pair_ints", flipped)
     code, out, _ = run_cli(capsys, "selfcheck", "--quick")
     assert code == 1
     assert "oracle-equivalence: FAIL" in out
@@ -323,9 +324,9 @@ def test_work_bound_rejects_before_compute(capsys, monkeypatch):
         ("chi", *huge, "--verify"),
         ("class", *huge, "--beta", "-1"),
         ("class", *huge, "--beta", "symbolic", "--output", "json"),
-        # lambda = (3, 1), budget 145: the g_coeff keys times their n_j
-        # terms, about 2.0 * 10^7, once admitted and ran for minutes
-        ("chi", "--genus", "150", "-r", "1", "-a", "1,3"),
+        # lambda = (2, 1), budget 5997: its pair series, about 2.2 * 10^6,
+        # takes 47 s
+        ("chi", "--genus", "6000", "-r", "1", "-a", "1,2"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
@@ -336,10 +337,22 @@ def test_work_bound_rejects_before_compute(capsys, monkeypatch):
 
 def test_work_bound_admits_benchmark_and_anchor_problems(capsys):
     # chi --verify anchors and ladder rungs, then class at beta -1 / symbolic
-    for g, lam in ((80, (1,)), (30, (7, 6, 5, 4, 3, 2, 1)), (25, (8, 5, 4, 3, 2, 1))):
+    for g, lam in (
+        (80, (1,)),
+        (30, (7, 6, 5, 4, 3, 2, 1)),
+        (25, (8, 5, 4, 3, 2, 1)),
+        (60, (3, 1)),
+        (80, (4, 3, 2, 1)),
+        (3000, (1,)),
+    ):
         p = prym_bn.problem_from_partition(g, lam)
         assert 0 < cli._theorem_work(p) + cli._oracle_work(p) <= cli._WORK_MAX, (g, lam)
-    for g, lam in ((28, (8, 6, 4, 3, 2, 1)), (40, (8, 6, 5, 4, 3, 2)), (1000, (1,))):
+    for g, lam in (
+        (28, (8, 6, 4, 3, 2, 1)),
+        (40, (8, 6, 5, 4, 3, 2)),
+        (1000, (1,)),
+        (46, (9, 8, 7, 6, 5, 4, 3, 2, 1)),
+    ):
         p = prym_bn.problem_from_partition(g, lam)
         assert 0 < cli._oracle_work(p) <= cli._WORK_MAX, (g, lam)
     # the closed product answers beta 0 at any genus
@@ -350,37 +363,62 @@ def test_work_bound_admits_benchmark_and_anchor_problems(capsys):
 
 
 def test_work_estimates_closed_forms():
-    # g = 30, lambda = (7,...,1): 8 indices, 105 matchings, budget 1 over
-    # 7 shifts and 3 degree slots; g_coeff cost 4 * lambda_j + 5 for each
-    # of the j - 1 pairs below part j, 329 in all; scaled integers
-    # 7 parts * (B + 1) * h^2 steps; the oracle's 105 matchings of 3
-    # products, cap^2 each, and 6 first plus 21 second kernel stages,
-    # cap^3 steps each
+    # g = 30, lambda = (7,...,1): h = 29, budget 1, 8 indices, 105
+    # matchings of 3 series products, (B + 1)^2 * h steps each; 21 pairs
+    # of parts of C(3, 2) terms, h steps each; 7 Abel rows of (B + 1) * h
+    # steps; 28 pair series put over h!, h^2 steps each. The oracle's 105
+    # matchings of 3 products, cap^3 steps each, and 6 first plus 21
+    # second kernel stages, cap^3 steps each
     p = prym_bn.problem_from_partition(30, (7, 6, 5, 4, 3, 2, 1))
-    assert cli._theorem_work(p) == 105 * 11 + 329 + 7 * 2 * 29**2 // cli._SCALED_STEPS_PER_UNIT
-    assert cli._oracle_work(p) == 105 * 3 * 29**2 + (6 + 21) * 29**3 // cli._KERNEL_STEPS_PER_UNIT
+    assert cli._theorem_work(p) == (
+        105 * 3 * 2**2 * 29 // cli._PRODUCT_STEPS_PER_UNIT
+        + 21 * 3 * 29 // cli._PAIR_STEPS_PER_UNIT
+        + 7 * 2 * 29 // cli._ROW_STEPS_PER_UNIT
+        + 28 * 29**2 // cli._SCALED_STEPS_PER_UNIT
+    )
+    assert cli._oracle_work(p) == (
+        105 * 3 * 29**3 // cli._PRODUCT_STEPS_PER_UNIT + (6 + 21) * 29**3 // cli._KERNEL_STEPS_PER_UNIT
+    )
+    # g = 400, lambda = (5, 4, 3, 2, 1): budget 384, 6 indices, every
+    # theorem term nonzero
+    p = prym_bn.problem_from_partition(400, (5, 4, 3, 2, 1))
+    terms = (
+        15 * 2 * 385**2 * 399 // cli._PRODUCT_STEPS_PER_UNIT,
+        10 * 385 * 386 // 2 * 399 // cli._PAIR_STEPS_PER_UNIT,
+        5 * 385 * 399 // cli._ROW_STEPS_PER_UNIT,
+        15 * 399**2 // cli._SCALED_STEPS_PER_UNIT,
+    )
+    assert all(terms) and cli._theorem_work(p) == sum(terms)
     # expected empty: the theorem route returns before summing, the oracle
     # still computes its zero: 3 matchings of 1 product, 2 + 3 stages
     p = prym_bn.problem_from_partition(10, (8, 3, 1))
     assert cli._theorem_work(p) == 0
-    assert cli._oracle_work(p) == 3 * 81 + (2 + 3) * 9**3 // cli._KERNEL_STEPS_PER_UNIT
-    # n = 2: the Pfaffian is its one entry, so no products; two parts are
-    # one entry of two stages, one part only the boundary Fractions
+    assert cli._oracle_work(p) == (
+        3 * 9**3 // cli._PRODUCT_STEPS_PER_UNIT + (2 + 3) * 9**3 // cli._KERNEL_STEPS_PER_UNIT
+    )
+    # n = 2: the Pfaffian is its one entry and the theorem's lone series is
+    # read at x^B, so no products; two parts are one entry of two stages,
+    # one part only the boundary Fractions
     p = prym_bn.problem_from_partition(50, (2, 1))
+    assert cli._theorem_work(p) == (
+        47 * 48 // 2 * 49 // cli._PAIR_STEPS_PER_UNIT + 2 * 47 * 49 // cli._ROW_STEPS_PER_UNIT
+    )
     assert cli._oracle_work(p) == 2 * 49**3 // cli._KERNEL_STEPS_PER_UNIT
     p = prym_bn.problem_from_partition(1001, (1,))
+    assert cli._theorem_work(p) == 1000 * 1000 // cli._ROW_STEPS_PER_UNIT
     assert cli._oracle_work(p) == 1000**3 // cli._BOUNDARY_STEPS_PER_UNIT
 
 
 def test_work_bound_counts_abel_prefactors(capsys, monkeypatch):
-    # the Abel prefactor row costs O(B); at one part what grows is the size
-    # of the h!-scaled integers, (B + 1) * h^2 steps, so the cost grows like
-    # g^3: g = 1000 is admitted, and g = 20000 (about 8 * 10^6) is not
-    p = prym_bn.problem_from_partition(1000, (1,))
-    assert cli._theorem_work(p) == 999 + 999**3 // cli._SCALED_STEPS_PER_UNIT
+    # one part is its Abel row alone, B + 1 ints of up to about 2h bits,
+    # priced by their memory: at g = 40000, lambda = (20000) the row takes
+    # 0.3 s and a peak of 108 MiB and is admitted; at g = 50000,
+    # lambda = (25000) (160 MiB) it is not
+    p = prym_bn.problem_from_partition(40000, (20000,))
+    assert cli._theorem_work(p) == 20000 * 39999 // cli._ROW_STEPS_PER_UNIT
     assert cli._theorem_work(p) <= cli._WORK_MAX
-    p = prym_bn.problem_from_partition(20000, (1,))
-    assert cli._theorem_work(p) == 19999 + 19999**3 // cli._SCALED_STEPS_PER_UNIT
+    p = prym_bn.problem_from_partition(50000, (25000,))
+    assert cli._theorem_work(p) == 25000 * 49999 // cli._ROW_STEPS_PER_UNIT
     assert cli._theorem_work(p) > cli._WORK_MAX
 
     def never(*args):
@@ -388,10 +426,35 @@ def test_work_bound_counts_abel_prefactors(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "euler_theorem", never)
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "chi", "--genus", "20000", "-r", "0", "-a", "1")
+    code, out, err = run_cli(capsys, "chi", "--genus", "50000", "-r", "0", "-a", "25000")
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: problem too large: "), err
+
+
+def test_work_bound_prices_products_by_steps(capsys):
+    # the oracle's Pfaffian at g = 46 on the nine-part staircase takes
+    # 945 * 4 products of cap^3 = 45^3 steps in about 0.4 s; priced at a
+    # unit per coefficient product it was 7,662,519 units and exited 2
+    p = prym_bn.problem_from_partition(46, tuple(range(9, 0, -1)))
+    assert cli._oracle_work(p) == (
+        945 * 4 * 45**3 // cli._PRODUCT_STEPS_PER_UNIT + (8 + 36) * 45**3 // cli._KERNEL_STEPS_PER_UNIT
+    )
+    code, out, err = run_cli(capsys, "class", "-g", "46", "-a", staircase(9), "--beta", "-1")
+    assert (code, err) == (0, "")
+    assert out.startswith("problem: g=46 r=8 a=1,2,3,4,5,6,7,8,9 lambda=9,8,7,6,5,4,3,2,1 ")
+
+
+def test_large_budget_chi_verify_runs(capsys):
+    # the pair series sum at budgets 55, 69 and 2998, each equal to the oracle
+    for argv in (
+        ("-g", "60", "-r", "1", "-a", "1,3"),
+        ("-g", "80", "-r", "3", "-a", "1,2,3,4"),
+        ("-g", "3000", "-r", "0", "-a", "1"),
+    ):
+        code, out, err = run_cli(capsys, "chi", *argv, "--verify")
+        assert (code, err) == (0, ""), argv
+    assert out == "1\n"
 
 
 def test_work_bound_counts_entry_kernel(capsys, monkeypatch):

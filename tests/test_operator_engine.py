@@ -201,6 +201,19 @@ def test_symbolic_entry_specializes_to_direct():
             assert ThetaPoly(cap, [at_beta(c, beta) for c in sym.coeffs]) == direct, (li, lj, beta)
 
 
+def test_interaction_table_equals_binomial_closed_form():
+    # the Pascal's-rule table against binom_gen cell by cell, 0 for b > a
+    cap = 40
+    want = tuple(
+        tuple(
+            (-1) ** a * (binom_gen(a, b) + (binom_gen(a - 1, b - 1) if b else 0)) if b <= a else 0
+            for a in range(cap + 1)
+        )
+        for b in range(cap + 1)
+    )
+    assert interaction_expansion(cap) == want
+
+
 def test_expansions_are_cached():
     assert prefactor_expansion(2, 6) is prefactor_expansion(2, 6)
     assert interaction_expansion(6) is interaction_expansion(6)

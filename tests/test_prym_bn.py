@@ -302,11 +302,22 @@ def test_euler_integrality():
             assert euler_theorem(p).denominator == 1
 
 
-def reference_euler_theorem(problem):
-    """The closed summation formula as stated, over all n! arrangements.
+def _bounded_sequences(length, max_sum):
+    if length == 0:
+        yield ()
+        return
+    for first in range(max_sum + 1):
+        for rest in _bounded_sequences(length - 1, max_sum - first):
+            yield (first,) + rest
 
-    The loop euler_theorem ran before it summed over matchings; kept here
-    as the reference the matching sum must equal exactly.
+
+def reference_euler_theorem(problem):
+    """The closed summation formula as stated, over all n! arrangements,
+    every shift sequence v and every distribution f, in Fractions.
+
+    It is the loop euler_theorem ran before it summed over matchings and,
+    later, over pair series; kept here as the reference the pair series
+    sum must equal exactly.
     """
     g, lam, ell, s = problem.g, problem.lam, problem.ell, problem.s
     h = g - 1
@@ -317,7 +328,7 @@ def reference_euler_theorem(problem):
     half = len(indices) // 2
     weight = Fraction(factorial(h) * 2**h, 2**half * factorial(half))
     total = Fraction(0)
-    for v in prym_bn._bounded_sequences(ell, budget):
+    for v in _bounded_sequences(ell, budget):
         k = budget - sum(v)
         pre = Fraction(1)
         for i in range(ell):
@@ -338,15 +349,22 @@ def reference_euler_theorem(problem):
 
 
 def test_matching_sum_equals_permutation_sum():
-    # every strict partition with g <= 9, at most 5 parts and |lambda| <= g + 2,
+    # every strict partition with g <= 11, at most 5 parts and |lambda| <= g + 2,
     # expected-empty ones included
     count = 0
-    for g in range(2, 10):
+    for g in range(2, 12):
         for lam in strict_partitions(g + 2, 5, 2 * g - 2):
             p = problem_from_partition(g, lam)
             assert euler_theorem(p) == reference_euler_theorem(p), (g, lam)
             count += 1
-    assert count == 202
+    assert count == 360
+
+
+@pytest.mark.parametrize("g, lam", [(60, (3, 1)), (3000, (1,)), (80, (4, 3, 2, 1))])
+def test_pair_series_sum_equals_oracle_at_large_genus(g, lam):
+    # degree budgets of 55, 2998 and 69, far past the reference's reach
+    p = problem_from_partition(g, lam)
+    assert euler_theorem(p) == euler_oracle(p)
 
 
 @pytest.mark.parametrize(
@@ -360,16 +378,28 @@ def test_integer_sum_odd_length(g, lam):
     assert euler_theorem(p) == reference_euler_theorem(p)
 
 
-def test_integer_sum_rejects_non_integral_scaled_coefficient(monkeypatch):
-    real = prym_bn.g_coeff
+def test_pair_ints_equal_scaled_g_coeff():
+    # G(m; ni, nj) = g_coeff(m; ni, nj) * (ni + nj + m)! is (-1)^m G(ni, nj)
+    for m in range(7):
+        for ni in range(1, 11):
+            row = prym_bn._pair_ints(ni, 1, 10)
+            for nj in range(1, 11):
+                want = g_coeff(m, 1, 2, (ni, nj), (0, 0)) * factorial(ni + nj + m)
+                assert want == (-1) ** m * row[nj - 1], (m, ni, nj)
+    # G(ni, nj) = C(ni + nj, nj) (ni - nj) / (ni + nj): 4 * 2/4, 10 * 1/5, 0
+    assert prym_bn._pair_ints(3, 1, 3) == [2, 2, 0]
 
-    def off(m, i, j, lam, v):
-        # 10007 is a prime larger than g - 1, so no h! clears it
-        return real(m, i, j, lam, v) + Fraction(1, 10007)
 
-    monkeypatch.setattr(prym_bn, "g_coeff", off)
-    with pytest.raises(ArithmeticError, match="not an integer"):
-        euler_theorem(problem_from_partition(6, (2, 1)))
+def test_euler_theorem_reads_pair_ints(monkeypatch):
+    real = prym_bn._pair_ints
+
+    def off(ni, nj, count):
+        return [x + 1 for x in real(ni, nj, count)]
+
+    p = problem_from_partition(6, (2, 1))
+    assert euler_theorem(p) == euler_oracle(p) == 22
+    monkeypatch.setattr(prym_bn, "_pair_ints", off)
+    assert euler_theorem(p) != euler_oracle(p)
 
 
 def _crossings(pairs):
