@@ -1,8 +1,9 @@
 """Command line interface: single problems, batch tables, self checks.
 
 Exit codes: 0 success, 1 selfcheck failure, 2 input validation failure
-(a problem whose estimated work exceeds _WORK_MAX included), 3 Euler
-characteristic route mismatch under --verify, 4 internal error.
+(a problem whose estimated work exceeds _WORK_MAX, or whose output has
+more digits than str() converts, included), 3 Euler characteristic
+route mismatch under --verify, 4 internal error.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lgamma, log, prod
 
@@ -75,23 +75,6 @@ _KERNEL_STEPS_PER_UNIT = 500
 _BOUNDARY_STEPS_PER_UNIT = 2 * 10**6
 
 
-@dataclass(frozen=True)
-class RunRequest:
-    """Parsed invocation; mirrors the problem validation done downstream."""
-
-    command: str
-    output: str = "plain"
-    g: int = 0
-    r: int = -1
-    a: tuple = ()
-    beta: object = 0
-    verify: bool = False
-    g_min: int = 2
-    g_max: int = 2
-    max_len: int = 1
-    quick: bool = False
-
-
 def _parse_int(name: str, text: str) -> int:
     # int() alone would also take "1_0", " 4" and non-ASCII digits such as "٤"
     if not _INT_RE.fullmatch(text):
@@ -102,13 +85,11 @@ def _parse_int(name: str, text: str) -> int:
         raise ValidationError(f"{name} has {len(text)} characters, too many digits") from None
 
 
-def _parse_vanishing(text: str) -> tuple:
-    return tuple(_parse_int("--vanishing", tok.strip(" ")) for tok in text.split(","))
-
-
-def _build(req: RunRequest):
-    r = req.r if req.r >= 0 else len(req.a) - 1
-    return build_problem(req.g, r, req.a)
+def _problem(args):
+    a = tuple(_parse_int("--vanishing", tok.strip(" ")) for tok in args.vanishing.split(","))
+    g = _parse_int("--genus", args.genus)
+    r = _parse_int("-r", args.r)
+    return build_problem(g, r if r >= 0 else len(a) - 1, a)
 
 
 def _matchings(problem) -> int:
@@ -200,6 +181,23 @@ def _check_work(work: int) -> None:
         if work >= 10**18:
             shown = f"over 10^{(work.bit_length() - 1) * 30103 // 100000}"
         raise ValidationError(f"problem too large: estimated work {shown} exceeds {_WORK_MAX}")
+
+
+def _str_limit() -> int:
+    """The most digits str() converts from an int. Where that limit is
+    lifted (0) or absent (before Python 3.10.7), CPython's default of 4300,
+    so that what prymck prints stays bounded."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return limit or getattr(sys.int_info, "default_max_str_digits", 4300)
+
+
+def _check_digits(what: str, rationals, limit: int) -> None:
+    """Refuse (exit 2) before printing when a numerator or denominator of
+    rationals has more than limit digits; under 3 * limit bits is under
+    10^limit."""
+    ints = [n for x in rationals for n in (abs(x.numerator), x.denominator)]
+    if any(n.bit_length() > 3 * limit and n >= 10**limit for n in ints):
+        raise ValidationError(f"problem too large: {what} has more than {limit} digits")
 
 
 # ---------------------------------------------------------------- rendering
@@ -314,37 +312,37 @@ def _problem_line(p) -> str:
     return f"problem: g={p.g} r={p.r} a={a} lambda={lam} parity={p.parity} expected_empty={empty}"
 
 
-def _emit_class_plain(res, out):
-    out(_problem_line(res.problem))
+def _emit_class_plain(res):
+    print(_problem_line(res.problem))
     flag = f" [{', '.join(res.flags)}]" if res.flags else ""
-    out(f"kind: {res.kind} (beta={res.beta}){flag}")
+    print(f"kind: {res.kind} (beta={res.beta}){flag}")
     if res.kind == "cohomology":
-        out(f"gamma: {format_rational(res.gamma)}")
-        out(f"exponent: {res.exponent}")
+        print(f"gamma: {format_rational(res.gamma)}")
+        print(f"exponent: {res.exponent}")
         gx = format_rational(res.gamma * 2**res.exponent)
-        out(f"class: ({format_rational(res.gamma)})*(2xi)^{res.exponent} = ({gx})*xi^{res.exponent}")
+        print(f"class: ({format_rational(res.gamma)})*(2xi)^{res.exponent} = ({gx})*xi^{res.exponent}")
     elif res.beta == SYMBOLIC:
-        out("theta_poly (T = theta' = 2xi, b = beta):")
+        print("theta_poly (T = theta' = 2xi, b = beta):")
         for d, c in enumerate(res.poly.coeffs):
             if c:
-                out(f"  T^{d}: {c}")
+                print(f"  T^{d}: {c}")
         if not res.poly:
-            out("  0")
+            print("  0")
     else:
-        out(f"theta_poly: {', '.join(_poly_strings(res.poly))}  (T^0..T^{res.poly.cap}; T = theta' = 2xi)")
+        print(f"theta_poly: {', '.join(_poly_strings(res.poly))}  (T^0..T^{res.poly.cap}; T = theta' = 2xi)")
         xi = ", ".join(format_rational(c) for c in _xi_coeffs(res.poly))
-        out(f"xi_poly: {xi}")
+        print(f"xi_poly: {xi}")
 
 
-def _emit_class_latex(res, out):
+def _emit_class_latex(res):
     if res.kind == "cohomology":
         gamma = Fraction(res.gamma)
         if res.exponent == 0:
-            out(_latex_rational(gamma))
+            print(_latex_rational(gamma))
         else:
-            out(f"{_latex_rational(gamma)}(2\\xi)^{{{res.exponent}}}")
+            print(f"{_latex_rational(gamma)}(2\\xi)^{{{res.exponent}}}")
     else:
-        out(_latex_poly(res.poly))
+        print(_latex_poly(res.poly))
 
 
 def _shown_rationals(res):
@@ -359,38 +357,34 @@ def _shown_rationals(res):
     return [*res.poly.coeffs, *_xi_coeffs(res.poly)]
 
 
-def run_class(req: RunRequest, out) -> int:
-    problem = _build(req)
-    # the most digits str() converts from an int: 0 for no limit, as before Python 3.10.7
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    what = "gamma" if req.beta == 0 else "a coefficient"
-    too_long = f"problem too large: {what} has more than {limit} digits"
-    if req.beta != 0:
+def run_class(args) -> int:
+    problem = _problem(args)
+    beta = _BETA_CHOICES[args.beta]
+    what = "gamma" if beta == 0 else "a coefficient"
+    limit = _str_limit()
+    if beta != 0:
         _check_work(_oracle_work(problem))
-    elif limit and _gamma_too_long(problem.lam, limit):
+    elif _gamma_too_long(problem.lam, limit):
         # beta 0 is the closed product, whatever the genus; only its size is bounded
-        raise ValidationError(too_long)
-    res = class_result(problem, req.beta)
-    if limit:
-        # the exact check on what plain and json print (latex: a subset);
-        # under 3 * limit bits is under 10^limit
-        ints = [n for x in _shown_rationals(res) for n in (abs(x.numerator), x.denominator)]
-        if any(n.bit_length() > 3 * limit and n >= 10**limit for n in ints):
-            raise ValidationError(too_long)
-    if req.output == "json":
-        out(json.dumps(_result_json(res), indent=2))
-    elif req.output == "latex":
-        _emit_class_latex(res, out)
+        raise ValidationError(f"problem too large: {what} has more than {limit} digits")
+    res = class_result(problem, beta)
+    # the exact check on what plain and json print (latex: a subset)
+    _check_digits(what, _shown_rationals(res), limit)
+    if args.output == "json":
+        print(json.dumps(_result_json(res), indent=2))
+    elif args.output == "latex":
+        _emit_class_latex(res)
     else:
-        _emit_class_plain(res, out)
+        _emit_class_plain(res)
     return 0
 
 
-def run_chi(req: RunRequest, out) -> int:
-    problem = _build(req)
-    _check_work(_theorem_work(problem) + (_oracle_work(problem) if req.verify else 0))
+def run_chi(args) -> int:
+    problem = _problem(args)
+    _check_work(_theorem_work(problem) + (_oracle_work(problem) if args.verify else 0))
     chi = euler_theorem(problem)
-    if req.verify:
+    _check_digits("chi", [chi], _str_limit())
+    if args.verify:
         other = euler_oracle(problem)
         if chi != other:
             print(
@@ -398,17 +392,17 @@ def run_chi(req: RunRequest, out) -> int:
                 file=sys.stderr,
             )
             return 3
-    if req.output == "json":
-        out(json.dumps(_chi_json(problem, chi), indent=2))
+    if args.output == "json":
+        print(json.dumps(_chi_json(problem, chi), indent=2))
     else:  # plain and latex both print the bare integer
-        out(format_rational(chi))
+        print(format_rational(chi))
     return 0
 
 
-def _table_rows(req: RunRequest):
+def _table_rows(g_min, g_max, max_len):
     rows = []
-    for g in range(req.g_min, req.g_max + 1):
-        for lam in strict_partitions(g - 1, req.max_len, 2 * g - 2):
+    for g in range(g_min, g_max + 1):
+        for lam in strict_partitions(g - 1, max_len, 2 * g - 2):
             if lam:
                 rows.append((g, lam))
     return rows
@@ -426,32 +420,33 @@ def _table_entry(g, lam):
     }
 
 
-def run_table(req: RunRequest, out) -> int:
-    if not (2 <= req.g_min <= req.g_max):
+def run_table(args) -> int:
+    g_min = _parse_int("--g-min", args.g_min)
+    g_max = _parse_int("--g-max", args.g_max)
+    max_len = _parse_int("--max-len", args.max_len)
+    if not (2 <= g_min <= g_max):
         raise ValidationError(
-            f"table genus range must satisfy 2 <= g_min <= g_max (got {req.g_min}..{req.g_max})"
+            f"table genus range must satisfy 2 <= g_min <= g_max (got {g_min}..{g_max})"
         )
-    if req.g_max > _TABLE_G_MAX:
-        raise ValidationError(f"g_max exceeds {_TABLE_G_MAX} (got {req.g_max})")
-    if not (1 <= req.max_len <= _TABLE_LEN_MAX):
-        raise ValidationError(
-            f"max_len must be between 1 and {_TABLE_LEN_MAX} (got {req.max_len})"
-        )
-    entries = [_table_entry(g, lam) for g, lam in _table_rows(req)]
-    if req.output == "json":
-        out(json.dumps({"rows": entries, "meta": _meta_block("-1", (), {"relation": "theta_prime = 2*xi"})}, indent=2))
+    if g_max > _TABLE_G_MAX:
+        raise ValidationError(f"g_max exceeds {_TABLE_G_MAX} (got {g_max})")
+    if not (1 <= max_len <= _TABLE_LEN_MAX):
+        raise ValidationError(f"max_len must be between 1 and {_TABLE_LEN_MAX} (got {max_len})")
+    entries = [_table_entry(g, lam) for g, lam in _table_rows(g_min, g_max, max_len)]
+    if args.output == "json":
+        print(json.dumps({"rows": entries, "meta": _meta_block("-1", (), {"relation": "theta_prime = 2*xi"})}, indent=2))
         return 0
-    if req.output == "latex":
-        out("\\begin{tabular}{llllll}")
-        out("g & a & \\lambda & \\gamma & e & \\chi \\\\")
+    if args.output == "latex":
+        print("\\begin{tabular}{llllll}")
+        print("g & a & \\lambda & \\gamma & e & \\chi \\\\")
         for e in entries:
             a = ",".join(str(x) for x in e["a"])
             lam = ",".join(str(x) for x in e["lambda"])
-            out(
+            print(
                 f"{e['g']} & ({a}) & ({lam}) & {_latex_rational(Fraction(e['gamma']))} & "
                 f"{e['exponent']} & {e['chi']} \\\\"
             )
-        out("\\end{tabular}")
+        print("\\end{tabular}")
         return 0
     header = ("g", "a", "lambda", "gamma", "exp", "chi")
     table = [header]
@@ -468,12 +463,8 @@ def run_table(req: RunRequest, out) -> int:
         )
     widths = [max(len(row[c]) for row in table) for c in range(len(header))]
     for row in table:
-        out("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
     return 0
-
-
-def run_selfcheck(req: RunRequest, out) -> int:
-    return selfcheck.run(quick=req.quick, out=out)
 
 
 # ------------------------------------------------------------------ parsing
@@ -505,60 +496,31 @@ def _make_parser() -> argparse.ArgumentParser:
     _add_problem_args(p_class)
     p_class.add_argument("--beta", choices=sorted(_BETA_CHOICES), default="0")
     p_class.add_argument("--output", choices=("plain", "json", "latex"), default="plain")
+    p_class.set_defaults(run=run_class)
 
     p_chi = subs.add_parser("chi", help="compute the Euler characteristic")
     _add_problem_args(p_chi)
     p_chi.add_argument("--verify", action="store_true", help="cross-run both routes")
     p_chi.add_argument("--output", choices=("plain", "json", "latex"), default="plain")
+    p_chi.set_defaults(run=run_chi)
 
     p_table = subs.add_parser("table", help="batch table over a genus range")
     p_table.add_argument("--g-min", default="2")
     p_table.add_argument("--g-max", default="5")
     p_table.add_argument("--max-len", default="3")
     p_table.add_argument("--output", choices=("plain", "json", "latex"), default="plain")
+    p_table.set_defaults(run=run_table)
 
     p_check = subs.add_parser("selfcheck", help="run the invariant suite")
-    p_check.add_argument("--quick", action="store_true", help="small-genus subset")
+    p_check.set_defaults(run=lambda args: selfcheck.run())
 
     return parser
 
 
-def _request_from_args(args) -> RunRequest:
-    if args.command in ("class", "chi"):
-        a = _parse_vanishing(args.vanishing)
-        beta = _BETA_CHOICES[args.beta] if args.command == "class" else -1
-        return RunRequest(
-            command=args.command,
-            output=args.output,
-            g=_parse_int("--genus", args.genus),
-            r=_parse_int("-r", args.r),
-            a=a,
-            beta=beta,
-            verify=getattr(args, "verify", False),
-        )
-    if args.command == "table":
-        return RunRequest(
-            command="table",
-            output=args.output,
-            g_min=_parse_int("--g-min", args.g_min),
-            g_max=_parse_int("--g-max", args.g_max),
-            max_len=_parse_int("--max-len", args.max_len),
-        )
-    return RunRequest(command="selfcheck", quick=args.quick)
-
-
 def main(argv=None) -> int:
     args = _make_parser().parse_args(argv)
-    out = print
     try:
-        req = _request_from_args(args)
-        if req.command == "class":
-            return run_class(req, out)
-        if req.command == "chi":
-            return run_chi(req, out)
-        if req.command == "table":
-            return run_table(req, out)
-        return run_selfcheck(req, out)
+        return args.run(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import factorial as _math_factorial, prod
+from math import factorial, prod
 
 __all__ = [
     "abel_coefficient",
@@ -26,13 +26,6 @@ __all__ = [
     "format_rational",
     "parse_rational",
 ]
-
-
-def factorial(n: int) -> int:
-    """n! for n >= 0."""
-    if n < 0:
-        raise ValueError(f"factorial: n must be nonnegative, got {n}")
-    return _math_factorial(n)
 
 
 def binom_gen(s: int, t: int) -> int:
@@ -45,7 +38,7 @@ def binom_gen(s: int, t: int) -> int:
     if t < 0:
         raise ValueError(f"binom_gen: t must be nonnegative, got {t}")
     # product of t consecutive integers, so division by t! is exact
-    return prod(range(s - t + 1, s + 1)) // _math_factorial(t)
+    return prod(range(s - t + 1, s + 1)) // factorial(t)
 
 
 def abel_row(s: int, n: int) -> list:

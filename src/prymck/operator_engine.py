@@ -60,9 +60,10 @@ stages, O(l^2 * cap^3) integer operations in all.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import factorial
 from operator import mul
 
-from .exact_arith import abel_row, factorial
+from .exact_arith import abel_row
 from .series_ring import ThetaPoly
 
 __all__ = [

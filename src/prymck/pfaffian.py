@@ -30,10 +30,8 @@ expansion walks the entries as they are.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 from numbers import Rational
-
-from .exact_arith import factorial
 
 __all__ = [
     "SkewMatrix",

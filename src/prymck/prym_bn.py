@@ -50,9 +50,9 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb
+from math import comb, factorial
 
-from .exact_arith import abel_row, factorial
+from .exact_arith import abel_row
 from .operator_engine import apply_pair_operator, prefactor_expansion
 from .pfaffian import SkewMatrix, augment_odd, perm_sign, pfaffian_matchings
 from .series_ring import BetaPoly, ThetaPoly
@@ -634,21 +634,15 @@ def euler_theorem(problem: PrymProblem) -> Fraction:
 def classical_coefficient(r: int) -> Fraction:
     """Class coefficient for the staircase vanishing sequence (0, 1, ..., r).
 
-    The product over the parts (r, ..., 1): (1/2^r) * prod 1/i! *
-    prod_{j<i} (i-j)/(i+j). This is the De Concini-Pragacz class of the
-    Prym-Brill-Noether locus (Math. Ann. 1995), which the paper's formulas
-    extend; their closed form
+    chow_class_closed of the staircase (r, ..., 1). This is the De
+    Concini-Pragacz class of the Prym-Brill-Noether locus (Math. Ann.
+    1995), which the paper's formulas extend; their closed form
     2^C(r,2) * prod_{i=1..r} (i-1)!/(2i-1)! / 2^(r(r+1)/2)
     is compared in the test suite and in selfcheck.
     """
     if r < 0:
         raise ValueError(f"classical_coefficient: r must be nonnegative, got {r}")
-    value = Fraction(1, 2**r)
-    for i in range(1, r + 1):
-        value /= factorial(i)
-        for j in range(1, i):
-            value *= Fraction(i - j, i + j)
-    return value
+    return chow_class_closed(tuple(range(r, 0, -1)))
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,20 @@
 """The invariant registry: the one place each checked invariant is written.
 
-Each check in CHECKS returns (ok, cases) at the quick or the full size, and
-the runner behind the command line selfcheck prints one line per check.
-tests/test_selfcheck.py runs every check at both sizes with its case count
-pinned, so pytest restates no invariant. Randomized checks use a fixed seed
-so runs are reproducible.
+Each check in CHECKS takes no argument and returns (ok, cases), and run(),
+behind the command line selfcheck, prints one line per check.
+tests/test_selfcheck.py runs every check with its case count pinned, so
+pytest restates no invariant. Randomized checks use a fixed seed so runs
+are reproducible.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from . import prym_bn
-from .exact_arith import abel_coefficient, binom_gen, factorial
+from .exact_arith import abel_coefficient, binom_gen
 from .operator_engine import interaction_expansion, prefactor_expansion
 from .pfaffian import (
     SkewMatrix,
@@ -26,7 +26,6 @@ from .prym_bn import (
     SYMBOLIC,
     chow_class_closed,
     chow_class_pfaffian,
-    classical_coefficient,
     problem_from_partition,
     strict_partitions,
 )
@@ -61,10 +60,9 @@ def _random_skew(rng, n):
     )
 
 
-def check_pascal_rule(quick):
-    top = 12 if quick else 30
+def check_pascal_rule():
     cases = 0
-    for s in range(1, top + 1):
+    for s in range(1, 31):
         for t in range(1, s + 1):
             if binom_gen(s, t) != binom_gen(s - 1, t - 1) + binom_gen(s - 1, t):
                 return False, cases
@@ -72,10 +70,9 @@ def check_pascal_rule(quick):
     return True, cases
 
 
-def check_binomial_tail(quick):
-    top = 8 if quick else 12
+def check_binomial_tail():
     cases = 0
-    for lj in range(2, top + 1):
+    for lj in range(2, 13):
         for li in range(1, lj):
             lhs = sum((-1) ** u * binom_gen(li + lj, li + u) for u in range(1, lj + 1))
             if lhs != -binom_gen(li + lj - 1, li):
@@ -87,12 +84,11 @@ def check_binomial_tail(quick):
     return True, cases
 
 
-def check_abel_series(quick):
-    s_top, v_top = (4, 6) if quick else (8, 12)
+def check_abel_series():
     cases = 0
-    for s in range(-s_top, s_top + 1):
+    for s in range(-8, 9):
         # T^v coefficients of (1+T)^s times the geometric expansion of 1/(2+T)
-        for v in range(v_top + 1):
+        for v in range(13):
             conv = Fraction(0)
             for k in range(v + 1):
                 geo = Fraction((-1) ** k, 2 ** (k + 1))
@@ -103,11 +99,10 @@ def check_abel_series(quick):
     return True, cases
 
 
-def check_series_laws(quick):
+def check_series_laws():
     rng = random.Random(_SEED)
-    rounds = 40 if quick else 120
     cases = 0
-    for _ in range(rounds):
+    for _ in range(120):
         cap = rng.randint(0, 12)
 
         def rand_poly():
@@ -127,7 +122,7 @@ def check_series_laws(quick):
     return True, cases
 
 
-def check_series_vanishing(quick):
+def check_series_vanishing():
     cases = 0
     for j in range(1, 21):
         plus = ThetaPoly(j, [Fraction(1, factorial(d)) for d in range(j + 1)])
@@ -155,15 +150,14 @@ def _pfaffian_engine_cases(rng, plan):
     return True, cases
 
 
-def check_pfaffian_engines(quick):
-    plan = {2: 10, 4: 8} if quick else {2: 25, 4: 20, 6: 12, 8: 5}
+def check_pfaffian_engines():
+    plan = {2: 25, 4: 20, 6: 12, 8: 5}
     return _pfaffian_engine_cases(random.Random(_SEED + 1), plan)
 
 
-def check_pfaffian_closed_product(quick):
-    max_part = 5 if quick else 9
+def check_pfaffian_closed_product():
     cases = 0
-    for lam in strict_partitions(5 * max_part, 5, max_part):
+    for lam in strict_partitions(45, 5, 9):
         if not lam:
             continue
         if chow_class_pfaffian(lam) != chow_class_closed(lam):
@@ -172,9 +166,9 @@ def check_pfaffian_closed_product(quick):
     return True, cases
 
 
-def check_kclass_leading_term(quick):
+def check_kclass_leading_term():
     cases = 0
-    for p in _suite_problems(4 if quick else 7):
+    for p in _suite_problems(7):
         if not p.lam:
             continue
         if prym_bn.ch_k_class(p).coeff(p.codim) != chow_class_closed(p.lam):
@@ -183,27 +177,27 @@ def check_kclass_leading_term(quick):
     return True, cases
 
 
-def check_oracle_equivalence(quick):
+def check_oracle_equivalence():
     cases = 0
-    for p in _suite_problems(4 if quick else 7):
+    for p in _suite_problems(7):
         if prym_bn.euler_theorem(p) != prym_bn.euler_oracle(p):
             return False, cases
         cases += 1
     return True, cases
 
 
-def check_integrality(quick):
+def check_integrality():
     cases = 0
-    for p in _suite_problems(4 if quick else 7):
+    for p in _suite_problems(7):
         if prym_bn.euler_theorem(p).denominator != 1:
             return False, cases
         cases += 1
     return True, cases
 
 
-def check_zero_dimensional_degree(quick):
+def check_zero_dimensional_degree():
     cases = 0
-    for p in _suite_problems(4 if quick else 7):
+    for p in _suite_problems(7):
         if not p.lam or p.codim != p.dim_prym:
             continue
         degree = chow_class_closed(p.lam) * 2**p.dim_prym * factorial(p.dim_prym)
@@ -213,9 +207,9 @@ def check_zero_dimensional_degree(quick):
     return True, cases
 
 
-def check_emptiness(quick):
+def check_emptiness():
     cases = 0
-    for p in _empty_problems(10 if quick else 50):
+    for p in _empty_problems(50):
         zero = (
             p.expected_empty
             and prym_bn.euler_theorem(p) == 0
@@ -237,24 +231,20 @@ def _de_concini_pragacz(r):
     return value
 
 
-def check_classical_recovery(quick):
+def check_classical_recovery():
     cases = 0
     for r in range(0, 7):
-        value = classical_coefficient(r)
-        if value != _de_concini_pragacz(r):
-            return False, cases
-        staircase = tuple(range(r, 0, -1))
-        if staircase and value != chow_class_closed(staircase):
+        if chow_class_closed(tuple(range(r, 0, -1))) != _de_concini_pragacz(r):
             return False, cases
         cases += 1
     return True, cases
 
 
-def check_interaction_specialization(quick):
+def check_interaction_specialization():
     # the general-beta closed forms at beta = 0 and -1 against the engine's
     # beta = -1 expansions, scaled by (-beta)^(a-b) and (-beta)^v; the
     # prefactor comes as ints over 2^(cap+1)
-    cap = 6 if quick else 10
+    cap = 10
     inter = interaction_expansion(cap)
     cases = 0
     for beta in (Fraction(0), Fraction(-1)):
@@ -277,9 +267,9 @@ def check_interaction_specialization(quick):
     return True, cases
 
 
-def check_json_roundtrip(quick):
+def check_json_roundtrip():
     cases = 0
-    for p in _suite_problems(3 if quick else 4):
+    for p in _suite_problems(4):
         poly = prym_bn.ch_k_class(p)
         if ThetaPoly.from_json_dict(poly.to_json_dict()) != poly:
             return False, cases
@@ -309,21 +299,21 @@ CHECKS = (
 )
 
 
-def run(quick: bool = False, out=print) -> int:
+def run() -> int:
     """Run every check, print one line per check, return 0 iff all pass."""
     failures = 0
     for name, fn in CHECKS:
         try:
-            ok, cases = fn(quick)
+            ok, cases = fn()
         except Exception as exc:  # a crash is a failure, not an abort
-            out(f"{name}: FAIL (error: {exc})")
+            print(f"{name}: FAIL (error: {exc})")
             failures += 1
             continue
         if ok:
-            out(f"{name}: PASS ({cases} cases)")
+            print(f"{name}: PASS ({cases} cases)")
         else:
-            out(f"{name}: FAIL (after {cases} cases)")
+            print(f"{name}: FAIL (after {cases} cases)")
             failures += 1
     label = "PASS" if failures == 0 else f"FAIL ({failures} failing)"
-    out(f"selfcheck: {label} ({len(CHECKS)} checks)")
+    print(f"selfcheck: {label} ({len(CHECKS)} checks)")
     return 0 if failures == 0 else 1

@@ -17,7 +17,6 @@ from prymck.prym_bn import (
     ch_k_class,
     chow_class_closed,
     chow_class_pfaffian,
-    classical_coefficient,
     euler_oracle,
     euler_theorem,
     strict_partitions,
@@ -93,10 +92,12 @@ def test_criterion_08_series_vanishing():
 
 
 def test_criterion_10_classical_recovery():
-    # the staircase coefficient (its De Concini-Pragacz closed form is
-    # checked in test_prym_bn) against the closed product of the staircase
+    # the closed product of the staircase (r, ..., 1) against the
+    # De Concini-Pragacz closed form
+    # 2^C(r,2) * prod_{i=1..r} (i-1)!/(2i-1)! / 2^(r(r+1)/2)
     for r in range(0, 7):
-        value = classical_coefficient(r)
-        if r:
-            assert value == chow_class_closed(tuple(range(r, 0, -1)))
+        closed = Fraction(2 ** comb(r, 2), 2 ** (r * (r + 1) // 2))
+        for i in range(1, r + 1):
+            closed *= Fraction(factorial(i - 1), factorial(2 * i - 1))
+        assert chow_class_closed(tuple(range(r, 0, -1))) == closed, r
     print("criterion-10 classical-recovery: PASS (r = 0..6)")

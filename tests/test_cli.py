@@ -242,11 +242,16 @@ def test_table_bounds_rejected(capsys):
     assert "max_len" in err
 
 
-def test_selfcheck_quick_passes(capsys):
-    code, out, _ = run_cli(capsys, "selfcheck", "--quick")
-    assert code == 0
-    assert "oracle-equivalence: PASS" in out
-    assert "selfcheck: PASS" in out
+def test_selfcheck_prints_the_reference(capsys):
+    # one size: stdout byte for byte the selfcheck entry of
+    # bench/reference.json, and --quick is an argparse usage error
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+    code, out, err = run_cli(capsys, "selfcheck")
+    assert (code, err) == (0, "")
+    assert out == json.loads(path.read_text())["selfcheck"]
+    with pytest.raises(SystemExit) as exc:
+        main(["selfcheck", "--quick"])
+    assert exc.value.code == 2
 
 
 def test_selfcheck_detects_injected_sign_flip(capsys, monkeypatch):
@@ -256,7 +261,7 @@ def test_selfcheck_detects_injected_sign_flip(capsys, monkeypatch):
         return [-x for x in real(ni, nj, count)]
 
     monkeypatch.setattr(prym_bn, "_pair_ints", flipped)
-    code, out, _ = run_cli(capsys, "selfcheck", "--quick")
+    code, out, _ = run_cli(capsys, "selfcheck")
     assert code == 1
     assert "oracle-equivalence: FAIL" in out
 
@@ -558,6 +563,50 @@ def test_class_beta_zero_prints_up_to_the_str_limit(capsys):
                     assert err == f"error: problem too large: gamma has more than {limit} digits\n"
     finally:
         sys.set_int_max_str_digits(previous)
+
+
+def test_chi_refuses_values_over_the_str_limit(capsys):
+    # lambda = (2) gives chi = 2^h - 2: 4215 digits at g = 14001 prints,
+    # 4516 at g = 15001 is over the 4300 str() converts and exits 2
+    assert sys.get_int_max_str_digits() == 4300
+    code, out, err = run_cli(capsys, "chi", "-g", "14001", "-r", "0", "-a", "2")
+    assert code == 0 and err == "" and len(out) == 4215 + 1
+    for fmt in ("plain", "json"):
+        code, out, err = run_cli(capsys, "chi", "-g", "15001", "-r", "0", "-a", "2", "--output", fmt)
+        assert code == 2 and out == "", fmt
+        assert err == "error: problem too large: chi has more than 4300 digits\n"
+
+
+def test_lifted_str_limit_still_bounds_class_beta_zero(capsys, monkeypatch):
+    # with the str() limit lifted, gamma of lambda = (10^8) is still refused
+    # at CPython's default of 4300 digits, before 10^8! is computed
+    def never(*args):
+        raise AssertionError("class_result ran on a problem over the digit bound")
+
+    monkeypatch.setattr(cli, "class_result", never)
+    previous = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "class", "--genus", "1000000000", "-a", "100000000", "--beta", "0")
+        assert time.perf_counter() - start < 1
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert code == 2 and out == ""
+    assert err == "error: problem too large: gamma has more than 4300 digits\n"
+
+
+def test_readme_command_line_examples_run(capsys):
+    # every prymck line of the fenced block under "## Command line" in
+    # README.md, its trailing comment stripped, exits 0
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## Command line\n", 1)[1].split("```")[1]
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    commands = [words[1:] for words in lines if words[:1] == ["prymck"]]
+    assert len(commands) >= 6
+    for argv in commands:
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
 
 
 def decimal_digits(x):

@@ -537,9 +537,13 @@ def test_classical_coefficient_values():
 
 
 def test_classical_matches_staircase():
+    # the closed product of the staircase against the De Concini-Pragacz
+    # closed form, gamma * 2^(r(r+1)/2) = 2^C(r,2) * prod (i-1)!/(2i-1)!
     for r in range(1, 7):
-        staircase = tuple(range(r, 0, -1))
-        assert classical_coefficient(r) == chow_class_closed(staircase)
+        closed = Fraction(2 ** (r * (r - 1) // 2))
+        for i in range(1, r + 1):
+            closed *= Fraction(factorial(i - 1), factorial(2 * i - 1))
+        assert chow_class_closed(tuple(range(r, 0, -1))) * 2 ** (r * (r + 1) // 2) == closed, r
 
 
 def test_classical_coefficient_matches_de_concini_pragacz():

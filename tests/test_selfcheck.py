@@ -1,4 +1,4 @@
-"""The invariant registry in tier-1: every check at both sizes, counts pinned.
+"""The invariant registry in tier-1: every check run, its case count pinned.
 
 selfcheck.CHECKS is the only place each invariant is written; these tests
 run it and pin how many cases each check covers, so a check that silently
@@ -11,24 +11,23 @@ import pytest
 
 from prymck import selfcheck
 
-# (quick, full) case counts, as `prymck selfcheck --quick` and
-# `prymck selfcheck` print them
+# case counts, as `prymck selfcheck` prints them
 CASES = {
-    "pascal-rule": (78, 465),
-    "binomial-tail-identity": (28, 66),
-    "abel-series-crosscheck": (63, 221),
-    "series-ring-laws": (40, 120),
-    "series-vanishing": (20, 20),
-    "pfaffian-engines": (18, 62),
-    "pfaffian-closed-product": (31, 381),
-    "kclass-leading-term": (7, 35),
-    "oracle-equivalence": (10, 41),
-    "integrality": (10, 41),
-    "zero-dimensional-degree": (4, 13),
-    "emptiness": (10, 50),
-    "classical-recovery": (7, 7),
-    "interaction-specialization": (182, 330),
-    "json-roundtrip": (5, 10),
+    "pascal-rule": 465,
+    "binomial-tail-identity": 66,
+    "abel-series-crosscheck": 221,
+    "series-ring-laws": 120,
+    "series-vanishing": 20,
+    "pfaffian-engines": 62,
+    "pfaffian-closed-product": 381,
+    "kclass-leading-term": 35,
+    "oracle-equivalence": 41,
+    "integrality": 41,
+    "zero-dimensional-degree": 13,
+    "emptiness": 50,
+    "classical-recovery": 7,
+    "interaction-specialization": 330,
+    "json-roundtrip": 10,
 }
 
 
@@ -36,10 +35,10 @@ def test_every_check_has_pinned_counts():
     assert [name for name, _ in selfcheck.CHECKS] == list(CASES)
 
 
-@pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
-@pytest.mark.parametrize("name, fn", selfcheck.CHECKS, ids=[name for name, _ in selfcheck.CHECKS])
-def test_registry_check(name, fn, quick):
-    assert fn(quick) == (True, CASES[name][0 if quick else 1])
+# each check runs at its one, full size; the ids keep that "-full" suffix
+@pytest.mark.parametrize("name, fn", selfcheck.CHECKS, ids=[f"{name}-full" for name, _ in selfcheck.CHECKS])
+def test_registry_check(name, fn):
+    assert fn() == (True, CASES[name])
 
 
 def test_pfaffian_engines_200_matrices():
