@@ -24,7 +24,6 @@ from .pfaffian import (
 )
 from .prym_bn import (
     SYMBOLIC,
-    ClassResult,
     GTable,
     PrymProblem,
     ValidationError,
@@ -48,7 +47,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BetaPoly",
-    "ClassResult",
     "GTable",
     "PrymProblem",
     "SYMBOLIC",

@@ -30,7 +30,15 @@ from .prym_bn import (
 )
 from .series_ring import BetaPoly, ThetaPoly
 
-_BETA_CHOICES = {"0": 0, "-1": -1, "symbolic": SYMBOLIC}
+# each beta mode of class: the kind its output names and its convention flags
+_MODES = {
+    0: ("cohomology", ()),
+    -1: ("chern_character_K", ()),
+    SYMBOLIC: ("connective", ("engine-convention-symbolic-beta",)),
+}
+_BETA_CHOICES = {str(beta): beta for beta in _MODES}
+# the fields of a json result, None where its kind has none
+_RESULT_FIELDS = ("kind", "gamma", "exponent", "theta_poly", "chi")
 _TABLE_G_MAX = 10
 _TABLE_LEN_MAX = 5
 _INT_RE = re.compile(r"[+-]?[0-9]+")
@@ -44,7 +52,8 @@ _WORK_MAX = 10**6
 # lambda = (8, ..., 1) takes 105 * 3 * 199^3 of them in its Pfaffian in
 # about 28 s, about 9,000 to a unit, and 96,000 at g = 46 on the nine-part
 # staircase, where the Pfaffian takes 0.36 s; euler_theorem at g = 120 on
-# the eight-part staircase takes 105 * 3 * 84^2 * 119 in about 1 s, 26,000
+# the eight-part staircase takes 105 * (2 * 84^2 + 84) * 119, two products
+# and a dot product a matching, in about 1 s, 18,000
 _PRODUCT_STEPS_PER_UNIT = 8000
 # theorem pair series steps per unit, each of the C(B + 2, 2) terms of a
 # pair of parts counting h steps: euler_theorem at g = 6000,
@@ -89,7 +98,7 @@ def _problem(args):
     a = tuple(_parse_int("--vanishing", tok.strip(" ")) for tok in args.vanishing.split(","))
     g = _parse_int("--genus", args.genus)
     r = _parse_int("-r", args.r)
-    return build_problem(g, r if r >= 0 else len(a) - 1, a)
+    return build_problem(g, len(a) - 1 if r == -1 else r, a)
 
 
 def _matchings(problem) -> int:
@@ -102,11 +111,11 @@ def _theorem_work(problem) -> int:
     budget B = h - |lambda| and n the number of parts rounded up to even;
     0 when B < 0.
 
-    The series products: (n-1)!! signed matchings of n/2 - 1 products
-    each (none when n = 2, where the lone series is read at x^B; the last
-    is one x^B coefficient, counted in full), of (B + 1)^2 coefficient
-    products of ints of about h bits, so (B + 1)^2 * h steps a product,
-    _PRODUCT_STEPS_PER_UNIT to a unit.
+    The series products: (n-1)!! signed matchings of n/2 - 2 products
+    and one x^B dot product each (none when n = 2, where the lone series
+    is read at x^B), a product counting (B + 1)^2 coefficient products of
+    ints of about h bits, so (B + 1)^2 * h steps, and the dot product
+    (B + 1) * h, _PRODUCT_STEPS_PER_UNIT to a unit.
     Plus the pair series: each of the l(l-1)/2 pairs of parts sums
     C(B + 2, 2) terms, h steps each, _PAIR_STEPS_PER_UNIT to a unit (a
     pair with the boundary index 0 reads its Abel row as it is). Plus the
@@ -120,7 +129,8 @@ def _theorem_work(problem) -> int:
         return 0
     h, ell = problem.dim_prym, problem.ell
     n = ell + ell % 2
-    products = _matchings(problem) * max(0, n // 2 - 1) * (budget + 1) ** 2 * h
+    per_matching = (n // 2 - 2) * (budget + 1) ** 2 * h + (budget + 1) * h if n >= 4 else 0
+    products = _matchings(problem) * per_matching
     pairs = comb(ell, 2) * comb(budget + 2, 2) * h
     rows = ell * (budget + 1) * h
     scaled = comb(n, 2) * h**2 if n >= 4 else 0
@@ -232,42 +242,30 @@ def _meta_block(beta_label, flags, normalization):
     }
 
 
-def _result_json(res):
-    normalization = {"basis": "theta_prime", "relation": "theta_prime = 2*xi"}
-    block = {
-        "kind": res.kind,
-        "gamma": None,
-        "exponent": None,
-        "theta_poly": None,
-        "chi": None,
-    }
-    if res.kind == "cohomology":
-        block["gamma"] = format_rational(res.gamma)
-        block["exponent"] = res.exponent
-        normalization["gamma_xi"] = format_rational(res.gamma * 2**res.exponent)
-    else:
-        block["theta_poly"] = res.poly.to_json_dict()
-        if res.beta != SYMBOLIC:
-            normalization["xi_coeffs"] = [format_rational(c) for c in _xi_coeffs(res.poly)]
+def _json_document(problem, result, beta, flags, normalization):
     return {
-        "problem": _problem_block(res.problem),
-        "result": block,
-        "meta": _meta_block(str(res.beta), res.flags, normalization),
+        "problem": _problem_block(problem),
+        "result": {field: result.get(field) for field in _RESULT_FIELDS},
+        "meta": _meta_block(str(beta), flags, normalization),
     }
+
+
+def _result_json(problem, beta, value):
+    kind, flags = _MODES[beta]
+    normalization = {"basis": "theta_prime", "relation": "theta_prime = 2*xi"}
+    if beta == 0:
+        result = {"kind": kind, "gamma": format_rational(value), "exponent": problem.codim}
+        normalization["gamma_xi"] = format_rational(value * 2**problem.codim)
+    else:
+        result = {"kind": kind, "theta_poly": value.to_json_dict()}
+        if beta != SYMBOLIC:
+            normalization["xi_coeffs"] = [format_rational(c) for c in _xi_coeffs(value)]
+    return _json_document(problem, result, beta, flags, normalization)
 
 
 def _chi_json(problem, chi):
-    return {
-        "problem": _problem_block(problem),
-        "result": {
-            "kind": "euler_characteristic",
-            "gamma": None,
-            "exponent": None,
-            "theta_poly": None,
-            "chi": format_rational(chi),
-        },
-        "meta": _meta_block("-1", (), {"relation": "theta_prime = 2*xi"}),
-    }
+    result = {"kind": "euler_characteristic", "chi": format_rational(chi)}
+    return _json_document(problem, result, -1, (), {"relation": "theta_prime = 2*xi"})
 
 
 def _latex_rational(x: Fraction) -> str:
@@ -312,49 +310,48 @@ def _problem_line(p) -> str:
     return f"problem: g={p.g} r={p.r} a={a} lambda={lam} parity={p.parity} expected_empty={empty}"
 
 
-def _emit_class_plain(res):
-    print(_problem_line(res.problem))
-    flag = f" [{', '.join(res.flags)}]" if res.flags else ""
-    print(f"kind: {res.kind} (beta={res.beta}){flag}")
-    if res.kind == "cohomology":
-        print(f"gamma: {format_rational(res.gamma)}")
-        print(f"exponent: {res.exponent}")
-        gx = format_rational(res.gamma * 2**res.exponent)
-        print(f"class: ({format_rational(res.gamma)})*(2xi)^{res.exponent} = ({gx})*xi^{res.exponent}")
-    elif res.beta == SYMBOLIC:
+def _emit_class_plain(problem, beta, value):
+    kind, flags = _MODES[beta]
+    print(_problem_line(problem))
+    flag = f" [{', '.join(flags)}]" if flags else ""
+    print(f"kind: {kind} (beta={beta}){flag}")
+    if beta == 0:
+        gamma, e = format_rational(value), problem.codim
+        print(f"gamma: {gamma}")
+        print(f"exponent: {e}")
+        print(f"class: ({gamma})*(2xi)^{e} = ({format_rational(value * 2**e)})*xi^{e}")
+    elif beta == SYMBOLIC:
         print("theta_poly (T = theta' = 2xi, b = beta):")
-        for d, c in enumerate(res.poly.coeffs):
+        for d, c in enumerate(value.coeffs):
             if c:
                 print(f"  T^{d}: {c}")
-        if not res.poly:
+        if not value:
             print("  0")
     else:
-        print(f"theta_poly: {', '.join(_poly_strings(res.poly))}  (T^0..T^{res.poly.cap}; T = theta' = 2xi)")
-        xi = ", ".join(format_rational(c) for c in _xi_coeffs(res.poly))
+        print(f"theta_poly: {', '.join(_poly_strings(value))}  (T^0..T^{value.cap}; T = theta' = 2xi)")
+        xi = ", ".join(format_rational(c) for c in _xi_coeffs(value))
         print(f"xi_poly: {xi}")
 
 
-def _emit_class_latex(res):
-    if res.kind == "cohomology":
-        gamma = Fraction(res.gamma)
-        if res.exponent == 0:
-            print(_latex_rational(gamma))
-        else:
-            print(f"{_latex_rational(gamma)}(2\\xi)^{{{res.exponent}}}")
+def _emit_class_latex(problem, beta, value):
+    if beta != 0:
+        print(_latex_poly(value))
+    elif problem.codim == 0:
+        print(_latex_rational(value))
     else:
-        print(_latex_poly(res.poly))
+        print(f"{_latex_rational(value)}(2\\xi)^{{{problem.codim}}}")
 
 
-def _shown_rationals(res):
+def _shown_rationals(problem, beta, value):
     """The rationals that plain and json print for a class: gamma and its
     xi form, the theta' and xi coefficients, or the symbolic coefficients'
     rationals."""
-    if res.kind == "cohomology":
-        return [res.gamma, res.gamma * 2**res.exponent]
-    if res.beta == SYMBOLIC:
+    if beta == 0:
+        return [value, value * 2**problem.codim]
+    if beta == SYMBOLIC:
         # the other coefficients are the int 0, or the 1 of the empty partition
-        return [x for c in res.poly.coeffs if isinstance(c, BetaPoly) for _, x in c.items()]
-    return [*res.poly.coeffs, *_xi_coeffs(res.poly)]
+        return [x for c in value.coeffs if isinstance(c, BetaPoly) for _, x in c.items()]
+    return [*value.coeffs, *_xi_coeffs(value)]
 
 
 def run_class(args) -> int:
@@ -367,15 +364,15 @@ def run_class(args) -> int:
     elif _gamma_too_long(problem.lam, limit):
         # beta 0 is the closed product, whatever the genus; only its size is bounded
         raise ValidationError(f"problem too large: {what} has more than {limit} digits")
-    res = class_result(problem, beta)
+    value = class_result(problem, beta)
     # the exact check on what plain and json print (latex: a subset)
-    _check_digits(what, _shown_rationals(res), limit)
+    _check_digits(what, _shown_rationals(problem, beta, value), limit)
     if args.output == "json":
-        print(json.dumps(_result_json(res), indent=2))
+        print(json.dumps(_result_json(problem, beta, value), indent=2))
     elif args.output == "latex":
-        _emit_class_latex(res)
+        _emit_class_latex(problem, beta, value)
     else:
-        _emit_class_plain(res)
+        _emit_class_plain(problem, beta, value)
     return 0
 
 
@@ -472,7 +469,7 @@ def run_table(args) -> int:
 
 def _add_problem_args(sub):
     sub.add_argument("--genus", "-g", required=True, help="genus of the base curve")
-    sub.add_argument("-r", default="-1", help="rank bound; defaults to len(a)-1")
+    sub.add_argument("-r", default="-1", help="rank bound; -1, the default, means len(a)-1")
     sub.add_argument(
         "--vanishing",
         "-a",

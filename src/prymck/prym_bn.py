@@ -49,7 +49,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import comb, factorial
 
 from .exact_arith import abel_row
@@ -59,7 +58,6 @@ from .series_ring import BetaPoly, ThetaPoly
 
 __all__ = [
     "SYMBOLIC",
-    "ClassResult",
     "GTable",
     "PrymProblem",
     "ValidationError",
@@ -405,25 +403,9 @@ def g_coeff(m: int, i: int, j: int, lam, v) -> Fraction:
     return total if m % 2 == 0 else -total
 
 
-@cache
-def _pair_coeff(coeff, m: int, ni: int, nj: int) -> Fraction:
-    """coeff(m, i, j, lam, v) for i < j with lam_i + v_i = ni, lam_j + v_j = nj.
-
-    g_coeff depends on (lam, v) only through those two sums, so one entry
-    serves every shift sequence and every problem. ni is None for the
-    boundary index 0. The coefficient function is part of the key, so a
-    replaced g_coeff never reads values another one computed.
-    """
-    if ni is None:
-        return coeff(m, 0, 1, (nj,), (0,))
-    return coeff(m, 1, 2, (ni, nj), (0, 0))
-
-
 class GTable:
     """Antisymmetric view of g_coeff values for one (lam, v).
 
-    Values come from a cache shared by every table, keyed on the degree
-    and the two sums lam_i + v_i, lam_j + v_j; g_coeff runs only on a miss.
     No route reads it; it stays for the tests, and the benchmark's tracer
     wraps GTable.value by name, until ROADMAP items 1 and 5.
     """
@@ -435,16 +417,9 @@ class GTable:
             raise ValueError(
                 f"GTable: shift sequence has length {len(self.v)}, expected {len(self.lam)}"
             )
-        self._n = (None,) + tuple(p + x for p, x in zip(self.lam, self.v))
 
     def value(self, m: int, i: int, j: int) -> Fraction:
-        if m < 0 or not (0 <= i < len(self._n) and 0 <= j < len(self._n)):
-            return g_coeff(m, i, j, self.lam, self.v)  # raises ValueError
-        if i == j:
-            return Fraction(0)
-        if i < j:
-            return _pair_coeff(g_coeff, m, self._n[i], self._n[j])
-        return -_pair_coeff(g_coeff, m, self._n[j], self._n[i])
+        return g_coeff(m, i, j, self.lam, self.v)
 
 
 def enumerate_f(sigma, k: int, n_pairs: int):
@@ -645,42 +620,13 @@ def classical_coefficient(r: int) -> Fraction:
     return chow_class_closed(tuple(range(r, 0, -1)))
 
 
-@dataclass(frozen=True)
-class ClassResult:
-    """Computed class with its problem echo and convention metadata."""
+def class_result(problem: PrymProblem, beta_mode):
+    """The class of problem in coefficient mode beta_mode.
 
-    kind: str  # cohomology | chern_character_K | connective
-    problem: PrymProblem
-    beta: object  # 0, -1 or "symbolic"
-    gamma: object = None  # Fraction, cohomology kind only
-    exponent: object = None  # int, cohomology kind only
-    poly: object = None  # ThetaPoly, other kinds
-    flags: tuple = ()
-
-
-def class_result(problem: PrymProblem, beta_mode) -> ClassResult:
-    """Dispatch a class computation by coefficient mode."""
+    At 0 the cohomology coefficient gamma of (2*xi)^|lambda|, by the closed
+    product, a Fraction; at -1 or "symbolic" the theta' polynomial of
+    ck_class, which rejects any other mode with ValueError.
+    """
     if beta_mode == 0:
-        return ClassResult(
-            kind="cohomology",
-            problem=problem,
-            beta=0,
-            gamma=chow_class_closed(problem.lam),
-            exponent=problem.codim,
-        )
-    if beta_mode == -1:
-        return ClassResult(
-            kind="chern_character_K",
-            problem=problem,
-            beta=-1,
-            poly=ch_k_class(problem),
-        )
-    if beta_mode == SYMBOLIC:
-        return ClassResult(
-            kind="connective",
-            problem=problem,
-            beta=SYMBOLIC,
-            poly=ck_class(problem, SYMBOLIC),
-            flags=("engine-convention-symbolic-beta",),
-        )
-    raise ValueError(f"unknown beta mode {beta_mode!r}")
+        return chow_class_closed(problem.lam)
+    return ck_class(problem, beta_mode)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import pathlib
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -317,6 +318,16 @@ def test_integer_arguments_accept_signed_ascii(capsys):
     assert code == 2 and "genus" in err
 
 
+def test_only_minus_one_means_the_default_r(capsys):
+    # -1 is the documented default, len(a) - 1; any other negative r is
+    # refused by build_problem
+    for command in ("class", "chi"):
+        for r in ("-7", "-2"):
+            code, out, err = run_cli(capsys, command, "-g", "4", "-r", r, "-a", "1,2")
+            assert (code, out) == (2, ""), (command, r)
+            assert err == f"error: r must be nonnegative (got r={r})\n"
+
+
 def test_work_bound_rejects_before_compute(capsys, monkeypatch):
     def never(*args):
         raise AssertionError("a route ran on a problem over the work bound")
@@ -369,14 +380,15 @@ def test_work_bound_admits_benchmark_and_anchor_problems(capsys):
 
 def test_work_estimates_closed_forms():
     # g = 30, lambda = (7,...,1): h = 29, budget 1, 8 indices, 105
-    # matchings of 3 series products, (B + 1)^2 * h steps each; 21 pairs
-    # of parts of C(3, 2) terms, h steps each; 7 Abel rows of (B + 1) * h
-    # steps; 28 pair series put over h!, h^2 steps each. The oracle's 105
-    # matchings of 3 products, cap^3 steps each, and 6 first plus 21
-    # second kernel stages, cap^3 steps each
+    # matchings of 2 series products, (B + 1)^2 * h steps each, and one
+    # x^B dot product of (B + 1) * h steps; 21 pairs of parts of C(3, 2)
+    # terms, h steps each; 7 Abel rows of (B + 1) * h steps; 28 pair series
+    # put over h!, h^2 steps each. The oracle's 105 matchings of 3
+    # products, cap^3 steps each, and 6 first plus 21 second kernel stages,
+    # cap^3 steps each
     p = prym_bn.problem_from_partition(30, (7, 6, 5, 4, 3, 2, 1))
     assert cli._theorem_work(p) == (
-        105 * 3 * 2**2 * 29 // cli._PRODUCT_STEPS_PER_UNIT
+        105 * (2 * 2**2 * 29 + 2 * 29) // cli._PRODUCT_STEPS_PER_UNIT
         + 21 * 3 * 29 // cli._PAIR_STEPS_PER_UNIT
         + 7 * 2 * 29 // cli._ROW_STEPS_PER_UNIT
         + 28 * 29**2 // cli._SCALED_STEPS_PER_UNIT
@@ -384,11 +396,12 @@ def test_work_estimates_closed_forms():
     assert cli._oracle_work(p) == (
         105 * 3 * 29**3 // cli._PRODUCT_STEPS_PER_UNIT + (6 + 21) * 29**3 // cli._KERNEL_STEPS_PER_UNIT
     )
-    # g = 400, lambda = (5, 4, 3, 2, 1): budget 384, 6 indices, every
-    # theorem term nonzero
+    # g = 400, lambda = (5, 4, 3, 2, 1): budget 384, 6 indices, 15
+    # matchings of one product and one dot product, every theorem term
+    # nonzero
     p = prym_bn.problem_from_partition(400, (5, 4, 3, 2, 1))
     terms = (
-        15 * 2 * 385**2 * 399 // cli._PRODUCT_STEPS_PER_UNIT,
+        15 * (385**2 * 399 + 385 * 399) // cli._PRODUCT_STEPS_PER_UNIT,
         10 * 385 * 386 // 2 * 399 // cli._PAIR_STEPS_PER_UNIT,
         5 * 385 * 399 // cli._ROW_STEPS_PER_UNIT,
         15 * 399**2 // cli._SCALED_STEPS_PER_UNIT,
@@ -412,6 +425,17 @@ def test_work_estimates_closed_forms():
     p = prym_bn.problem_from_partition(1001, (1,))
     assert cli._theorem_work(p) == 1000 * 1000 // cli._ROW_STEPS_PER_UNIT
     assert cli._oracle_work(p) == 1000**3 // cli._BOUNDARY_STEPS_PER_UNIT
+    # n = 4: each of the 3 matchings takes one x^B dot product alone, so
+    # g = 1500, lambda = (3, 2, 1), about 5 s, is admitted; priced as a full
+    # product it was 1,361,848 units
+    p = prym_bn.problem_from_partition(1500, (3, 2, 1))
+    terms = (
+        3 * 1494 * 1499 // cli._PRODUCT_STEPS_PER_UNIT,
+        3 * 1494 * 1495 // 2 * 1499 // cli._PAIR_STEPS_PER_UNIT,
+        3 * 1494 * 1499 // cli._ROW_STEPS_PER_UNIT,
+        6 * 1499**2 // cli._SCALED_STEPS_PER_UNIT,
+    )
+    assert cli._theorem_work(p) == sum(terms) <= cli._WORK_MAX
 
 
 def test_work_bound_counts_abel_prefactors(capsys, monkeypatch):
@@ -460,6 +484,24 @@ def test_large_budget_chi_verify_runs(capsys):
         code, out, err = run_cli(capsys, "chi", *argv, "--verify")
         assert (code, err) == (0, ""), argv
     assert out == "1\n"
+
+
+def test_benchmark_tracer_installs():
+    # bench/layer_trace.py wraps prymck functions by name, and its install
+    # fails when one of those names is gone
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    bench = pathlib.Path(__file__).resolve().parent.parent / "bench"
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import prymck.cli; "
+        "sys.path.insert(0, sys.argv[2]); import layer_trace; layer_trace.Tracer().install()"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code, str(src), str(bench)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
 
 
 def test_work_bound_counts_entry_kernel(capsys, monkeypatch):
