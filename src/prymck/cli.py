@@ -63,9 +63,10 @@ _PRODUCT_STEPS_PER_UNIT = 8000
 _PAIR_STEPS_PER_UNIT = 5 * 10**4
 # theorem Abel row steps per unit, each of the l rows counting B + 1 ints of
 # up to about 2h bits as (B + 1) * h: set by their memory rather than
-# their time, as one part keeps its whole row to read its last int; at
-# g = 40000, lambda = (20000), 20000 * 39999 of them take 0.32 s and a peak
-# of 108 MiB, so at the bound the rows hold about 130 MiB
+# their time, as from two parts on every row is held whole; one row of
+# 20000 * 39999 steps held whole took a peak of 108 MiB, so at the bound
+# the rows hold about 130 MiB. One part holds one value at a time
+# (g = 40000, lambda = (20000): 0.26 s, 15 MiB), so there it is conservative
 _ROW_STEPS_PER_UNIT = 1000
 # steps on h!-scaled ints per unit of work, from four indices on, each of the
 # C(n, 2) pair series counting h^2 for its factorial quotient:

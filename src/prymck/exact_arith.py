@@ -8,8 +8,9 @@ that the rest of the code relies on live here:
   the falling-factorial product, so binom_gen(-2, 3) == -4;
 * the alternating prefactor sums appearing in the Euler characteristic
   formula diverge term by term and are evaluated in Abel-summed form,
-  as the T^v coefficient of (1 + T)^s / (2 + T); abel_row gives a whole
-  row of them, scaled to ints, by its recurrence.
+  as the T^v coefficient of (1 + T)^s / (2 + T); one recurrence gives
+  them scaled to ints, as a whole row (abel_row) or the last alone
+  (abel_last).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from math import factorial, prod
 
 __all__ = [
     "abel_coefficient",
+    "abel_last",
     "abel_row",
     "binom_gen",
     "factorial",
@@ -41,35 +43,45 @@ def binom_gen(s: int, t: int) -> int:
     return prod(range(s - t + 1, s + 1)) // factorial(t)
 
 
-def abel_row(s: int, n: int) -> list:
-    """Ints a_v = 2^(v+1) * [T^v] (1 + T)^s / (2 + T) for v = 0..n.
+def _abel_ints(s: int, n: int):
+    """Yields a_v = 2^(v+1) * [T^v] (1 + T)^s / (2 + T) for v = 0..n.
 
     Multiplying the series by 2 + T gives 2 c_v + c_(v-1) = binom(s, v),
     so a_v = 2^v binom(s, v) - a_(v-1) with a_(-1) = 0, and each binom(s, v)
     is binom(s, v-1) * (s - v + 1) / v, an exact division for any integer s.
-    The whole row costs O(n) big-int steps.
+    The whole walk costs O(n) big-int steps and holds two values at a time.
     """
     if n < 0:
-        raise ValueError(f"abel_row: n must be nonnegative, got {n}")
-    row = []
+        raise ValueError(f"Abel row: n must be nonnegative, got {n}")
     binom, prev = 1, 0
     for v in range(n + 1):
         if v:
             binom = binom * (s - v + 1) // v
         prev = (binom << v) - prev
-        row.append(prev)
-    return row
+        yield prev
+
+
+def abel_row(s: int, n: int) -> list:
+    """The ints a_0..a_n of _abel_ints, as a list."""
+    return list(_abel_ints(s, n))
+
+
+def abel_last(s: int, n: int) -> int:
+    """a_n of _abel_ints alone, without holding the row before it."""
+    for last in _abel_ints(s, n):
+        pass
+    return last
 
 
 def abel_coefficient(s: int, v: int) -> Fraction:
     """T^v coefficient of the series (1 + T)^s / (2 + T).
 
     This is the regularized value of the divergent alternating sum
-    sum_{u>=0} (-1)^u binom(u+s, v), read off abel_row(s, v).
+    sum_{u>=0} (-1)^u binom(u+s, v), read off abel_last(s, v).
     """
     if v < 0:
         raise ValueError(f"abel_coefficient: v must be nonnegative, got {v}")
-    return Fraction(abel_row(s, v)[v], 2 ** (v + 1))
+    return Fraction(abel_last(s, v), 2 ** (v + 1))
 
 
 def format_rational(x) -> str:

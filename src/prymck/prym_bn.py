@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .exact_arith import abel_row
+from .exact_arith import abel_last, abel_row
 from .operator_engine import apply_pair_operator, prefactor_expansion
 from .pfaffian import SkewMatrix, augment_odd, perm_sign, pfaffian_matchings
 from .series_ring import BetaPoly, ThetaPoly
@@ -211,16 +211,19 @@ def _validated_strict(lam) -> tuple:
 def chow_class_closed(lam) -> Fraction:
     """Coefficient gamma of the cohomology class gamma * (2*xi)^|lambda|.
 
-    Closed product form: (1/2^l) * prod 1/part! * prod_{i<j} (pi-pj)/(pi+pj).
+    Closed product form: (1/2^l) * prod 1/part! * prod_{i<j} (pi-pj)/(pi+pj),
+    taken as one int numerator, the product of the pi - pj, over one int
+    denominator, 2^l times the factorials and the pi + pj, and reduced once
+    in a single Fraction.
     """
     lam = _validated_strict(lam)
-    gamma = Fraction(1, 2 ** len(lam))
-    for p in lam:
-        gamma /= factorial(p)
+    num, den = 1, 2 ** len(lam)
     for i, pi in enumerate(lam):
+        den *= factorial(pi)
         for pj in lam[i + 1 :]:
-            gamma *= Fraction(pi - pj, pi + pj)
-    return gamma
+            num *= pi - pj
+            den *= pi + pj
+    return Fraction(num, den)
 
 
 def chow_class_pfaffian(lam) -> Fraction:
@@ -231,21 +234,30 @@ def chow_class_pfaffian(lam) -> Fraction:
     for an odd number of parts the matrix is augmented with the boundary
     row (1/2) / pj! (the single prefactor contributes the extra 1/2).
     Must equal chow_class_closed.
+
+    The entries are built as ints, S times their values, with
+    S = 4 * (lambda_1 + lambda_2)! from two parts on and 2 * lambda_1! for
+    one part. The parts decrease, so every pi + pj is at most
+    lambda_1 + lambda_2 and every pj at most lambda_1: each 4 * (pi+pj)!
+    and each 2 * pj! divides S. Every term of the Pfaffian of the n x n
+    matrix is a product of n/2 entries, so S^(n/2) is divided out in the
+    one final Fraction.
     """
     lam = _validated_strict(lam)
     ell = len(lam)
     if ell == 0:
         return Fraction(1)
+    scale = 4 * factorial(lam[0] + lam[1]) if ell > 1 else 2 * factorial(lam[0])
 
     def entry(i, j):
         pi, pj = lam[i], lam[j]
         tail = sum((-1) ** u * comb(pi + pj, pi + u) for u in range(1, pj + 1))
-        return Fraction(comb(pi + pj, pi) + 2 * tail, 4 * factorial(pi + pj))
+        return (comb(pi + pj, pi) + 2 * tail) * (scale // (4 * factorial(pi + pj)))
 
     m = SkewMatrix.from_upper(ell, entry)
     if ell % 2:
-        m = augment_odd(m, [Fraction(1, 2 * factorial(p)) for p in lam])
-    return pfaffian_matchings(m)
+        m = augment_odd(m, [scale // (2 * factorial(p)) for p in lam])
+    return Fraction(pfaffian_matchings(m), scale ** (m.n // 2))
 
 
 def _boundary_entry(lj: int, prefactors, cap: int) -> ThetaPoly:
@@ -559,7 +571,9 @@ def euler_theorem(problem: PrymProblem) -> Fraction:
     making up the power of 2, and the sum stays on ints up to the one
     Fraction per problem. With one or two parts the one matching's lone
     series is read at x^B, where L + B = h and F[h] = 1, so nothing is
-    scaled.
+    scaled. With one part that series is the Abel row itself, and only its
+    last int is read, by abel_last, which holds one value of the row at a
+    time.
 
     Must equal euler_oracle exactly.
     """
@@ -568,6 +582,8 @@ def euler_theorem(problem: PrymProblem) -> Fraction:
     budget = h - sum(lam)
     if budget < 0 or not ell:  # no parts: no pair takes the budget h >= 1
         return Fraction(0)
+    if ell == 1:  # the boundary pair's series is the Abel row, read at x^B
+        return Fraction(abel_last(s[0], budget) << h, 2 ** (budget + 1))
     indices = tuple(range(1, ell + 1)) if ell % 2 == 0 else tuple(range(ell + 1))
     half = len(indices) // 2
     abel = [abel_row(si, budget) for si in s]

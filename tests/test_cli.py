@@ -440,9 +440,9 @@ def test_work_estimates_closed_forms():
 
 def test_work_bound_counts_abel_prefactors(capsys, monkeypatch):
     # one part is its Abel row alone, B + 1 ints of up to about 2h bits,
-    # priced by their memory: at g = 40000, lambda = (20000) the row takes
-    # 0.3 s and a peak of 108 MiB and is admitted; at g = 50000,
-    # lambda = (25000) (160 MiB) it is not
+    # priced as rows held whole are, by their memory: at g = 40000,
+    # lambda = (20000) the row is admitted; at g = 50000, lambda = (25000)
+    # it is not, though its walk holds one value at a time
     p = prym_bn.problem_from_partition(40000, (20000,))
     assert cli._theorem_work(p) == 20000 * 39999 // cli._ROW_STEPS_PER_UNIT
     assert cli._theorem_work(p) <= cli._WORK_MAX

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from prymck.exact_arith import (
     abel_coefficient,
+    abel_last,
     abel_row,
     binom_gen,
     factorial,
@@ -78,6 +79,14 @@ def test_abel_rejects_negative_v():
         abel_coefficient(0, -1)
     with pytest.raises(ValueError):
         abel_row(0, -1)
+
+
+def test_abel_last_is_the_rows_last_int():
+    for s in range(-6, 7):
+        for n in range(20):
+            assert abel_last(s, n) == abel_row(s, n)[-1], (s, n)
+    with pytest.raises(ValueError):
+        abel_last(0, -1)
 
 
 def test_abel_row_matches_closed_forms():

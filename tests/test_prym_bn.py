@@ -1,12 +1,13 @@
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
 from prymck import prym_bn
-from prymck.exact_arith import abel_coefficient, factorial
+from prymck.exact_arith import abel_coefficient, abel_row, factorial
 from prymck.operator_engine import apply_pair_operator, prefactor_expansion
 from prymck.pfaffian import SkewMatrix, _signed_pairings, augment_odd, perm_sign, pfaffian_matchings
 from prymck.prym_bn import (
@@ -131,9 +132,11 @@ def test_chow_pfaffian_values():
 
 
 def test_chow_pfaffian_matches_closed():
-    for lam in strict_partitions(24, 4, 7):
-        if lam:
-            assert chow_class_pfaffian(lam) == chow_class_closed(lam), lam
+    # every strict partition with at most 7 parts, each at most 12
+    cases = strict_partitions(12 * 7, 7, 12)
+    assert len(cases) == 3302
+    for lam in cases:
+        assert chow_class_pfaffian(lam) == chow_class_closed(lam), lam
 
 
 # ------------------------------------------------------------------ classes
@@ -429,6 +432,21 @@ def test_signed_arrangements(n):
     assert matchings == set(_signed_pairings(indices))
 
 
+def test_one_part_theorem_holds_one_abel_value():
+    # at g = 4000, lambda = (2000) the Abel row's 2001 ints take about 1 MB;
+    # euler_theorem reads its last int alone, walking the row
+    p = problem_from_partition(4000, (2000,))
+    tracemalloc.start()
+    try:
+        chi = euler_theorem(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    budget = p.dim_prym - p.codim
+    assert chi == Fraction(abel_row(p.s[0], budget)[-1] << p.dim_prym, 2 ** (budget + 1))
+
+
 def test_euler_empty_problem_is_zero():
     p = build_problem(3, 1, (3, 4))
     assert euler_theorem(p) == 0
@@ -529,12 +547,16 @@ def test_classical_matches_staircase():
 
 def test_classical_coefficient_matches_de_concini_pragacz():
     # outside anchor: the De Concini-Pragacz class of the Prym-Brill-Noether
-    # locus (Math. Ann. 1995), gamma * 2^(r(r+1)/2) = 2^C(r,2) * prod (i-1)!/(2i-1)!
+    # locus (Math. Ann. 1995), gamma * 2^(r(r+1)/2) = 2^C(r,2) * prod (i-1)!/(2i-1)!,
+    # for the closed product and, up to r = 8, for the Pfaffian route
     for r in range(13):
         closed = Fraction(2 ** (r * (r - 1) // 2))
         for i in range(1, r + 1):
             closed *= Fraction(factorial(i - 1), factorial(2 * i - 1))
         assert classical_coefficient(r) * 2 ** (r * (r + 1) // 2) == closed, r
+        if r <= 8:
+            staircase = tuple(range(r, 0, -1))
+            assert chow_class_pfaffian(staircase) * 2 ** (r * (r + 1) // 2) == closed, r
 
 
 # ----------------------------------------------------------- class_result
