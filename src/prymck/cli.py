@@ -65,9 +65,15 @@ _PAIR_STEPS_PER_UNIT = 5 * 10**4
 # up to about 2h bits as (B + 1) * h: set by their memory rather than
 # their time, as from two parts on every row is held whole; one row of
 # 20000 * 39999 steps held whole took a peak of 108 MiB, so at the bound
-# the rows hold about 130 MiB. One part holds one value at a time
-# (g = 40000, lambda = (20000): 0.26 s, 15 MiB), so there it is conservative
+# the rows hold about 130 MiB
 _ROW_STEPS_PER_UNIT = 1000
+# steps of the one-part Abel walk per unit, counted as a row's (B + 1) * h
+# but priced by time, as the walk holds one value at a time (15 MiB peak):
+# euler_theorem at g = 50000, lambda = (25000) takes 25000 * 49999 steps in
+# about 0.37 s, 3.4 * 10^5 to a unit, and 3.1 * 10^5 at g = 100000,
+# lambda = (50000) (1.6 s), where the ints are largest for their genus; at
+# lambda = (1) the ints stay small (g = 50000: 0.01 s)
+_WALK_STEPS_PER_UNIT = 25 * 10**4
 # steps on h!-scaled ints per unit of work, from four indices on, each of the
 # C(n, 2) pair series counting h^2 for its factorial quotient:
 # euler_theorem at g = 100000, lambda = (99990, 3, 2, 1) takes 6 * 99999^2
@@ -124,11 +130,14 @@ def _theorem_work(problem) -> int:
     _ROW_STEPS_PER_UNIT to a unit. Plus, from four indices on, where the
     series are put over h!, the factorial quotient of each of the
     n(n-1)/2 pair series, h^2 steps each, _SCALED_STEPS_PER_UNIT to a
-    unit."""
+    unit. One part is its Abel walk alone, (B + 1) * h steps,
+    _WALK_STEPS_PER_UNIT to a unit, rounded up so that no walk is free."""
     budget = problem.dim_prym - problem.codim
     if budget < 0:
         return 0
     h, ell = problem.dim_prym, problem.ell
+    if ell == 1:
+        return -(-(budget + 1) * h // _WALK_STEPS_PER_UNIT)
     n = ell + ell % 2
     per_matching = (n // 2 - 2) * (budget + 1) ** 2 * h + (budget + 1) * h if n >= 4 else 0
     products = _matchings(problem) * per_matching

@@ -42,12 +42,14 @@ they are the tests' reference for the pair series sum.
 Problems whose codimension exceeds g - 1 are computed rather than
 rejected: every route consistently returns 0 for them, and the problem
 record carries an expected_empty flag.
+
+build_problem returns that record, PrymProblem, an immutable named tuple.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial
 
@@ -84,19 +86,21 @@ class ValidationError(ValueError):
     """Input data violates an admissibility bound."""
 
 
-@dataclass(frozen=True)
-class PrymProblem:
-    """Validated problem record with all derived partition data."""
+class PrymProblem(namedtuple("PrymProblem", "g r a lam ell s dim_prym parity expected_empty")):
+    """Validated problem record with all derived partition data.
 
-    g: int
-    r: int
-    a: tuple
-    lam: tuple  # nonzero parts, strictly decreasing
-    ell: int  # number of nonzero parts
-    s: tuple  # shift exponents, one per nonzero part
-    dim_prym: int  # g - 1
-    parity: str  # "+" for odd r, "-" for even r
-    expected_empty: bool  # codim exceeds dim_prym
+    Fields: the genus g, r and the vanishing sequence a as given; lam, the
+    nonzero parts of a, strictly decreasing; ell, their number; s, the
+    shift exponents, one per nonzero part; dim_prym = g - 1; parity, "+"
+    for odd r and "-" for even r; expected_empty, whether the codimension
+    exceeds dim_prym.
+
+    An immutable named tuple: assigning a field raises AttributeError, and
+    problems compare and hash by value. Being a tuple, a problem also
+    unpacks into its fields and equals the plain tuple of them.
+    """
+
+    __slots__ = ()
 
     @property
     def codim(self) -> int:

@@ -423,7 +423,7 @@ def test_work_estimates_closed_forms():
     )
     assert cli._oracle_work(p) == 2 * 49**3 // cli._KERNEL_STEPS_PER_UNIT
     p = prym_bn.problem_from_partition(1001, (1,))
-    assert cli._theorem_work(p) == 1000 * 1000 // cli._ROW_STEPS_PER_UNIT
+    assert cli._theorem_work(p) == -(-1000 * 1000 // cli._WALK_STEPS_PER_UNIT)
     assert cli._oracle_work(p) == 1000**3 // cli._BOUNDARY_STEPS_PER_UNIT
     # n = 4: each of the 3 matchings takes one x^B dot product alone, so
     # g = 1500, lambda = (3, 2, 1), about 5 s, is admitted; priced as a full
@@ -439,23 +439,30 @@ def test_work_estimates_closed_forms():
 
 
 def test_work_bound_counts_abel_prefactors(capsys, monkeypatch):
-    # one part is its Abel row alone, B + 1 ints of up to about 2h bits,
-    # priced as rows held whole are, by their memory: at g = 40000,
-    # lambda = (20000) the row is admitted; at g = 50000, lambda = (25000)
-    # it is not, though its walk holds one value at a time
-    p = prym_bn.problem_from_partition(40000, (20000,))
-    assert cli._theorem_work(p) == 20000 * 39999 // cli._ROW_STEPS_PER_UNIT
-    assert cli._theorem_work(p) <= cli._WORK_MAX
-    p = prym_bn.problem_from_partition(50000, (25000,))
-    assert cli._theorem_work(p) == 25000 * 49999 // cli._ROW_STEPS_PER_UNIT
-    assert cli._theorem_work(p) > cli._WORK_MAX
+    # one part is its Abel walk alone, (B + 1) * h steps priced by time, as
+    # the walk holds one value at a time: g = 50000, lambda = (1) takes
+    # about 0.01 s, where priced as a row held whole it was 2,499,900 units
+    # and exited 2
+    p = prym_bn.problem_from_partition(50000, (1,))
+    assert cli._theorem_work(p) == -(-49999 * 49999 // cli._WALK_STEPS_PER_UNIT)
+    code, out, err = run_cli(capsys, "chi", "--genus", "50000", "-r", "0", "-a", "1")
+    assert (code, out, err) == (0, "1\n", "")
+    # lambda = (25000), about 0.4 s, is admitted too; its chi then has more
+    # digits than str() converts
+    code, out, err = run_cli(capsys, "chi", "--genus", "50000", "-r", "0", "-a", "25000")
+    assert code == 2 and out == ""
+    assert err == f"error: problem too large: chi has more than {cli._str_limit()} digits\n"
+    # g = 1000001, lambda = (500000) is over the bound: refused before the
+    # walk starts
+    p = prym_bn.problem_from_partition(1000001, (500000,))
+    assert cli._theorem_work(p) == 500001 * 10**6 // cli._WALK_STEPS_PER_UNIT > cli._WORK_MAX
 
     def never(*args):
         raise AssertionError("a route ran on a problem over the work bound")
 
     monkeypatch.setattr(cli, "euler_theorem", never)
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "chi", "--genus", "50000", "-r", "0", "-a", "25000")
+    code, out, err = run_cli(capsys, "chi", "--genus", "1000001", "-r", "0", "-a", "500000")
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: problem too large: "), err
@@ -502,6 +509,26 @@ def test_benchmark_tracer_installs():
         timeout=60,
     )
     assert run.returncode == 0, run.stderr
+
+
+def test_import_loads_no_dataclasses_machinery():
+    # every prymck command pays for what importing prymck.cli loads;
+    # dataclasses alone pulled in inspect, ast, dis, tokenize and linecache
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+        "import prymck.cli; print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code, str(src)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    added = set(run.stdout.split())
+    assert "prymck.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "linecache"}, added
 
 
 def test_work_bound_counts_entry_kernel(capsys, monkeypatch):

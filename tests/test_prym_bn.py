@@ -92,6 +92,23 @@ def test_expected_empty_flag():
     assert p.codim == 7 > p.dim_prym
 
 
+def test_problem_record_is_an_immutable_value():
+    p = build_problem(5, 1, (1, 2))
+    with pytest.raises(AttributeError):
+        p.g = 6
+    same = build_problem(5, 1, [1, 2])
+    assert p == same and hash(p) == hash(same)
+    other = build_problem(5, 1, (1, 3))
+    assert p != other and hash(p) != hash(other)
+    assert repr(p) == (
+        "PrymProblem(g=5, r=1, a=(1, 2), lam=(2, 1), ell=2, s=(0, 0), "
+        "dim_prym=4, parity='+', expected_empty=False)"
+    )
+    assert (p.codim, p.rho) == (3, 1)
+    empty = build_problem(3, 1, (3, 4))
+    assert empty.expected_empty and (empty.codim, empty.rho) == (7, -5)
+
+
 def test_problem_from_partition():
     p = problem_from_partition(5, (3, 1))
     assert p.a == (1, 3)
