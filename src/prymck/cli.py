@@ -194,6 +194,20 @@ def _gamma_too_long(lam, limit: int) -> bool:
     return size > stop
 
 
+def _chi_too_long(problem, limit: int) -> bool:
+    """Whether a one-part chi surely has more than limit digits. At
+    lambda = (k), 2 <= k <= h = g - 1, the Abel sum's exponent s = 1 - k
+    is at most 0, so all its terms have one sign and
+    |chi| >= 2^(h-1) * C(h-2, k-2). Sums the logs with lgamma, with one
+    digit of slack for the float rounding, as _gamma_too_long does."""
+    h = problem.dim_prym
+    if problem.ell != 1 or not 2 <= problem.lam[0] <= h:
+        return False
+    k = problem.lam[0]
+    size = (h - 1) * log(2) + lgamma(h - 1) - lgamma(k - 1) - lgamma(h - k + 1)
+    return size > (limit + 1) * log(10)
+
+
 def _check_work(work: int) -> None:
     if work > _WORK_MAX:
         # work >= 2^(bits - 1), and str() refuses ints of over 4300 digits
@@ -389,8 +403,11 @@ def run_class(args) -> int:
 def run_chi(args) -> int:
     problem = _problem(args)
     _check_work(_theorem_work(problem) + (_oracle_work(problem) if args.verify else 0))
+    limit = _str_limit()
+    if _chi_too_long(problem, limit):
+        raise ValidationError(f"problem too large: chi has more than {limit} digits")
     chi = euler_theorem(problem)
-    _check_digits("chi", [chi], _str_limit())
+    _check_digits("chi", [chi], limit)
     if args.verify:
         other = euler_oracle(problem)
         if chi != other:

@@ -384,7 +384,7 @@ def g_coeff(m: int, i: int, j: int, lam, v) -> Fraction:
 
     No route calls it: euler_theorem reads the integer closed form of
     _pair_ints. It stays as the tests' term-by-term reference, and the
-    benchmark's tracer wraps it by name, until ROADMAP items 1 and 5.
+    benchmark's tracer wraps it by name, until ROADMAP items 1b and 6.
     """
     lam = tuple(lam)
     v = tuple(v)
@@ -423,7 +423,7 @@ class GTable:
     """Antisymmetric view of g_coeff values for one (lam, v).
 
     No route reads it; it stays for the tests, and the benchmark's tracer
-    wraps GTable.value by name, until ROADMAP items 1 and 5.
+    wraps GTable.value by name, until ROADMAP items 1b and 6.
     """
 
     def __init__(self, lam, v):
@@ -446,7 +446,7 @@ def enumerate_f(sigma, k: int, n_pairs: int):
     assignments at all. No route calls it: the pair series sum takes the
     degree of each pair inside its series. It stays as the tests'
     reference, and the benchmark's tracer wraps it by name, until ROADMAP
-    items 1 and 5.
+    items 1b and 6.
     """
     if k < 0:
         raise ValueError(f"enumerate_f: k must be nonnegative, got {k}")

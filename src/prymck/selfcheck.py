@@ -1,8 +1,11 @@
 """The invariant registry: the one place each checked invariant is written.
 
-Each check in CHECKS takes no argument and returns (ok, cases), and run(),
-behind the command line selfcheck, prints one line per check.
-tests/test_selfcheck.py runs every check with its case count pinned, so
+Each check_* is a generator that yields one verdict, a bool, per case, in
+a fixed order; a case joins its comparisons with `and`, so the first that
+fails stops the rest. Its CHECKS entry takes no argument, runs it and
+returns (ok, cases), stopping at the first False verdict, and run(),
+behind the command line selfcheck, prints one line per entry.
+tests/test_selfcheck.py runs every entry with its case count pinned, so
 pytest restates no invariant. Randomized checks use a fixed seed so runs
 are reproducible.
 """
@@ -60,32 +63,43 @@ def _random_skew(rng, n):
     )
 
 
-def check_pascal_rule():
+def _tally(verdicts):
+    """(ok, cases) of a stream of verdicts, one a case: stops at the first
+    False, and cases counts the verdicts before it."""
     cases = 0
+    for ok in verdicts:
+        if not ok:
+            return False, cases
+        cases += 1
+    return True, cases
+
+
+def _counted(check):
+    """The CHECKS entry of a check: runs it and tallies its verdicts."""
+
+    def run_check():
+        return _tally(check())
+
+    return run_check
+
+
+def check_pascal_rule():
     for s in range(1, 31):
         for t in range(1, s + 1):
-            if binom_gen(s, t) != binom_gen(s - 1, t - 1) + binom_gen(s - 1, t):
-                return False, cases
-            cases += 1
-    return True, cases
+            yield binom_gen(s, t) == binom_gen(s - 1, t - 1) + binom_gen(s - 1, t)
 
 
 def check_binomial_tail():
-    cases = 0
     for lj in range(2, 13):
         for li in range(1, lj):
             lhs = sum((-1) ** u * binom_gen(li + lj, li + u) for u in range(1, lj + 1))
-            if lhs != -binom_gen(li + lj - 1, li):
-                return False, cases
             # and against math.comb, from outside the package
-            if lhs != sum((-1) ** u * comb(li + lj, li + u) for u in range(1, lj + 1)):
-                return False, cases
-            cases += 1
-    return True, cases
+            yield lhs == -binom_gen(li + lj - 1, li) and lhs == sum(
+                (-1) ** u * comb(li + lj, li + u) for u in range(1, lj + 1)
+            )
 
 
 def check_abel_series():
-    cases = 0
     for s in range(-8, 9):
         # T^v coefficients of (1+T)^s times the geometric expansion of 1/(2+T)
         for v in range(13):
@@ -93,15 +107,11 @@ def check_abel_series():
             for k in range(v + 1):
                 geo = Fraction((-1) ** k, 2 ** (k + 1))
                 conv += binom_gen(s, v - k) * geo
-            if conv != abel_coefficient(s, v):
-                return False, cases
-            cases += 1
-    return True, cases
+            yield conv == abel_coefficient(s, v)
 
 
 def check_series_laws():
     rng = random.Random(_SEED)
-    cases = 0
     for _ in range(120):
         cap = rng.randint(0, 12)
 
@@ -112,114 +122,71 @@ def check_series_laws():
             )
 
         a, b, c = rand_poly(), rand_poly(), rand_poly()
-        if (a * b) * c != a * (b * c):
-            return False, cases
-        if a * b != b * a:
-            return False, cases
-        if a * (b + c) != a * b + a * c:
-            return False, cases
-        cases += 1
-    return True, cases
+        yield (a * b) * c == a * (b * c) and a * b == b * a and a * (b + c) == a * b + a * c
 
 
 def check_series_vanishing():
-    cases = 0
     for j in range(1, 21):
         plus = ThetaPoly(j, [Fraction(1, factorial(d)) for d in range(j + 1)])
         minus = ThetaPoly(j, [Fraction((-1) ** d, factorial(d)) for d in range(j + 1)])
-        if plus * minus != ThetaPoly.one(j):
-            return False, cases
-        cases += 1
-    return True, cases
+        yield plus * minus == ThetaPoly.one(j)
 
 
 def _pfaffian_engine_cases(rng, plan):
     """The three engines on plan[n] random n x n matrices for each n: the
     matching and permutation sums agree, and below n = 8 the Pfaffian
     squared is the determinant."""
-    cases = 0
     for n, count in plan.items():
         for _ in range(count):
             m = _random_skew(rng, n)
             pf = pfaffian_matchings(m)
-            if pf != pfaffian_permutations(m):
-                return False, cases
-            if n <= 6 and pf * pf != det_fraction_free(m.rows()):
-                return False, cases
-            cases += 1
-    return True, cases
+            yield pf == pfaffian_permutations(m) and (
+                n > 6 or pf * pf == det_fraction_free(m.rows())
+            )
 
 
 def check_pfaffian_engines():
     plan = {2: 25, 4: 20, 6: 12, 8: 5}
-    return _pfaffian_engine_cases(random.Random(_SEED + 1), plan)
+    yield from _pfaffian_engine_cases(random.Random(_SEED + 1), plan)
 
 
 def check_pfaffian_closed_product():
-    cases = 0
     for lam in strict_partitions(45, 5, 9):
-        if not lam:
-            continue
-        if chow_class_pfaffian(lam) != chow_class_closed(lam):
-            return False, cases
-        cases += 1
-    return True, cases
+        if lam:
+            yield chow_class_pfaffian(lam) == chow_class_closed(lam)
 
 
 def check_kclass_leading_term():
-    cases = 0
     for p in _suite_problems(7):
-        if not p.lam:
-            continue
-        if prym_bn.ch_k_class(p).coeff(p.codim) != chow_class_closed(p.lam):
-            return False, cases
-        cases += 1
-    return True, cases
+        if p.lam:
+            yield prym_bn.ch_k_class(p).coeff(p.codim) == chow_class_closed(p.lam)
 
 
 def check_oracle_equivalence():
-    cases = 0
     for p in _suite_problems(7):
-        if prym_bn.euler_theorem(p) != prym_bn.euler_oracle(p):
-            return False, cases
-        cases += 1
-    return True, cases
+        yield prym_bn.euler_theorem(p) == prym_bn.euler_oracle(p)
 
 
 def check_integrality():
-    cases = 0
     for p in _suite_problems(7):
-        if prym_bn.euler_theorem(p).denominator != 1:
-            return False, cases
-        cases += 1
-    return True, cases
+        yield prym_bn.euler_theorem(p).denominator == 1
 
 
 def check_zero_dimensional_degree():
-    cases = 0
     for p in _suite_problems(7):
-        if not p.lam or p.codim != p.dim_prym:
-            continue
-        degree = chow_class_closed(p.lam) * 2**p.dim_prym * factorial(p.dim_prym)
-        if prym_bn.euler_theorem(p) != degree:
-            return False, cases
-        cases += 1
-    return True, cases
+        if p.lam and p.codim == p.dim_prym:
+            degree = chow_class_closed(p.lam) * 2**p.dim_prym * factorial(p.dim_prym)
+            yield prym_bn.euler_theorem(p) == degree
 
 
 def check_emptiness():
-    cases = 0
     for p in _empty_problems(50):
-        zero = (
+        yield (
             p.expected_empty
             and prym_bn.euler_theorem(p) == 0
             and prym_bn.euler_oracle(p) == 0
             and not prym_bn.ch_k_class(p)
         )
-        if not zero:
-            return False, cases
-        cases += 1
-    return True, cases
 
 
 def _de_concini_pragacz(r):
@@ -232,12 +199,8 @@ def _de_concini_pragacz(r):
 
 
 def check_classical_recovery():
-    cases = 0
     for r in range(0, 7):
-        if chow_class_closed(tuple(range(r, 0, -1))) != _de_concini_pragacz(r):
-            return False, cases
-        cases += 1
-    return True, cases
+        yield chow_class_closed(tuple(range(r, 0, -1))) == _de_concini_pragacz(r)
 
 
 def check_interaction_specialization():
@@ -246,56 +209,46 @@ def check_interaction_specialization():
     # prefactor comes as ints over 2^(cap+1)
     cap = 10
     inter = interaction_expansion(cap)
-    cases = 0
     for beta in (Fraction(0), Fraction(-1)):
         for a in range(cap + 1):
             for b in range(a + 1):
                 base = binom_gen(a, b) + (binom_gen(a - 1, b - 1) if b else 0)
                 want = (-1) ** b * base * beta ** (a - b)
-                if inter[b][a] * (-beta) ** (a - b) != want:
-                    return False, cases
-                cases += 1
+                yield inter[b][a] * (-beta) ** (a - b) == want
         for s in range(-4, 5):
             pre = prefactor_expansion(s, cap)
             for v in range(cap + 1):
                 want = beta**v * sum(
                     Fraction((-1) ** j * binom_gen(s, j), 2 ** (v + 1 - j)) for j in range(v + 1)
                 )
-                if Fraction(pre[v], 2 ** (cap + 1)) * (-beta) ** v != want:
-                    return False, cases
-                cases += 1
-    return True, cases
+                yield Fraction(pre[v], 2 ** (cap + 1)) * (-beta) ** v == want
+
+
+def _roundtrips(poly):
+    return ThetaPoly.from_json_dict(poly.to_json_dict()) == poly
 
 
 def check_json_roundtrip():
-    cases = 0
     for p in _suite_problems(4):
-        poly = prym_bn.ch_k_class(p)
-        if ThetaPoly.from_json_dict(poly.to_json_dict()) != poly:
-            return False, cases
-        sym = prym_bn.ck_class(p, SYMBOLIC)
-        if ThetaPoly.from_json_dict(sym.to_json_dict()) != sym:
-            return False, cases
-        cases += 1
-    return True, cases
+        yield _roundtrips(prym_bn.ch_k_class(p)) and _roundtrips(prym_bn.ck_class(p, SYMBOLIC))
 
 
 CHECKS = (
-    ("pascal-rule", check_pascal_rule),
-    ("binomial-tail-identity", check_binomial_tail),
-    ("abel-series-crosscheck", check_abel_series),
-    ("series-ring-laws", check_series_laws),
-    ("series-vanishing", check_series_vanishing),
-    ("pfaffian-engines", check_pfaffian_engines),
-    ("pfaffian-closed-product", check_pfaffian_closed_product),
-    ("kclass-leading-term", check_kclass_leading_term),
-    ("oracle-equivalence", check_oracle_equivalence),
-    ("integrality", check_integrality),
-    ("zero-dimensional-degree", check_zero_dimensional_degree),
-    ("emptiness", check_emptiness),
-    ("classical-recovery", check_classical_recovery),
-    ("interaction-specialization", check_interaction_specialization),
-    ("json-roundtrip", check_json_roundtrip),
+    ("pascal-rule", _counted(check_pascal_rule)),
+    ("binomial-tail-identity", _counted(check_binomial_tail)),
+    ("abel-series-crosscheck", _counted(check_abel_series)),
+    ("series-ring-laws", _counted(check_series_laws)),
+    ("series-vanishing", _counted(check_series_vanishing)),
+    ("pfaffian-engines", _counted(check_pfaffian_engines)),
+    ("pfaffian-closed-product", _counted(check_pfaffian_closed_product)),
+    ("kclass-leading-term", _counted(check_kclass_leading_term)),
+    ("oracle-equivalence", _counted(check_oracle_equivalence)),
+    ("integrality", _counted(check_integrality)),
+    ("zero-dimensional-degree", _counted(check_zero_dimensional_degree)),
+    ("emptiness", _counted(check_emptiness)),
+    ("classical-recovery", _counted(check_classical_recovery)),
+    ("interaction-specialization", _counted(check_interaction_specialization)),
+    ("json-roundtrip", _counted(check_json_roundtrip)),
 )
 
 

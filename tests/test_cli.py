@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -243,19 +244,36 @@ def test_table_bounds_rejected(capsys):
     assert "max_len" in err
 
 
+def _reference_selfcheck():
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+    return json.loads(path.read_text())["selfcheck"]
+
+
 def test_selfcheck_prints_the_reference(capsys):
     # one size: stdout byte for byte the selfcheck entry of
     # bench/reference.json, and --quick is an argparse usage error
-    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "reference.json"
     code, out, err = run_cli(capsys, "selfcheck")
     assert (code, err) == (0, "")
-    assert out == json.loads(path.read_text())["selfcheck"]
+    assert out == _reference_selfcheck()
     with pytest.raises(SystemExit) as exc:
         main(["selfcheck", "--quick"])
     assert exc.value.code == 2
 
 
+def _expected_selfcheck(failed):
+    # the reference lines with the checks in failed replaced by their
+    # FAIL line, and the summary counting them
+    lines = []
+    for line in _reference_selfcheck().splitlines()[:-1]:
+        name = line.split(":")[0]
+        lines.append(f"{name}: {failed[name]}" if name in failed else line)
+    lines.append(f"selfcheck: FAIL ({len(failed)} failing) (15 checks)")
+    return "\n".join(lines) + "\n"
+
+
 def test_selfcheck_detects_injected_sign_flip(capsys, monkeypatch):
+    # every check still runs: a failing check names how many cases passed
+    # before it, and the checks after it still print PASS
     real = prym_bn._pair_ints
 
     def flipped(ni, nj, count):
@@ -264,7 +282,23 @@ def test_selfcheck_detects_injected_sign_flip(capsys, monkeypatch):
     monkeypatch.setattr(prym_bn, "_pair_ints", flipped)
     code, out, _ = run_cli(capsys, "selfcheck")
     assert code == 1
-    assert "oracle-equivalence: FAIL" in out
+    assert out == _expected_selfcheck(
+        {
+            "oracle-equivalence": "FAIL (after 8 cases)",
+            "zero-dimensional-degree": "FAIL (after 2 cases)",
+        }
+    )
+
+
+def test_selfcheck_reports_a_crashing_check(capsys, monkeypatch):
+    # an exception inside a check fails that check alone, with its message
+    def boom(r):
+        raise RuntimeError(f"boom at r = {r}")
+
+    monkeypatch.setattr(selfcheck, "_de_concini_pragacz", boom)
+    code, out, _ = run_cli(capsys, "selfcheck")
+    assert code == 1
+    assert out == _expected_selfcheck({"classical-recovery": "FAIL (error: boom at r = 0)"})
 
 
 def test_outputs_are_deterministic(capsys):
@@ -447,8 +481,8 @@ def test_work_bound_counts_abel_prefactors(capsys, monkeypatch):
     assert cli._theorem_work(p) == -(-49999 * 49999 // cli._WALK_STEPS_PER_UNIT)
     code, out, err = run_cli(capsys, "chi", "--genus", "50000", "-r", "0", "-a", "1")
     assert (code, out, err) == (0, "1\n", "")
-    # lambda = (25000), about 0.4 s, is admitted too; its chi then has more
-    # digits than str() converts
+    # lambda = (25000) is inside the work bound too, but its chi has more
+    # digits than str() converts, so it exits 2 before its 0.4 s walk
     code, out, err = run_cli(capsys, "chi", "--genus", "50000", "-r", "0", "-a", "25000")
     assert code == 2 and out == ""
     assert err == f"error: problem too large: chi has more than {cli._str_limit()} digits\n"
@@ -644,6 +678,56 @@ def test_chi_refuses_values_over_the_str_limit(capsys):
         code, out, err = run_cli(capsys, "chi", "-g", "15001", "-r", "0", "-a", "2", "--output", fmt)
         assert code == 2 and out == "", fmt
         assert err == "error: problem too large: chi has more than 4300 digits\n"
+
+
+def test_one_part_chi_lower_bound():
+    # at lambda = (k), 2 <= k <= h = g - 1, every term of the Abel sum has
+    # one sign, so |chi| >= 2^(h-1) * C(h-2, k-2); the pre-check built on it
+    # refuses no chi whose digits fit a small limit
+    for g in range(3, 41):
+        h = g - 1
+        for k in range(2, h + 1):
+            p = prym_bn.problem_from_partition(g, (k,))
+            chi = abs(prym_bn.euler_theorem(p).numerator)
+            assert chi >= 2 ** (h - 1) * comb(h - 2, k - 2), (g, k)
+            for limit in range(1, 16):
+                assert not cli._chi_too_long(p, limit) or decimal_digits(chi) > limit, (g, k, limit)
+
+
+def test_one_part_chi_refused_before_computing(capsys, monkeypatch):
+    # g = 200000, lambda = (100000) is inside the work bound, but its chi
+    # has far more digits than str() converts: exit 2 before the walk
+    def never(*args):
+        raise AssertionError("euler_theorem ran on a chi over the digit bound")
+
+    monkeypatch.setattr(cli, "euler_theorem", never)
+    p = prym_bn.problem_from_partition(200000, (100000,))
+    assert cli._theorem_work(p) <= cli._WORK_MAX
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "chi", "--genus", "200000", "-r", "0", "-a", "100000")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: problem too large: chi has more than {cli._str_limit()} digits\n"
+
+
+def test_one_part_chi_pre_check_never_refuses_a_printable_chi():
+    # near the 4300-digit edge, for parts from 2 up to h: the first genera
+    # the pre-check refuses have a chi the exact check refuses as well,
+    # and the genus below is admitted
+    for part in (lambda h: 2, lambda h: 50, lambda h: 1000, lambda h: h // 2, lambda h: h):
+        g = 3
+        while not (
+            2 <= part(g - 1) <= g - 1
+            and cli._chi_too_long(prym_bn.problem_from_partition(g, (part(g - 1),)), 4300)
+        ):
+            g += 1
+        below = prym_bn.problem_from_partition(g - 1, (part(g - 2),))
+        assert not cli._chi_too_long(below, 4300)
+        for genus in (g, g + 1):
+            p = prym_bn.problem_from_partition(genus, (part(genus - 1),))
+            assert cli._chi_too_long(p, 4300)
+            with pytest.raises(prym_bn.ValidationError, match="chi has more than 4300 digits"):
+                cli._check_digits("chi", [prym_bn.euler_theorem(p)], 4300)
 
 
 def test_lifted_str_limit_still_bounds_class_beta_zero(capsys, monkeypatch):

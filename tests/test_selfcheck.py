@@ -45,8 +45,17 @@ def test_pfaffian_engines_200_matrices():
     # the one check run larger than selfcheck runs it: 200 random matrices
     # up to 8 x 8, each engine pair compared
     plan = {2: 80, 4: 60, 6: 50, 8: 10}
-    got = selfcheck._pfaffian_engine_cases(random.Random(selfcheck._SEED), plan)
-    assert got == (True, 200)
+    cases = selfcheck._pfaffian_engine_cases(random.Random(selfcheck._SEED), plan)
+    assert selfcheck._tally(cases) == (True, 200)
+
+
+def test_tally_stops_at_the_first_false():
+    def verdicts():
+        yield from (True, True, False)
+        raise AssertionError("drawn a verdict after the first False")
+
+    assert selfcheck._tally(verdicts()) == (False, 2)
+    assert selfcheck._tally(iter(())) == (True, 0)
 
 
 def test_empty_problems_refuse_a_short_list():
