@@ -208,6 +208,23 @@ def _chi_too_long(problem, limit: int) -> bool:
     return size > (limit + 1) * log(10)
 
 
+def _class_too_long(problem, limit: int) -> bool:
+    """Whether a one-part class at beta != 0 surely has a coefficient of
+    more than limit digits. At lambda = (k), k <= cap = g - 1, the top
+    theta' coefficient is a_v / (2^(v+1) * cap!), v = cap - k, and as
+    s = 1 - k <= 0, |a_v| <= 2^v * C(cap - 1, k - 1): its reduced
+    denominator is at least 2 * cap! / C(cap - 1, k - 1) =
+    2 * cap * (k - 1)! * (cap - k)!. Sums the logs with lgamma, with one
+    digit of slack, as _gamma_too_long does. Symbolic prints the same
+    rationals."""
+    cap = problem.dim_prym
+    if problem.ell != 1 or problem.lam[0] > cap:
+        return False
+    k = problem.lam[0]
+    size = log(2 * cap) + lgamma(k) + lgamma(cap - k + 1)
+    return size > (limit + 1) * log(10)
+
+
 def _check_work(work: int) -> None:
     if work > _WORK_MAX:
         # work >= 2^(bits - 1), and str() refuses ints of over 4300 digits
@@ -385,8 +402,11 @@ def run_class(args) -> int:
     limit = _str_limit()
     if beta != 0:
         _check_work(_oracle_work(problem))
-    elif _gamma_too_long(problem.lam, limit):
+        too_long = _class_too_long(problem, limit)
+    else:
         # beta 0 is the closed product, whatever the genus; only its size is bounded
+        too_long = _gamma_too_long(problem.lam, limit)
+    if too_long:
         raise ValidationError(f"problem too large: {what} has more than {limit} digits")
     value = class_result(problem, beta)
     # the exact check on what plain and json print (latex: a subset)

@@ -37,7 +37,9 @@ verification switch enforce.
 
 g_coeff, GTable and enumerate_f state the formula's pair coefficients and
 degree distributions term by term, in Fractions. No route calls them:
-they are the tests' reference for the pair series sum.
+they are the tests' reference for the pair series sum. They and
+classical_coefficient are not in __all__, so the package does not export
+them; import them from prymck.prym_bn.
 
 Problems whose codimension exceeds g - 1 are computed rather than
 rejected: every route consistently returns 0 for them, and the problem
@@ -60,7 +62,6 @@ from .series_ring import BetaPoly, ThetaPoly
 
 __all__ = [
     "SYMBOLIC",
-    "GTable",
     "PrymProblem",
     "ValidationError",
     "build_problem",
@@ -69,11 +70,8 @@ __all__ = [
     "chow_class_pfaffian",
     "ck_class",
     "class_result",
-    "classical_coefficient",
-    "enumerate_f",
     "euler_oracle",
     "euler_theorem",
-    "g_coeff",
     "problem_from_partition",
     "strict_partitions",
 ]
@@ -384,7 +382,8 @@ def g_coeff(m: int, i: int, j: int, lam, v) -> Fraction:
 
     No route calls it: euler_theorem reads the integer closed form of
     _pair_ints. It stays as the tests' term-by-term reference, and the
-    benchmark's tracer wraps it by name, until ROADMAP items 1b and 6.
+    benchmark's tracer wraps it by name, until ROADMAP items 1b and 6. Not
+    exported: it is in no __all__.
     """
     lam = tuple(lam)
     v = tuple(v)
@@ -423,7 +422,8 @@ class GTable:
     """Antisymmetric view of g_coeff values for one (lam, v).
 
     No route reads it; it stays for the tests, and the benchmark's tracer
-    wraps GTable.value by name, until ROADMAP items 1b and 6.
+    wraps GTable.value by name, until ROADMAP items 1b and 6. Not exported:
+    it is in no __all__.
     """
 
     def __init__(self, lam, v):
@@ -446,7 +446,7 @@ def enumerate_f(sigma, k: int, n_pairs: int):
     assignments at all. No route calls it: the pair series sum takes the
     degree of each pair inside its series. It stays as the tests'
     reference, and the benchmark's tracer wraps it by name, until ROADMAP
-    items 1b and 6.
+    items 1b and 6. Not exported: it is in no __all__.
     """
     if k < 0:
         raise ValueError(f"enumerate_f: k must be nonnegative, got {k}")
@@ -633,7 +633,9 @@ def classical_coefficient(r: int) -> Fraction:
     Concini-Pragacz class of the Prym-Brill-Noether locus (Math. Ann.
     1995), which the paper's formulas extend; their closed form
     2^C(r,2) * prod_{i=1..r} (i-1)!/(2i-1)! / 2^(r(r+1)/2)
-    is compared in the test suite and in selfcheck.
+    is compared in the test suite and in selfcheck. No route calls it; it
+    stays as the tests' staircase anchor until ROADMAP item 6. Not
+    exported: it is in no __all__.
     """
     if r < 0:
         raise ValueError(f"classical_coefficient: r must be nonnegative, got {r}")

@@ -5,7 +5,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -728,6 +728,66 @@ def test_one_part_chi_pre_check_never_refuses_a_printable_chi():
             assert cli._chi_too_long(p, 4300)
             with pytest.raises(prym_bn.ValidationError, match="chi has more than 4300 digits"):
                 cli._check_digits("chi", [prym_bn.euler_theorem(p)], 4300)
+
+
+def test_one_part_class_lower_bound():
+    # at lambda = (k), k <= cap = g - 1, the top theta' coefficient has a
+    # reduced denominator of at least 2 * cap! / C(cap - 1, k - 1), reached
+    # at some problems; the pre-check built on it refuses no class whose
+    # printed rationals fit a small limit
+    reached = 0
+    for g in range(2, 41):
+        cap = g - 1
+        for k in range(1, cap + 1):
+            p = prym_bn.problem_from_partition(g, (k,))
+            value = prym_bn.ch_k_class(p)
+            den = value.coeff(cap).denominator
+            assert den * comb(cap - 1, k - 1) >= 2 * factorial(cap), (g, k)
+            reached += den * comb(cap - 1, k - 1) == 2 * factorial(cap)
+            shown = cli._shown_rationals(p, -1, value)
+            digits = max(decimal_digits(n) for x in shown for n in (abs(x.numerator), x.denominator))
+            for limit in range(1, 30):
+                assert not cli._class_too_long(p, limit) or digits > limit, (g, k, limit)
+    assert reached
+    # the pre-check is for one part at k <= cap only
+    assert not cli._class_too_long(prym_bn.problem_from_partition(3000, (2, 1)), 10)
+    assert not cli._class_too_long(prym_bn.problem_from_partition(10, (10,)), 1)
+
+
+def test_one_part_class_refused_before_computing(capsys, monkeypatch):
+    # one part at g = 6000 and g = 8001 is inside the work bound, but its
+    # top coefficients have far more digits than str() converts: exit 2
+    # before ch_k_class runs, in every beta != 0 mode and format
+    def never(*args):
+        raise AssertionError("ch_k_class ran on a class over the digit bound")
+
+    monkeypatch.setattr(prym_bn, "ch_k_class", never)
+    assert sys.get_int_max_str_digits() == 4300
+    for argv in (("-g", "6000", "-a", "1"), ("-g", "8001", "-a", "20")):
+        for beta in ("-1", "symbolic"):
+            for fmt in ("plain", "json", "latex"):
+                start = time.perf_counter()
+                code, out, err = run_cli(capsys, "class", *argv, "--beta", beta, "--output", fmt)
+                assert time.perf_counter() - start < 1
+                assert code == 2 and out == "", (argv, beta, fmt)
+                assert err == "error: problem too large: a coefficient has more than 4300 digits\n"
+
+
+def test_one_part_class_pre_check_never_refuses_a_printable_class():
+    # near the 4300-digit edge, for several parts: the first genera the
+    # pre-check refuses have a class the exact check refuses as well, and
+    # the genus below is admitted by the pre-check
+    for k in (1, 2, 20, 200):
+        g = k + 1
+        while not cli._class_too_long(prym_bn.problem_from_partition(g, (k,)), 4300):
+            g += 1
+        assert not cli._class_too_long(prym_bn.problem_from_partition(g - 1, (k,)), 4300)
+        for genus in (g, g + 1):
+            p = prym_bn.problem_from_partition(genus, (k,))
+            assert cli._class_too_long(p, 4300)
+            shown = cli._shown_rationals(p, -1, prym_bn.ch_k_class(p))
+            with pytest.raises(prym_bn.ValidationError, match="a coefficient has more than 4300 digits"):
+                cli._check_digits("a coefficient", shown, 4300)
 
 
 def test_lifted_str_limit_still_bounds_class_beta_zero(capsys, monkeypatch):
