@@ -49,11 +49,12 @@ _WORK_MAX = 10**6
 # series product steps per unit of work, a product of two series truncated
 # at degree B counting (B + 1)^2 coefficient products of ints of about h
 # bits, h = g - 1 (cap^3 at the oracle's cap = h): ch_k_class at g = 200,
-# lambda = (8, ..., 1) takes 105 * 3 * 199^3 of them in its Pfaffian in
-# about 28 s, about 9,000 to a unit, and 96,000 at g = 46 on the nine-part
-# staircase, where the Pfaffian takes 0.36 s; euler_theorem at g = 120 on
-# the eight-part staircase takes 105 * (2 * 84^2 + 84) * 119, two products
-# and a dot product a matching, in about 1 s, 18,000
+# lambda = (8, ..., 1) takes 87 * 199^3 of them in its Pfaffian in about
+# 9.5 s, about 7,200 to a unit, 28,000 at g = 80 on the twelve-part
+# staircase (1,055 products, 1.9 s) and 48,000 at g = 46 on the nine-part
+# one (317 products, 0.06 s); euler_theorem at g = 120 on the eight-part
+# staircase takes 105 * (2 * 84^2 + 84) * 119, two products and a dot
+# product a matching, in about 1 s, 18,000
 _PRODUCT_STEPS_PER_UNIT = 8000
 # theorem pair series steps per unit, each of the C(B + 2, 2) terms of a
 # pair of parts counting h steps: euler_theorem at g = 6000,
@@ -108,9 +109,11 @@ def _problem(args):
     return build_problem(g, len(a) - 1 if r == -1 else r, a)
 
 
-def _matchings(problem) -> int:
-    n = problem.ell + problem.ell % 2
-    return prod(range(1, n, 2))  # (n-1)!!
+def _pfaffian_products(n: int) -> int:
+    # products pfaffian_matchings takes at size n: it expands each of the
+    # C(n - k, k) index sets of size n - 2k >= 4 it reaches once, along its
+    # first index, n - 2k - 1 products each
+    return sum(comb(n - k, k) * (n - 2 * k - 1) for k in range(n // 2 - 1))
 
 
 def _theorem_work(problem) -> int:
@@ -140,7 +143,7 @@ def _theorem_work(problem) -> int:
         return -(-(budget + 1) * h // _WALK_STEPS_PER_UNIT)
     n = ell + ell % 2
     per_matching = (n // 2 - 2) * (budget + 1) ** 2 * h + (budget + 1) * h if n >= 4 else 0
-    products = _matchings(problem) * per_matching
+    products = prod(range(1, n, 2)) * per_matching  # (n-1)!! matchings
     pairs = comb(ell, 2) * comb(budget + 2, 2) * h
     rows = ell * (budget + 1) * h
     scaled = comb(n, 2) * h**2 if n >= 4 else 0
@@ -156,17 +159,18 @@ def _oracle_work(problem) -> int:
     """Work of ch_k_class at cap = g - 1, for the oracle and for class at
     beta -1 or symbolic.
 
-    The Pfaffian: (n-1)!! signed matchings of n/2 - 1 products each, of
-    two truncated int series, cap^3 steps a product (cap^2 coefficient
-    products of ints of about cap bits), _PRODUCT_STEPS_PER_UNIT to a
-    unit; none when n = 2, where the Pfaffian is its one entry. Plus the
-    entry kernel: l - 1 first stages, one per i-side prefactor row, and
-    l(l-1)/2 second stages, one per entry, cap^3 steps each,
-    _KERNEL_STEPS_PER_UNIT to a unit. Plus, at one part, the cap + 1
-    boundary Fractions, cap^3 steps in all, _BOUNDARY_STEPS_PER_UNIT to a
-    unit."""
+    The Pfaffian: the products of pfaffian_matchings' first-index
+    expansion, sum over k = 0..n/2-2 of C(n-k, k) * (n-2k-1) (87 at n = 8,
+    1,055 at n = 12), each of two truncated int series, cap^3 steps a
+    product (cap^2 coefficient products of ints of about cap bits),
+    _PRODUCT_STEPS_PER_UNIT to a unit; none when n = 2, where the Pfaffian
+    is its one entry. Plus the entry kernel: l - 1 first stages, one per
+    i-side prefactor row, and l(l-1)/2 second stages, one per entry, cap^3
+    steps each, _KERNEL_STEPS_PER_UNIT to a unit. Plus, at one part, the
+    cap + 1 boundary Fractions, cap^3 steps in all,
+    _BOUNDARY_STEPS_PER_UNIT to a unit."""
     cap, ell = problem.dim_prym, problem.ell
-    products = _matchings(problem) * max(0, (ell + 1) // 2 - 1) * cap**3
+    products = _pfaffian_products(ell + ell % 2) * cap**3
     stages = ell - 1 + comb(ell, 2) if ell > 1 else 0
     boundary = cap**3 // _BOUNDARY_STEPS_PER_UNIT if ell == 1 else 0
     return (

@@ -171,21 +171,20 @@ def apply_pair_operator(base, prefactors_i, prefactors_j, cap: int) -> ThetaPoly
     if li < 0 or lj < 0:
         raise ValueError(f"apply_pair_operator: negative base indices ({li}, {lj})")
     q = _raised_prefactor(prefactors_i, cap)
-    pj = prefactors_j
     weights = _pair_weights(cap)
 
     # stage 2: E[ii][jj] = sum_b q[ii - li][b] * P_j[jj - lj + b], weighted into
-    # ii + jj; ii = li + x <= cap, so x runs to cap - li, none when li > cap
+    # ii + jj; ii = li + x <= cap, so x runs to cap - li, none when li > cap.
+    # padded[jj + b] is P_j[jj - lj + b], 0 below lj, and b runs over all of
+    # q[x], as jj - lj + b <= cap - li - lj <= cap
+    padded = (0,) * lj + prefactors_j
     acc = [0] * (cap + 1)
-    for x in range(max(0, cap - li + 1)):
+    for x in range(cap - li + 1):
         qx = q[x]
         ii = li + x
         row = weights[ii]
         for jj in range(cap - ii + 1):
-            k = jj - lj
-            blo, bhi = max(0, -k), min(len(qx), cap + 1 - k)
-            if blo < bhi:
-                e = sum(map(mul, qx[blo:bhi], pj[k + blo : k + bhi]))
-                if e:
-                    acc[ii + jj] += e * row[jj]
+            e = sum(map(mul, qx, padded[jj : jj + x + 1]))
+            if e:
+                acc[ii + jj] += e * row[jj]
     return ThetaPoly(cap, acc)

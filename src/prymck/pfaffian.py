@@ -4,11 +4,12 @@ Entries may be Fractions or any values supporting +, unary -, * and
 multiplication by Fraction (truncated polynomials in particular); the
 algorithms never look inside an entry.
 
-Two independent evaluation routes are provided: the signed perfect-matching
-expansion with (n-1)!! terms, which is the production path, and the
-normalized sum over all n! permutations, which shares no code with it and
-serves selfcheck and the tests as an independent engine. A fraction-free
-determinant gives a third cross-check through Pf(M)^2 == det(M).
+Two independent evaluation routes are provided: the expansion along the
+first index, which computes each sub-Pfaffian once and is the production
+path, and the normalized sum over all n! permutations, which shares no
+code with it and serves selfcheck and the tests as an independent engine.
+A fraction-free determinant gives a third cross-check through
+Pf(M)^2 == det(M).
 
 The permutation sum walks the n! arrangements depth first, one ordered pair
 per level: it takes the p-th smallest remaining index, then the q-th
@@ -23,7 +24,7 @@ factored across permutations.
 Rational matrices are put over one common denominator D first, the lcm of
 the entry denominators: the permutation walk and the Bareiss elimination
 then run on the ints D * entry, and D^(n/2) (for the Pfaffian) or D^n (for
-the determinant) is divided out in the one final Fraction. The matching
+the determinant) is divided out in the one final Fraction. The first-index
 expansion walks the entries as they are.
 """
 
@@ -123,33 +124,39 @@ def augment_odd(m: SkewMatrix, row0) -> SkewMatrix:
     return SkewMatrix(m.n + 1, upper)
 
 
-def _signed_pairings(indices):
-    # yields (sign, pairs) over all perfect matchings of the index tuple
-    if not indices:
-        yield 1, ()
-        return
-    first, rest = indices[0], indices[1:]
-    for pos in range(len(rest)):
-        partner = rest[pos]
-        remaining = rest[:pos] + rest[pos + 1 :]
-        pos_sign = -1 if pos % 2 else 1
-        for sign, pairs in _signed_pairings(remaining):
-            yield pos_sign * sign, ((first, partner),) + pairs
-
-
 def pfaffian_matchings(m: SkewMatrix):
-    """Pfaffian as the signed sum over perfect matchings."""
+    """Pfaffian by expansion along the first index, each sub-Pfaffian once.
+
+    For an increasing index tuple S = (s_0, ..., s_(2r-1)),
+
+        Pf(S) = sum over k = 1..2r-1 of (-1)^(k-1) * a(s_0, s_k) * Pf(S - {s_0, s_k}),
+
+    with Pf(()) = 1 and Pf((i, j)) the entry a(i, j) itself. The
+    sub-Pfaffians are memoised on their index tuples for the one call, so
+    each is expanded once: a size n matrix takes
+    sum over k = 0..n/2-2 of C(n-k, k) * (n-2k-1) products, 87 at n = 8
+    and 1,055 at n = 12, where the (n-1)!! matchings hold 315 and 51,975
+    (Rote, "Division-free algorithms for the determinant and the
+    Pfaffian", 2001). Expanded out it is still the signed sum over perfect
+    matchings, each term's factors in the order of their first indices.
+    """
     if m.n % 2:
         raise ValueError(f"pfaffian: size must be even, got {m.n}")
-    if m.n == 0:
-        return 1
-    total = 0
-    for sign, pairs in _signed_pairings(tuple(range(m.n))):
-        term = m.entry(*pairs[0])
-        for i, j in pairs[1:]:
-            term = term * m.entry(i, j)
-        total = total + (term if sign > 0 else -term)
-    return total
+    memo = {(): 1}
+
+    def pf(s):
+        if len(s) == 2:
+            return m.entry(*s)
+        if s not in memo:
+            first, rest = s[0], s[1:]
+            total = 0
+            for k, partner in enumerate(rest):
+                term = m.entry(first, partner) * pf(rest[:k] + rest[k + 1 :])
+                total = total + (-term if k % 2 else term)
+            memo[s] = total
+        return memo[s]
+
+    return pf(tuple(range(m.n)))
 
 
 def perm_sign(seq) -> int:

@@ -417,9 +417,10 @@ def test_work_estimates_closed_forms():
     # matchings of 2 series products, (B + 1)^2 * h steps each, and one
     # x^B dot product of (B + 1) * h steps; 21 pairs of parts of C(3, 2)
     # terms, h steps each; 7 Abel rows of (B + 1) * h steps; 28 pair series
-    # put over h!, h^2 steps each. The oracle's 105 matchings of 3
-    # products, cap^3 steps each, and 6 first plus 21 second kernel stages,
-    # cap^3 steps each
+    # put over h!, h^2 steps each. The oracle's Pfaffian, expanded along
+    # the first index with each sub-Pfaffian once, 87 products (where the
+    # 105 matchings hold 3 each), cap^3 steps each, and 6 first plus 21
+    # second kernel stages, cap^3 steps each
     p = prym_bn.problem_from_partition(30, (7, 6, 5, 4, 3, 2, 1))
     assert cli._theorem_work(p) == (
         105 * (2 * 2**2 * 29 + 2 * 29) // cli._PRODUCT_STEPS_PER_UNIT
@@ -428,7 +429,7 @@ def test_work_estimates_closed_forms():
         + 28 * 29**2 // cli._SCALED_STEPS_PER_UNIT
     )
     assert cli._oracle_work(p) == (
-        105 * 3 * 29**3 // cli._PRODUCT_STEPS_PER_UNIT + (6 + 21) * 29**3 // cli._KERNEL_STEPS_PER_UNIT
+        87 * 29**3 // cli._PRODUCT_STEPS_PER_UNIT + (6 + 21) * 29**3 // cli._KERNEL_STEPS_PER_UNIT
     )
     # g = 400, lambda = (5, 4, 3, 2, 1): budget 384, 6 indices, 15
     # matchings of one product and one dot product, every theorem term
@@ -442,7 +443,7 @@ def test_work_estimates_closed_forms():
     )
     assert all(terms) and cli._theorem_work(p) == sum(terms)
     # expected empty: the theorem route returns before summing, the oracle
-    # still computes its zero: 3 matchings of 1 product, 2 + 3 stages
+    # still computes its zero: 3 products, one per matching, 2 + 3 stages
     p = prym_bn.problem_from_partition(10, (8, 3, 1))
     assert cli._theorem_work(p) == 0
     assert cli._oracle_work(p) == (
@@ -503,16 +504,27 @@ def test_work_bound_counts_abel_prefactors(capsys, monkeypatch):
 
 
 def test_work_bound_prices_products_by_steps(capsys):
-    # the oracle's Pfaffian at g = 46 on the nine-part staircase takes
-    # 945 * 4 products of cap^3 = 45^3 steps in about 0.4 s; priced at a
-    # unit per coefficient product it was 7,662,519 units and exited 2
+    # the oracle's Pfaffian at g = 46 on the nine-part staircase takes 317
+    # products of cap^3 = 45^3 steps; priced at a unit per coefficient
+    # product it was 7,662,519 units and exited 2
     p = prym_bn.problem_from_partition(46, tuple(range(9, 0, -1)))
     assert cli._oracle_work(p) == (
-        945 * 4 * 45**3 // cli._PRODUCT_STEPS_PER_UNIT + (8 + 36) * 45**3 // cli._KERNEL_STEPS_PER_UNIT
+        317 * 45**3 // cli._PRODUCT_STEPS_PER_UNIT + (8 + 36) * 45**3 // cli._KERNEL_STEPS_PER_UNIT
     )
     code, out, err = run_cli(capsys, "class", "-g", "46", "-a", staircase(9), "--beta", "-1")
     assert (code, err) == (0, "")
     assert out.startswith("problem: g=46 r=8 a=1,2,3,4,5,6,7,8,9 lambda=9,8,7,6,5,4,3,2,1 ")
+
+
+def test_twelve_part_chi_verify_runs(capsys):
+    # g = 80 on the twelve-part staircase: the oracle's Pfaffian takes 1,055
+    # products, about 1.4 * 10^5 units in all, where multiplying out its
+    # 51,975 matchings was priced at 3,280,988 units and exited 2
+    p = prym_bn.problem_from_partition(80, tuple(range(12, 0, -1)))
+    assert cli._oracle_work(p) + cli._theorem_work(p) < 1.5 * 10**5
+    code, out, err = run_cli(capsys, "chi", "-g", "80", "-a", staircase(12), "--verify")
+    assert (code, err) == (0, "")
+    assert out == f"{prym_bn.euler_theorem(p)}\n"
 
 
 def test_large_budget_chi_verify_runs(capsys):

@@ -2,11 +2,12 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
+from prymck import cli
 from prymck.pfaffian import (
     SkewMatrix,
     augment_odd,
@@ -78,6 +79,30 @@ class Terms:
         if isinstance(other, Terms):
             return Terms((c * d, w + v) for c, w in self.terms for d, v in other.terms)
         return Terms((c * other, w) for c, w in self.terms)
+
+
+class Support:
+    """Entry ring that keeps only the set of indices a value covers, and logs
+    each product as the pair of its factors' sets, so an engine's log lists
+    the products it took."""
+
+    def __init__(self, indices, log):
+        self.indices, self.log = frozenset(indices), log
+
+    def __neg__(self):
+        return self
+
+    def __add__(self, other):
+        if isinstance(other, int) and other == 0:
+            return self
+        assert other.indices == self.indices
+        return self
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        self.log.append((self.indices, other.indices))
+        return Support(self.indices | other.indices, self.log)
 
 
 def test_two_by_two():
@@ -221,6 +246,33 @@ def test_perm_sign_basics():
     assert perm_sign((2, 0, 1)) == 1
 
 
+@pytest.mark.parametrize("n", range(2, 16, 2))
+def test_matching_engine_expands_each_sub_pfaffian_once(n):
+    log = []
+    m = SkewMatrix.from_upper(n, lambda i, j: Support((i, j), log))
+    assert pfaffian_matchings(m).indices == frozenset(range(n))
+    # every product is a(s_0, s_k) * Pf(S - {s_0, s_k}) for one index set S,
+    # none is taken twice, and each S expanded takes |S| - 1 of them, one
+    # per partner of its first index
+    assert len(set(log)) == len(log)
+    expanded = Counter(pair | rest for pair, rest in log)
+    assert all(times == len(s) - 1 for s, times in expanded.items())
+    # the sets reached are the C(n - k, k) of size n - 2k >= 4
+    assert Counter(map(len, expanded)) == {n - 2 * k: comb(n - k, k) for k in range(n // 2 - 1)}
+    assert len(log) == (0, 3, 20, 87, 317, 1055, 3333)[n // 2 - 1] == cli._pfaffian_products(n)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_matching_engine_sums_each_signed_matching_once(n):
+    m = SkewMatrix.from_upper(n, Terms.letter)
+    expected = Counter()
+    for sigma in itertools.permutations(range(n)):
+        pairs = tuple((sigma[2 * b], sigma[2 * b + 1]) for b in range(n // 2))
+        if all(x < y for x, y in pairs) and list(pairs) == sorted(pairs):
+            expected[(Fraction(perm_sign(sigma)), pairs)] += 1
+    assert Counter(pfaffian_matchings(m).terms) == expected
+
+
 def test_permutation_engine_matches_reference_random():
     rng = random.Random(2468)
     for n in range(0, 9, 2):
@@ -324,7 +376,9 @@ class NoArithFraction(Fraction):
 
 
 def test_permutation_engine_runs_on_ints_for_rational_entries():
-    for n in (2, 4, 6, 8):
+    # from n = 4 on: at n = 2 the matching engine returns the entry itself,
+    # with no arithmetic for the guard to refuse
+    for n in (4, 6, 8):
         plain = prime_denominator_skew(random.Random(2000 + n), n)
         guarded = SkewMatrix(
             n,

@@ -9,7 +9,7 @@ import pytest
 from prymck import prym_bn
 from prymck.exact_arith import abel_coefficient, abel_row, factorial
 from prymck.operator_engine import apply_pair_operator, prefactor_expansion
-from prymck.pfaffian import SkewMatrix, _signed_pairings, augment_odd, perm_sign, pfaffian_matchings
+from prymck.pfaffian import SkewMatrix, augment_odd, perm_sign, pfaffian_matchings
 from prymck.prym_bn import (
     GTable,
     ValidationError,
@@ -431,6 +431,19 @@ def _crossings(pairs):
     )
 
 
+def _signed_pairings(indices):
+    # (sign, pairs) over all perfect matchings of the index tuple, pairing
+    # the first index with each later one: the terms of the Pfaffian's
+    # first-index expansion, listed one by one
+    if not indices:
+        yield 1, ()
+        return
+    first, rest = indices[0], indices[1:]
+    for pos, partner in enumerate(rest):
+        for sign, pairs in _signed_pairings(rest[:pos] + rest[pos + 1 :]):
+            yield (-sign if pos % 2 else sign), ((first, partner),) + pairs
+
+
 @pytest.mark.parametrize("n", [0, 2, 4, 6, 8])
 def test_signed_arrangements(n):
     indices = tuple(range(n))
@@ -445,7 +458,7 @@ def test_signed_arrangements(n):
         assert [a for a, _ in pairs] == sorted(a for a, _ in pairs)
         assert sign == perm_sign(sigma) == (-1) ** _crossings(pairs)
         matchings.add((sign, pairs))
-    # the same signed matchings the oracle's Pfaffian engine enumerates
+    # the signed matchings of the first-index expansion
     assert matchings == set(_signed_pairings(indices))
 
 

@@ -167,7 +167,9 @@ def test_theta_json_rejects_bad_cap_or_length(d):
         ThetaPoly.from_json_dict(d)
 
 
-@pytest.mark.parametrize("key", [" 1_0", "1_0", "-1", "+1", "1.5", "", " 1", "1\n", "\u0661", 1])
+@pytest.mark.parametrize(
+    "key", [" 1_0", "1_0", "-1", "+1", "1.5", "", " 1", "1\n", "\u0661", 1, "01", "00"]
+)
 def test_beta_json_rejects_non_digit_exponent_keys(key):
     with pytest.raises(ValueError):
         BetaPoly.from_json_obj({key: "2"})
