@@ -54,7 +54,9 @@ _WORK_MAX = 10**6
 # staircase (1,055 products, 1.9 s) and 48,000 at g = 46 on the nine-part
 # one (317 products, 0.06 s); euler_theorem at g = 120 on the eight-part
 # staircase takes 105 * (2 * 84^2 + 84) * 119, two products and a dot
-# product a matching, in about 1 s, 18,000
+# product a matching, in about 1 s, 18,000; 8,000 is kept from the earlier
+# fit, so the g = 200 problem is underpriced by about 10 % until a work
+# model fitted to counted steps replaces these constants
 _PRODUCT_STEPS_PER_UNIT = 8000
 # theorem pair series steps per unit, each of the C(B + 2, 2) terms of a
 # pair of parts counting h steps: euler_theorem at g = 6000,

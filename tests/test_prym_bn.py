@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from test_pfaffian import Terms
 
 from prymck import prym_bn
 from prymck.exact_arith import abel_coefficient, abel_row, factorial
@@ -431,19 +432,6 @@ def _crossings(pairs):
     )
 
 
-def _signed_pairings(indices):
-    # (sign, pairs) over all perfect matchings of the index tuple, pairing
-    # the first index with each later one: the terms of the Pfaffian's
-    # first-index expansion, listed one by one
-    if not indices:
-        yield 1, ()
-        return
-    first, rest = indices[0], indices[1:]
-    for pos, partner in enumerate(rest):
-        for sign, pairs in _signed_pairings(rest[:pos] + rest[pos + 1 :]):
-            yield (-sign if pos % 2 else sign), ((first, partner),) + pairs
-
-
 @pytest.mark.parametrize("n", [0, 2, 4, 6, 8])
 def test_signed_arrangements(n):
     indices = tuple(range(n))
@@ -458,8 +446,9 @@ def test_signed_arrangements(n):
         assert [a for a, _ in pairs] == sorted(a for a, _ in pairs)
         assert sign == perm_sign(sigma) == (-1) ** _crossings(pairs)
         matchings.add((sign, pairs))
-    # the signed matchings of the first-index expansion
-    assert matchings == set(_signed_pairings(indices))
+    # the signed matchings the oracle's Pfaffian sums
+    pf = pfaffian_matchings(SkewMatrix.from_upper(n, Terms.letter)) if n else Terms([(1, ())])
+    assert matchings == set(pf.terms)
 
 
 def test_one_part_theorem_holds_one_abel_value():
