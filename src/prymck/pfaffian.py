@@ -2,7 +2,9 @@
 
 Entries may be Fractions or any values supporting +, unary -, * and
 multiplication by Fraction (truncated polynomials in particular); the
-algorithms never look inside an entry.
+algorithms never look inside an entry. Entries must also accept 0 + entry:
+both Pfaffian engines start their running totals at the int 0, and so
+does sum().
 
 Two independent evaluation routes are provided: the expansion along the
 first index, which computes each sub-Pfaffian once and is the production
@@ -18,8 +20,13 @@ so the sign is carried down as one parity bit, and the product of the
 ordered prefix is carried down with it. Each permutation still adds its own
 term, read from the matrix entries at (x, y) and (y, x) alike, into the
 running total of its parity, and the odd total is negated once at the end;
-nothing is merged through skew-symmetry, stored per set of used indices or
-factored across permutations.
+nothing is merged through skew-symmetry, no entry or product is stored per
+set of used indices, and nothing is factored across permutations. The last
+two levels run as C-level products: when four indices remain, the 12
+ordered first pairs and, after each, the leaf that keeps and the leaf that
+flips the parity are read from the flat grid through itemgetters, whose
+positions are planned once per four-index tail in the call, and each
+leaf's product goes into its parity total through one sum(map(mul, ...)).
 
 Rational matrices are put over one common denominator D first, the lcm of
 the entry denominators: the permutation walk and the Bareiss elimination
@@ -33,6 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, lcm
 from numbers import Rational
+from operator import itemgetter, mul
 
 __all__ = [
     "SkewMatrix",
@@ -182,6 +190,16 @@ def pfaffian_permutations(m: SkewMatrix):
     the running total of its parity; the odd total is negated once at the
     end. Entries are read once, with m.rows().
 
+    The walk stops when four indices are left. For each such tail it plans,
+    once per call, the positions in the row-major grid of the 12 ordered
+    first pairs (x, y) and of the two leaves after each: (u, v) or (v, u),
+    sorted by whether p + q keeps or flips the prefix's parity. One list
+    comprehension multiplies the prefix into the 12 first pairs, and one
+    sum(map(mul, ...)) per parity multiplies each of them into its leaf and
+    adds it up: every permutation of the tail still takes its own product
+    and addition, as many as the walk takes one level at a time. n = 2
+    adds its two leaves directly.
+
     When every entry is Rational, the grid is first put over one common
     denominator D (the lcm of the entry denominators) and the walk runs on
     the ints D * entry; every term is a product of n/2 entries, so
@@ -194,25 +212,50 @@ def pfaffian_permutations(m: SkewMatrix):
         raise ValueError(f"pfaffian: size must be even, got {m.n}")
     if m.n == 0:
         return 1
-    half = m.n // 2
+    n = m.n
+    half = n // 2
     grid = m.rows()
     norm = (1 << half) * factorial(half)
     if all(isinstance(e, Rational) for row in grid for e in row):
         den = lcm(*(e.denominator for row in grid for e in row))
         grid = [[e.numerator * (den // e.denominator) for e in row] for row in grid]
         norm *= den**half
+    if n == 2:
+        # the two leaves (0, 1) and (1, 0): p + q is 0 and 1
+        return (grid[0][1] + -grid[1][0]) * Fraction(1, norm)
+    flat = [e for row in grid for e in row]
     totals = [0, 0]  # sums of the even and of the odd permutations' terms
+    plans = {}
+
+    def plan(tail):
+        # positions in flat of a four-index tail's 12 ordered first pairs,
+        # of the leaf after each that keeps the prefix's parity and of the
+        # leaf that flips it
+        firsts, same, other = [], [], []
+        for p, x in enumerate(tail):
+            rest = tail[:p] + tail[p + 1 :]
+            for q, y in enumerate(rest):
+                u, v = rest[:q] + rest[q + 1 :]
+                leaves = (u * n + v, v * n + u)
+                firsts.append(x * n + y)
+                same.append(leaves[(p + q) & 1])
+                other.append(leaves[(p + q + 1) & 1])
+        return itemgetter(*firsts), itemgetter(*same), itemgetter(*other)
 
     def walk(left, prefix, odd):
-        # left: unused indices in increasing order; odd: parity of the prefix
-        if len(left) == 2:
-            # the two leaves (a, b) and (b, a): p + q is 0 and 1
-            a, b = left
-            ab, ba = grid[a][b], grid[b][a]
+        # left: tuple of the unused indices in increasing order; odd: parity
+        # of the prefix
+        if len(left) == 4:
+            # the last two levels as C-level products: each of the 24
+            # permutations of the tail takes its own product and addition
+            if left not in plans:
+                plans[left] = plan(left)
+            xy, same, other = plans[left]
+            firsts = xy(flat)
             if prefix is not None:
-                ab, ba = prefix * ab, prefix * ba
-            totals[odd] = totals[odd] + ab
-            totals[odd ^ 1] = totals[odd ^ 1] + ba
+                firsts = [prefix * e for e in firsts]
+            totals[odd] = totals[odd] + sum(map(mul, firsts, same(flat)))
+            totals[odd ^ 1] = totals[odd ^ 1] + sum(map(mul, firsts, other(flat)))
             return
         for p, x in enumerate(left):
             rest = left[:p] + left[p + 1 :]
@@ -221,7 +264,7 @@ def pfaffian_permutations(m: SkewMatrix):
                 term = row[y] if prefix is None else prefix * row[y]
                 walk(rest[:q] + rest[q + 1 :], term, odd ^ ((p + q) & 1))
 
-    walk(list(range(m.n)), None, 0)
+    walk(tuple(range(n)), None, 0)
     even, odd = totals
     return (even + -odd) * Fraction(1, norm)
 

@@ -134,15 +134,13 @@ def check_series_vanishing():
 
 def _pfaffian_engine_cases(rng, plan):
     """The three engines on plan[n] random n x n matrices for each n: the
-    matching and permutation sums agree, and below n = 8 the Pfaffian
-    squared is the determinant."""
+    matching and permutation sums agree, and the Pfaffian squared is the
+    determinant."""
     for n, count in plan.items():
         for _ in range(count):
             m = _random_skew(rng, n)
             pf = pfaffian_matchings(m)
-            yield pf == pfaffian_permutations(m) and (
-                n > 6 or pf * pf == det_fraction_free(m.rows())
-            )
+            yield pf == pfaffian_permutations(m) and pf * pf == det_fraction_free(m.rows())
 
 
 def check_pfaffian_engines():

@@ -308,7 +308,7 @@ def test_permutation_engine_theta_poly_entries():
         assert pf == pfaffian_matchings(m)
 
 
-@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
 def test_permutation_engine_adds_one_term_per_permutation(n):
     m = SkewMatrix.from_upper(n, Terms.letter)
     total = pfaffian_permutations(m)
@@ -324,6 +324,39 @@ def test_permutation_engine_adds_one_term_per_permutation(n):
             word.append((min(x, y), max(x, y)))
         expected[(coeff, tuple(word))] += 1
     assert Counter(total.terms) == expected
+
+
+class Products:
+    """Entry ring that logs the type of the right factor of each product, so
+    an engine's log lists its entry products and its scalar scales in order."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def __neg__(self):
+        return self
+
+    def __add__(self, other):
+        return self
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        self.log.append(type(other))
+        return Products(self.log)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_permutation_engine_takes_one_product_per_node(n):
+    # each ordered pair after the first takes one product with its prefix,
+    # at every node of the walk: sum over k = 2..n/2 of n!/(n - 2k)!, none
+    # shared between nodes or factored out of two leaves, and then the one
+    # normalization scale
+    log = []
+    pfaffian_permutations(SkewMatrix.from_upper(n, lambda i, j: Products(log)))
+    products = sum(factorial(n) // factorial(n - 2 * k) for k in range(2, n // 2 + 1))
+    assert products == (0, 24, 1080, 62160)[n // 2 - 1]
+    assert log == [Products] * products + [Fraction]
 
 
 def prime_denominator_skew(rng, n):
