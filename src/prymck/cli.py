@@ -48,8 +48,9 @@ _INT_RE = re.compile(r"[+-]?[0-9]+")
 _WORK_MAX = 10**6
 # series product steps per unit of work, a product of two series truncated
 # at degree B counting (B + 1)^2 coefficient products of ints of about h
-# bits, h = g - 1 (cap^3 at the oracle's cap = h): ch_k_class at g = 200,
-# lambda = (8, ..., 1) takes 87 * 199^3 of them in its Pfaffian in about
+# bits, h = g - 1 (cap^3 at the oracle's cap = h, fitted when the oracle
+# multiplied whole entries; see _oracle_work): ch_k_class at g = 200,
+# lambda = (8, ..., 1) took 87 * 199^3 of them in its Pfaffian in about
 # 9.5 s, about 7,200 to a unit, 28,000 at g = 80 on the twelve-part
 # staircase (1,055 products, 1.9 s) and 48,000 at g = 46 on the nine-part
 # one (317 products, 0.06 s); euler_theorem at g = 120 on the eight-part
@@ -170,7 +171,13 @@ def _oracle_work(problem) -> int:
     i-side prefactor row, and l(l-1)/2 second stages, one per entry, cap^3
     steps each, _KERNEL_STEPS_PER_UNIT to a unit. Plus, at one part, the
     cap + 1 boundary Fractions, cap^3 steps in all,
-    _BOUNDARY_STEPS_PER_UNIT to a unit."""
+    _BOUNDARY_STEPS_PER_UNIT to a unit.
+
+    ch_k_class runs on the excess degree B = cap - |lambda|: its products
+    take series of B + 1 terms and its kernel stages stop at row
+    lambda_2 + B. So these cap^3 prices hold for two or three parts, where
+    B is close to cap, and over-price more parts, until the work model is
+    fitted to counted steps (ROADMAP item 7)."""
     cap, ell = problem.dim_prym, problem.ell
     products = _pfaffian_products(ell + ell % 2) * cap**3
     stages = ell - 1 + comb(ell, 2) if ell > 1 else 0

@@ -34,27 +34,46 @@ base indices, the degree-d coefficient of the entry is
     sum of P_i[v_i] * I[b][a] * P_j[v_j] / (ii! * jj!)
     over ii = l_i + v_i + a, jj = l_j + v_j - b >= 0, ii + jj = d <= cap.
 
-The kernel takes this sum in two convolution stages, each O(cap^3) where
-the direct sum over (v_i, v_j, a, b) is O(cap^4):
+Every term has b <= a, so the entry vanishes below L = l_i + l_j, and the
+kernel returns only a window of it: degrees L..L + B for an excess B with
+L + B <= cap, shifted down to 0..B. prym_bn.ch_k_class asks for
+B = cap - |lambda|, the expected dimension rho: its matrix is D * A~ * D
+with D = diag(theta'^l_i) (l = 0 for the boundary index), and
+Pf(D A~ D) = det(D) * Pf(A~) = theta'^|lambda| * Pf(A~) for any matrix,
+so degrees 0..B of the shifted entries give every class coefficient.
+
+The kernel takes the window in two convolution stages, where the direct
+sum over (v_i, v_j, a, b) is O(cap^4):
 
     Q[x][b]   = sum over v_i + a = x of P_i[v_i] * I[b][a]
     E[ii][jj] = sum over b of Q[ii - l_i][b] * P_j[jj - l_j + b]
 
-and adds E[ii][jj] * cap! / (ii! * jj!) into degree ii + jj. The first
-stage depends only on the i-side prefactor, so it is cached per prefactor
-row and reused by every entry of that row, whatever its bases; an entry
-reads the rows x = 0..cap - l_i of it. Everything is scaled by
-S = 4^(cap+1) * cap!, so both stages run on plain ints: each prefactor
-comes as the ints 2^(cap+1) * P[v] (the T^v coefficient has a denominator
-dividing 2^(v+1)), the interaction coefficients are integers, and
-cap! / (ii! * jj!) is an integer whenever ii + jj <= cap. The entry is
-returned as those ints, S times its coefficients, and no Fraction is built
-here: prym_bn.ch_k_class runs the Pfaffian on the scaled entries and
+and adds E[ii][jj] * cap! / (ii! * jj!) into degree ii + jj - L. The
+window reads the rows x = 0..l_j + B of Q and, in each, the cells
+l_j - x <= jj <= l_j + B - x. The first stage depends only on the i-side
+prefactor and a row bound, so it is cached per prefactor row and reused
+by every entry of that row, whatever its bases; ch_k_class passes one row
+bound for all its entries, lambda_2 + B (lambda_2 when B < 0, at most
+cap), so parts with equal shifts share one table. Everything is scaled by S = 4^(cap+1) * cap!, so both
+stages run on plain ints: each prefactor comes as the ints
+2^(cap+1) * P[v] (the T^v coefficient has a denominator dividing
+2^(v+1)), the interaction coefficients are integers, and
+cap! / (ii! * jj!) is an integer whenever ii + jj <= cap. The window is
+returned as those ints, S times its coefficients, and no Fraction is
+built here: ch_k_class runs the Pfaffian on the scaled windows and
 divides S^(n/2) out once per degree of the product.
 
-A class with l nonzero parts has l(l-1)/2 entries over l - 1 distinct
-i-side rows, so its entries cost l - 1 first stages and l(l-1)/2 second
-stages, O(l^2 * cap^3) integer operations in all.
+The kernel also computes the cells below L inside the cap, those with
+jj < l_j - x, from the columns b > x of Q, and raises ArithmeticError if
+one is nonzero, which the interaction's zeros at b > a rule out.
+With B < 0 (an expected-empty problem) there is no window, and the
+kernel runs the guard alone and returns None.
+
+Costs, with R the row bound: the first stage O(R^3) per prefactor row,
+the second O(B * R^2) per entry, and the Pfaffian multiplies series of
+B + 1 coefficients, where full entries took O(cap^3) for each. A class
+with l nonzero parts has l(l-1)/2 entries over at most l - 1 distinct
+i-side rows.
 """
 
 from __future__ import annotations
@@ -129,62 +148,83 @@ def _pair_weights(cap: int):
 
 
 @lru_cache(maxsize=None)
-def _raised_prefactor(prefactors: tuple, cap: int) -> tuple:
+def _raised_prefactor(prefactors: tuple, rows: int) -> tuple:
     """Stage 1 of the entry kernel for one i-side prefactor row:
-    Q[x][b] = sum over v + a = x of P[v] * I[b][a], for x = 0..cap and
-    b = 0..x (I[b][a] vanishes for b > a).
+    Q[x][b] = sum over v + a = x of P[v] * I[b][a], for x, b = 0..rows.
 
     It depends on neither base index, so every entry of the row reads the
-    one cached table; it holds O(cap^2) ints, like interaction_expansion.
+    one cached table of (rows + 1)^2 ints. For b <= x the sum runs over
+    a = b..x, as I[b][a] = 0 for a < b; the columns b > x sum only such
+    cells, so they are 0, and only the kernel's guard reads them.
     """
-    table = interaction_expansion(cap)
-    # reversed, P[x - a] for a = 0..x is the slice rev[cap - x:]
-    rev = prefactors[::-1]
-    return tuple(
-        tuple(sum(map(mul, row[: x + 1], rev[cap - x :])) for row in table[: x + 1])
-        for x in range(cap + 1)
-    )
+    table = interaction_expansion(rows)
+    rev = prefactors[rows::-1]
+    out = []
+    for x in range(rows + 1):
+        pre = rev[rows - x :]  # P[x - a] for a = 0..x
+        low = [sum(map(mul, row[b : x + 1], pre[b:])) for b, row in enumerate(table[: x + 1])]
+        out.append(tuple(low + [sum(map(mul, row[: x + 1], pre)) for row in table[x + 1 :]]))
+    return tuple(out)
 
 
-def apply_pair_operator(base, prefactors_i, prefactors_j, cap: int) -> ThetaPoly:
+def apply_pair_operator(base, prefactors_i, prefactors_j, cap: int, excess: int, rows=None):
     """Act with the interaction and both prefactor series on d(base_i) d(base_j),
-    and return the entry times S = 4^(cap+1) * cap!, as ints.
+    and return degrees L..L + excess of the entry, L = base_i + base_j,
+    shifted down, times S = 4^(cap+1) * cap!, as a ThetaPoly of cap excess.
 
     base is the pair of starting indices, and prefactors_i and prefactors_j
     are the scaled ints prefactor_expansion(s, cap) of the two exponents.
     Each combination of prefactor shifts (v_i, v_j) and an interaction term
-    (a, b) of interaction_expansion(cap) contributes
+    (a, b) of interaction_expansion contributes
 
         pre_i[v_i] * pre_j[v_j] * I[b][a] * d(base_i + v_i + a) * d(base_j + v_j - b)
 
-    where shifted second indices below zero contribute exactly 0 and total
-    degrees above the cap are discarded.
+    where shifted second indices below zero contribute exactly 0. rows is
+    the first stage's row bound, between min(base_j + max(excess, 0), cap),
+    the default, and cap; ch_k_class passes one bound for all its entries,
+    so that the entries of one prefactor row share one table.
 
-    The sum is taken in two O(cap^3) convolution stages, first the i-side
-    prefactor into the interaction raise, cached per prefactor row, then
+    The sum is taken in two convolution stages, first the i-side prefactor
+    into the interaction raise, cached per prefactor row and row bound, then
     the result into the j-side lowering (see the module docstring). Every
-    coefficient is an int, S times the entry's: every term has b <= a, so
-    degrees below base_i + base_j are 0. Raises ValueError on negative
-    bases. A class of l parts costs O(l^2 * cap^3) this way.
+    term has b <= a, so the degrees below L vanish; the kernel computes
+    those inside the cap and raises ArithmeticError if one is not 0. With
+    excess < 0 there is no window: the guard runs alone and None is
+    returned. Raises ValueError on negative bases, on a window past the cap
+    and on a row bound outside the range above.
+
+    With R the row bound, the first stage costs O(R^3) once per prefactor
+    row and bound, the second O(excess * R^2) per entry, where a whole entry
+    took O(cap^3) in each. ch_k_class multiplies the windows in its
+    Pfaffian and puts theta'^|lambda| back, by Pf(D A~ D) = det(D) * Pf(A~)
+    (see the module docstring).
     """
     li, lj = base
     if li < 0 or lj < 0:
         raise ValueError(f"apply_pair_operator: negative base indices ({li}, {lj})")
-    q = _raised_prefactor(prefactors_i, cap)
+    if excess >= 0 and li + lj + excess > cap:
+        raise ValueError(f"apply_pair_operator: window {li + lj}..{li + lj + excess} passes the cap {cap}")
+    need = min(lj + max(excess, 0), cap)
+    rows = need if rows is None else rows
+    if not need <= rows <= cap:
+        raise ValueError(f"apply_pair_operator: row bound {rows} outside {need}..{cap}")
+    q = _raised_prefactor(prefactors_i, rows)
     weights = _pair_weights(cap)
 
-    # stage 2: E[ii][jj] = sum_b q[ii - li][b] * P_j[jj - lj + b], weighted into
-    # ii + jj; ii = li + x <= cap, so x runs to cap - li, none when li > cap.
-    # padded[jj + b] is P_j[jj - lj + b], 0 below lj, and b runs over all of
-    # q[x], as jj - lj + b <= cap - li - lj <= cap
+    # stage 2: E[ii][jj] = sum_b q[x][b] * P_j[jj - lj + b] with ii = li + x.
+    # Below the base (jj < lj - x) every term has b > x: the guard. In the
+    # window, b runs to x, and padded[jj + b] is P_j[jj - lj + b], 0 below lj
     padded = (0,) * lj + prefactors_j
-    acc = [0] * (cap + 1)
-    for x in range(cap - li + 1):
+    window = [0] * (excess + 1)
+    for x in range(min(lj + max(excess, -1), cap - li) + 1):
         qx = q[x]
         ii = li + x
-        row = weights[ii]
-        for jj in range(cap - ii + 1):
-            e = sum(map(mul, qx, padded[jj : jj + x + 1]))
+        for jj in range(min(lj - x, cap - ii + 1)):
+            if sum(map(mul, qx[lj - jj :], prefactors_j)):
+                raise ArithmeticError(f"apply_pair_operator: degree {ii + jj} below {li + lj} is nonzero")
+        row, head = weights[ii], qx[: x + 1]
+        for jj in range(max(lj - x, 0), lj + excess - x + 1):
+            e = sum(map(mul, head, padded[jj : jj + x + 1]))
             if e:
-                acc[ii + jj] += e * row[jj]
-    return ThetaPoly(cap, acc)
+                window[x + jj - lj] += e * row[jj]
+    return ThetaPoly(excess, window) if excess >= 0 else None

@@ -262,17 +262,18 @@ def chow_class_pfaffian(lam) -> Fraction:
     return Fraction(pfaffian_matchings(m), scale ** (m.n // 2))
 
 
-def _boundary_entry(lj: int, prefactors, cap: int) -> ThetaPoly:
-    """S = 4^(cap+1) * cap! times the boundary entry, the sum over v of the
-    prefactor's c_v * theta'^(lj+v) / (lj+v)!, from prefactor_expansion's
-    ints 2^(cap+1) * c_v: the ints 2^(cap+1) * c_v * 2^(cap+1) * cap! / d!
-    at each degree d = lj..cap, 0 below lj (all 0 when lj > cap)."""
-    coeffs = [0] * (cap + 1)
-    weight = 2 ** (cap + 1)  # 2^(cap+1) * cap! / d!, from d = cap down
-    for d in range(cap, lj - 1, -1):
-        coeffs[d] = prefactors[d - lj] * weight
-        weight *= d
-    return ThetaPoly(cap, coeffs)
+def _boundary_entry(lj: int, prefactors, cap: int, excess: int) -> ThetaPoly:
+    """S = 4^(cap+1) * cap! times degrees lj..lj + excess of the boundary
+    entry, the sum over v of the prefactor's c_v * theta'^(lj+v) / (lj+v)!,
+    shifted down: from prefactor_expansion's ints 2^(cap+1) * c_v, the ints
+    2^(cap+1) * c_t * 2^(cap+1) * cap! / (lj + t)! at t = 0..excess, for
+    lj + excess <= cap."""
+    coeffs = [0] * (excess + 1)
+    weight = 2 ** (cap + 1) * factorial(cap) // factorial(lj + excess)  # from t = excess down
+    for t in range(excess, -1, -1):
+        coeffs[t] = prefactors[t] * weight
+        weight *= lj + t
+    return ThetaPoly(excess, coeffs)
 
 
 def _one_part_class(lj: int, prefactors, cap: int) -> ThetaPoly:
@@ -299,14 +300,21 @@ def ch_k_class(problem: PrymProblem) -> ThetaPoly:
     (degree |lambda|) equals chow_class_closed(lam); problems with
     |lambda| > g - 1 give 0.
 
-    From two parts on, the entries come from apply_pair_operator and
-    _boundary_entry as ints, S = 4^(cap+1) * cap! times their coefficients,
-    and the Pfaffian of the n x n matrix runs on them; every term is a
-    product of n/2 entries, so S^(n/2) is divided out once per degree, at
-    degrees |lambda|..cap, each a Fraction. The degrees below, and every
-    degree when |lambda| > cap, are int 0; the Pfaffian is still computed
-    there, and a nonzero int below |lambda| raises ArithmeticError. One part
-    is the boundary entry alone (_one_part_class).
+    From two parts on it runs on the excess degree B = cap - |lambda|.
+    Entry (i, j) vanishes below lambda_i + lambda_j and the boundary entry
+    below lambda_j, so the matrix is D * A~ * D with D = diag(theta'^lambda_i),
+    lambda = 0 for the boundary index, and Pf(D A~ D) = det(D) * Pf(A~) =
+    theta'^|lambda| * Pf(A~), an identity for any matrix. Degrees 0..B of
+    A~ give every coefficient: apply_pair_operator and _boundary_entry
+    return them as ints, S = 4^(cap+1) * cap! times the coefficients,
+    series of B + 1 terms, and pfaffian_matchings multiplies those. Every
+    term of the Pfaffian of the n x n matrix is a product of n/2 entries,
+    so S^(n/2) is divided out once per degree: degrees |lambda|..cap are
+    Fractions and the degrees below int 0. The kernel raises
+    ArithmeticError if an entry is nonzero below its base degree. With
+    B < 0 every entry still goes through the kernel and its guard, and the
+    class is the zero series of int 0s, as theta'^|lambda| lies above the
+    cap. One part is the boundary entry alone (_one_part_class).
     """
     cap = problem.g - 1
     ell = problem.ell
@@ -316,19 +324,19 @@ def ch_k_class(problem: PrymProblem) -> ThetaPoly:
     pre = [prefactor_expansion(s[i], cap) for i in range(ell)]
     if ell == 1:
         return _one_part_class(lam[0], pre[0], cap)
+    excess = cap - problem.codim
+    rows = min(lam[1] + max(excess, 0), cap)  # one stage-1 bound: lambda_j <= lambda_2
 
     def entry(i, j):
-        return apply_pair_operator((lam[i], lam[j]), pre[i], pre[j], cap)
+        return apply_pair_operator((lam[i], lam[j]), pre[i], pre[j], cap, excess, rows)
 
     m = SkewMatrix.from_upper(ell, entry)
+    if excess < 0:
+        return ThetaPoly.zero(cap)
     if ell % 2:
-        m = augment_odd(m, [_boundary_entry(lam[j], pre[j], cap) for j in range(ell)])
-    scaled = pfaffian_matchings(m).coeffs
-    low = min(problem.codim, cap + 1)
-    if any(scaled[:low]):
-        raise ArithmeticError(f"ch_k_class: a degree below |lambda| = {problem.codim} is nonzero")
+        m = augment_odd(m, [_boundary_entry(lam[j], pre[j], cap, excess) for j in range(ell)])
     den = (4 ** (cap + 1) * factorial(cap)) ** (m.n // 2)
-    return ThetaPoly(cap, [0] * low + [Fraction(c, den) for c in scaled[low:]])
+    return ThetaPoly(cap, [0] * problem.codim + [Fraction(c, den) for c in pfaffian_matchings(m).coeffs])
 
 
 def ck_class(problem: PrymProblem, beta_mode) -> ThetaPoly:
@@ -342,6 +350,13 @@ def ck_class(problem: PrymProblem, beta_mode) -> ThetaPoly:
     coefficient, a degree no entry term reaches or the 1 of the empty
     partition, stays as it is; JSON output tells BetaPoly() ({}) and 0 ("0")
     apart.
+
+    So the zeros below the base degree print by their type, and the bytes
+    are kept as they are. One part is _one_part_class, which builds
+    Fraction 0s below lambda_1: class -g 5 -a 2 --beta symbolic --output
+    json prints {} at degrees 0 and 1. From two parts on, ch_k_class puts
+    int 0s below |lambda|, under the Pfaffian of the excess windows, and
+    -a 1,2 prints "0" at degrees 0..2.
     """
     if beta_mode not in (0, -1, SYMBOLIC):
         raise ValueError(f"beta_mode must be one of (0, -1, {SYMBOLIC!r}), got {beta_mode!r}")

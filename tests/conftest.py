@@ -1,10 +1,33 @@
 """Hypothesis profiles: HYPOTHESIS_PROFILE=ci loads "ci", which derandomizes
 the property tests, so every run and every Python draws the same cases and
-a failure replays; without the variable the default profile applies."""
+a failure replays; without the variable the default profile applies.
+
+broken_interaction corrupts the oracle's interaction series for a test."""
 
 import os
 
+import pytest
 from hypothesis import settings
+
+from prymck import operator_engine
 
 settings.register_profile("ci", derandomize=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+@pytest.fixture
+def broken_interaction(monkeypatch):
+    """interaction_expansion with the cell of raise 0 and lowering 1 set to
+    1, where the true series has 0, as b > a; the kernel's stage-1 tables
+    are dropped before and after, so none built on it outlives the test."""
+    true = operator_engine.interaction_expansion
+
+    def broken(rows):
+        table = [list(row) for row in true(rows)]
+        table[1][0] = 1
+        return tuple(map(tuple, table))
+
+    operator_engine._raised_prefactor.cache_clear()
+    monkeypatch.setattr(operator_engine, "interaction_expansion", broken)
+    yield
+    operator_engine._raised_prefactor.cache_clear()

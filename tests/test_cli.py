@@ -216,6 +216,20 @@ def test_large_class_output_is_frozen(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_large_regime_outputs_are_frozen(capsys):
+    # the twelve-part staircase, recorded while every entry was built and
+    # multiplied to degree g - 1: the sha256 of the class stdout at g = 100
+    # (B = 21) and the chi that both routes print at g = 80 (B = 1)
+    code, out, err = run_cli(capsys, *f"class -g 100 -r 11 -a {staircase(12)} --beta -1".split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a711cec0eb9ed80c6eea857756aef9cc1db7b0ca7b30abc8573f43ff6e767b5f"
+    )
+    code, out, err = run_cli(capsys, *f"chi -g 80 -r 11 -a {staircase(12)} --verify".split())
+    assert (code, err) == (0, "")
+    assert out == "-4303725722915322389361158547827850525694236916898070528000\n"
+
+
 def test_table_json_parses(capsys):
     code, out, _ = run_cli(
         capsys, "table", "--g-min", "2", "--g-max", "3", "--output", "json"

@@ -50,28 +50,26 @@ def general_interaction(cap, beta):
     return terms
 
 
-def entry_fractions(entry, low):
-    """apply_pair_operator's ints, S = 4^(cap+1) * cap! times the entry, as
-    the entry itself: a Fraction at each degree low..cap, int 0 below."""
-    cap = entry.cap
+def window_fractions(window, cap):
+    """apply_pair_operator's ints, S = 4^(cap+1) * cap! times the window, as
+    the window itself: a Fraction at each of its degrees."""
     scale = 4 ** (cap + 1) * factorial(cap)
-    return ThetaPoly(cap, [0] * min(low, cap + 1) + [Fraction(c, scale) for c in entry.coeffs[low:]])
+    return [Fraction(c, scale) for c in window.coeffs]
 
 
-def lift_entry(entry, low, mode):
-    """A beta = -1 entry with base degree low at another mode, by homogeneity:
-    degree d gains (-beta)^(d - low), so beta = 0 keeps degree low alone."""
+def lift_window(window, mode):
+    """A beta = -1 window, degrees base..base + B shifted down, at another
+    mode by homogeneity: degree t of the window gains (-beta)^t, so beta = 0
+    keeps degree 0 alone."""
     if mode == -1:
-        return entry
+        return window
     if mode == 0:
-        return ThetaPoly.monomial(entry.cap, low, entry.coeff(low))
+        return window[:1] + [0] * (len(window) - 1)
 
-    def lift(d, c):
-        if isinstance(c, int):
-            return c
-        return BetaPoly({d - low: -c if (d - low) % 2 else c}) if c else BetaPoly()
+    def lift(t, c):
+        return BetaPoly({t: -c if t % 2 else c}) if c else BetaPoly()
 
-    return ThetaPoly(entry.cap, [lift(d, c) for d, c in enumerate(entry.coeffs)])
+    return [lift(t, c) for t, c in enumerate(window)]
 
 
 def reference_apply(terms, base, prefactors_i, prefactors_j, cap):
@@ -166,20 +164,45 @@ def test_interaction_reconstructs_numerator():
 
 def test_apply_full_entry_coefficient():
     # base (2, 1) at beta = -1: the degree-3 coefficient of the full entry
-    # is (1/2)^2 * (1/2 - 1/3) = 1/24, frozen from the hand expansion
+    # is (1/2)^2 * (1/2 - 1/3) = 1/24, frozen from the hand expansion; it is
+    # degree 0 of every window
     cap = 4
     pre = prefactor_expansion(0, cap)
-    entry = entry_fractions(apply_pair_operator((2, 1), pre, pre, cap), 3)
-    assert entry.coeff(3) == Fraction(1, 24)
+    for excess in (0, 1):
+        window = apply_pair_operator((2, 1), pre, pre, cap, excess)
+        assert window.cap == excess
+        assert window_fractions(window, cap)[0] == Fraction(1, 24)
 
 
-def test_apply_cap_below_base_degree_gives_zero():
-    # bases past cap + 1 on either side included: no row of the cached
-    # first stage is read, and every coefficient is int 0
+def test_apply_cap_below_base_degree_runs_the_guard_alone():
+    # bases past cap + 1 on either side included: with a negative excess
+    # there is no window, the guard walks the cells below the base inside
+    # the cap, and None is returned
     pre = prefactor_expansion(0, 2)
     for base in ((2, 1), (5, 1), (1, 5), (6, 6)):
-        entry = apply_pair_operator(base, pre, pre, 2)
-        assert entry.coeffs == (0, 0, 0) and all(type(c) is int for c in entry.coeffs), base
+        assert apply_pair_operator(base, pre, pre, 2, 2 - sum(base) - 1) is None, base
+        assert apply_pair_operator(base, pre, pre, 2, -7) is None, base
+
+
+def test_apply_rejects_windows_past_the_cap_and_short_row_bounds():
+    pre = prefactor_expansion(0, 4)
+    with pytest.raises(ValueError):
+        apply_pair_operator((2, 1), pre, pre, 4, 2)
+    with pytest.raises(ValueError):
+        apply_pair_operator((-1, 1), pre, pre, 4, 0)
+    for rows in (1, 5):  # the window needs rows 0..base_j + excess = 2
+        with pytest.raises(ValueError):
+            apply_pair_operator((2, 1), pre, pre, 4, 1, rows)
+    assert apply_pair_operator((2, 1), pre, pre, 4, 1, 4) == apply_pair_operator((2, 1), pre, pre, 4, 1)
+
+
+def test_apply_guard_raises_on_a_nonzero_below_the_base(broken_interaction):
+    # an interaction cell with b > a reaches the cells below the base, which
+    # the kernel computes and refuses, in a window and without one
+    pre = prefactor_expansion(0, 6)
+    for base, excess in (((2, 1), 0), ((2, 1), 3), ((4, 3), -2)):
+        with pytest.raises(ArithmeticError):
+            apply_pair_operator(base, pre, pre, 6, excess)
 
 
 def test_symbolic_entry_specializes_to_direct():
@@ -188,8 +211,9 @@ def test_symbolic_entry_specializes_to_direct():
     cap = 5
     pre_i, pre_j = prefactor_expansion(0, cap), prefactor_expansion(-1, cap)
     for li, lj in ((1, 0), (2, 1), (3, 2)):
-        entry = entry_fractions(apply_pair_operator((li, lj), pre_i, pre_j, cap), li + lj)
-        sym = lift_entry(entry, li + lj, SYMBOLIC)
+        low = li + lj
+        window = apply_pair_operator((li, lj), pre_i, pre_j, cap, cap - low)
+        sym = lift_window(window_fractions(window, cap), SYMBOLIC)
         for beta in (Fraction(0), Fraction(-1), Fraction(1, 2), Fraction(3)):
             direct = reference_apply(
                 general_interaction(cap, beta),
@@ -198,7 +222,8 @@ def test_symbolic_entry_specializes_to_direct():
                 general_prefactor(-1, cap, beta),
                 cap,
             )
-            assert ThetaPoly(cap, [at_beta(c, beta) for c in sym.coeffs]) == direct, (li, lj, beta)
+            assert not any(direct.coeffs[:low])
+            assert [at_beta(c, beta) for c in sym] == list(direct.coeffs[low:]), (li, lj, beta)
 
 
 def test_interaction_table_equals_binomial_closed_form():
@@ -222,29 +247,36 @@ def test_expansions_are_cached():
 @pytest.mark.parametrize("cap", range(16))
 @pytest.mark.parametrize("mode", MODES)
 def test_kernel_matches_reference(mode, cap):
-    # every base pair up to cap + 1 on each side, so entries with nothing
-    # in range are covered; the prefactor shifts run through -8..3. The
-    # kernel runs at beta = -1; at beta = 0 and symbolic beta its entry is
-    # read off by homogeneity and checked against the direct sum over the
-    # general-beta expansions, types of the coefficients included. At lj = 0
-    # every lowering b >= 1 drops the second index below zero
+    # every base pair up to cap + 1 on each side, and every excess B from 0
+    # to cap - li - lj; the prefactor shifts run through -8..3. The kernel
+    # runs at beta = -1 and returns degrees li + lj..li + lj + B; at beta = 0
+    # and symbolic beta the window is read off by homogeneity. It must be
+    # the matching slice of the direct sum over the general-beta
+    # expansions, types of the coefficients included, and the direct sum
+    # must vanish below li + lj. At lj = 0 every lowering b >= 1 drops the
+    # second index below zero
     ref_op = general_interaction(cap, mode)
     for li in range(cap + 2):
         for lj in range(cap + 2):
             si = -8 + (li + 3 * lj + cap) % 12
             sj = -8 + (5 * li + lj + 7) % 12
-            got = apply_pair_operator((li, lj), prefactor_expansion(si, cap), prefactor_expansion(sj, cap), cap)
-            # the kernel's own output: ints, S times the entry, 0 below li + lj
-            assert all(type(c) is int for c in got.coeffs) and not any(got.coeffs[: li + lj])
-            got = lift_entry(entry_fractions(got, li + lj), li + lj, mode)
-            want = reference_apply(
-                ref_op, (li, lj), general_prefactor(si, cap, mode), general_prefactor(sj, cap, mode), cap
-            )
-            assert got == want, (li, lj, si, sj)
-            # a reached degree whose terms cancel is a Fraction or BetaPoly,
-            # an unreached one int 0; JSON tells BetaPoly() apart from 0
-            assert got.to_json_dict() == want.to_json_dict(), (li, lj, si, sj)
-            assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+            pre_i, pre_j = prefactor_expansion(si, cap), prefactor_expansion(sj, cap)
+            want = reference_apply(ref_op, (li, lj), general_prefactor(si, cap, mode), general_prefactor(sj, cap, mode), cap)
+            low = li + lj
+            assert not any(want.coeffs[:low]), (li, lj)
+            for excess in range(cap - low + 1):
+                window = apply_pair_operator((li, lj), pre_i, pre_j, cap, excess)
+                # the kernel's own output: ints, S times the entry
+                assert window.cap == excess and all(type(c) is int for c in window.coeffs)
+                got = lift_window(window_fractions(window, cap), mode)
+                part = want.coeffs[low : low + excess + 1]
+                assert got == list(part), (li, lj, si, sj, excess)
+                # a reached degree whose terms cancel is a Fraction or BetaPoly,
+                # an unreached one int 0; JSON tells BetaPoly() apart from 0
+                assert ThetaPoly(excess, got).to_json_dict() == ThetaPoly(excess, part).to_json_dict()
+                assert [type(c) for c in got] == [type(c) for c in part]
+            if low > cap:
+                assert apply_pair_operator((li, lj), pre_i, pre_j, cap, cap - low) is None
 
 
 def test_expansions_match_sympy_series():

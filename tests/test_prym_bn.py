@@ -177,10 +177,11 @@ def test_ch_k_class_empty_problem_is_zero():
 
 def fraction_first_class(p):
     """ch_k_class restated with every entry divided to Fractions before the
-    Pfaffian: apply_pair_operator's ints over S = 4^(cap+1) * cap! at
-    degrees lambda_i + lambda_j..cap (int 0 below), and the boundary row
-    from abel_coefficient, c_v / (lambda_j + v)! (Fraction 0 below
-    lambda_j, all int 0 past the cap)."""
+    Pfaffian, on whole entries rather than excess windows: the widest window
+    of apply_pair_operator, degrees lambda_i + lambda_j..cap, over
+    S = 4^(cap+1) * cap! (int 0 below, all int 0 past the cap), and the
+    boundary row from abel_coefficient, c_v / (lambda_j + v)! (Fraction 0
+    below lambda_j, all int 0 past the cap)."""
     cap, lam, s, ell = p.g - 1, p.lam, p.s, p.ell
     if not ell:
         return ThetaPoly.one(cap)
@@ -188,9 +189,11 @@ def fraction_first_class(p):
 
     def entry(i, j):
         low = lam[i] + lam[j]
+        if low > cap:
+            return ThetaPoly.zero(cap)
         pre_i, pre_j = prefactor_expansion(s[i], cap), prefactor_expansion(s[j], cap)
-        raw = apply_pair_operator((lam[i], lam[j]), pre_i, pre_j, cap)
-        return ThetaPoly(cap, [0] * min(low, cap + 1) + [Fraction(c, scale) for c in raw.coeffs[low:]])
+        raw = apply_pair_operator((lam[i], lam[j]), pre_i, pre_j, cap, cap - low)
+        return ThetaPoly(cap, [0] * low + [Fraction(c, scale) for c in raw.coeffs])
 
     def boundary(j):
         lj = lam[j]
@@ -217,16 +220,33 @@ def test_ch_k_class_matches_fraction_first_pfaffian(g):
         assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs], lam
 
 
-def test_ch_k_class_rejects_nonzero_low_degree(monkeypatch):
-    # a scaled entry with a term below its base degree leaves a nonzero int
-    # below |lambda| in the Pfaffian, which is raised, not dropped
-    def shifted(base, pre_i, pre_j, cap):
-        return apply_pair_operator(base, pre_i, pre_j, cap) + ThetaPoly.monomial(cap, 0, 1)
-
-    monkeypatch.setattr(prym_bn, "apply_pair_operator", shifted)
-    for lam in ((2, 1), (3, 2, 1)):
+def test_ch_k_class_rejects_nonzero_low_degree(broken_interaction):
+    # the cell puts a nonzero below the base degree of an entry, which the
+    # kernel computes and raises, not drops: with an excess window (B = 4
+    # and 1) and on an expected-empty problem (B = -1), whose entries still
+    # go through the kernel
+    for g, lam in ((8, (2, 1)), (8, (3, 2, 1)), (6, (3, 2, 1))):
         with pytest.raises(ArithmeticError):
-            ch_k_class(problem_from_partition(8, lam))
+            ch_k_class(problem_from_partition(g, lam))
+
+
+def test_expected_empty_class_still_calls_the_kernel(monkeypatch):
+    # |lambda| > g - 1: the class is 0, and each of the l(l-1)/2 entries
+    # is still built, so the guard walks its cells below the base
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return apply_pair_operator(*args)
+
+    monkeypatch.setattr(prym_bn, "apply_pair_operator", counted)
+    for g, lam in ((5, (3, 2, 1)), (6, (4, 3, 2, 1)), (4, (5, 2)), (7, (6, 5, 4, 3, 2))):
+        calls.clear()
+        p = problem_from_partition(g, lam)
+        assert p.expected_empty
+        ch = ch_k_class(p)
+        assert ch == ThetaPoly.zero(g - 1) and all(type(c) is int for c in ch.coeffs)
+        assert len(calls) == len(lam) * (len(lam) - 1) // 2, lam
 
 
 def test_ck_class_beta_zero_is_single_monomial():
