@@ -5,19 +5,17 @@ theta class), truncated above a fixed degree cap. The ambient variety has
 dimension equal to the cap, so every discarded degree integrates to zero
 and the truncation is lossless for all exported results.
 
-Coefficients are Fractions, ints (the integer-scaled Pfaffian entries of
-prym_bn.ch_k_class), or BetaPoly values when the connective deformation
-parameter is kept symbolic. Symbolic classes are read off the
+Coefficients are ints (the integer-scaled Pfaffian entries of
+prym_bn.ch_k_class), Fractions, or BetaPoly values when the connective
+deformation parameter is kept symbolic. Symbolic classes are read off the
 beta = -1 class (see prym_bn.ck_class), so BetaPoly only holds the one
 monomial each coefficient needs; it is never truncated.
 
-A product with a Fraction among int and Fraction coefficients runs on
-ints: each operand is put over the lcm of its denominators, the int rows
-are convolved, and each slot is built once, as one Fraction (or an int
-where only int x int pairs reach it), rather than by a Fraction product
-and sum, each with its gcd, per pair of coefficients. Every slot has the
-value and type of the schoolbook loop, which products of all-int series
-(ch_k_class's entries) and of BetaPoly coefficients still run.
+Every product runs one schoolbook loop over the nonzero coefficient
+pairs, whatever the coefficient ring. The routes only multiply series of
+ints (ch_k_class's entry windows, scaled by S = 4^(cap+1) * cap!); a
+Fraction or BetaPoly product takes the same loop, with a Fraction or
+BetaPoly sum per pair.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from math import lcm
 from numbers import Rational
 
 from .exact_arith import format_rational, parse_rational
@@ -154,59 +151,6 @@ class BetaPoly:
         return cls({int(e): parse_rational(c) for e, c in obj.items()})
 
 
-_RATIONAL_KINDS = {int, Fraction}
-
-
-def _convolve(p, q) -> list:
-    """p * q truncated at the common length of the two int rows. The
-    theorem route keeps its own copy, prym_bn._times, as it shares no
-    series code with the oracle."""
-    rev = q[::-1]
-    top = len(p) - 1
-    return [sum(map(operator.mul, p[: t + 1], rev[top - t :])) for t in range(top + 1)]
-
-
-def _over_lcm(coeffs):
-    """(ints, D): the int and Fraction coefficients times D, the lcm of
-    their denominators."""
-    # pairwise, as lcm(*...) leaves argument tuples of every length on the
-    # interpreter's free lists, which raised selfcheck's peak RSS
-    den = 1
-    for c in coeffs:
-        den = lcm(den, c.denominator)
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
-def _rational_product(a, b) -> list:
-    """The schoolbook product of two int/Fraction rows of one length, each
-    with a nonzero coefficient, on ints.
-
-    Only the window from each row's lowest nonzero slot is convolved: the
-    slots below the two lowest degrees' sum are int 0, as no nonzero pair
-    reaches them. A slot's kind comes from a second convolution of small
-    weights: 0 for a zero coefficient, 1 for a nonzero int and
-    K = len + 1 for a nonzero Fraction. A slot of degree t is reached by at
-    most t + 1 < K pairs, so its weight is 0 when no nonzero pair reaches
-    it and at least K when a Fraction factor does; the int x int slots in
-    between hold Da * Db times an int sum.
-    """
-    size = len(a)
-    lo_a = next(d for d, c in enumerate(a) if c)
-    lo_b = next(d for d, c in enumerate(b) if c)
-    width = size - lo_a - lo_b
-    if width <= 0:
-        return [0] * size
-    a, b = a[lo_a : lo_a + width], b[lo_b : lo_b + width]
-    big = size + 1
-    wa, wb = ([(big if type(c) is Fraction else 1) if c else 0 for c in row] for row in (a, b))
-    (na, da), (nb, db) = _over_lcm(a), _over_lcm(b)
-    den = da * db
-    slots = zip(_convolve(na, nb), _convolve(wa, wb))
-    return [0] * (size - width) + [
-        0 if not w else Fraction(n, den) if w >= big else n // den for n, w in slots
-    ]
-
-
 class ThetaPoly:
     """Dense truncated polynomial; slot d of coeffs is the degree-d coefficient.
 
@@ -283,21 +227,10 @@ class ThetaPoly:
         The product is the schoolbook sum over nonzero coefficient pairs: a
         slot no nonzero pair reaches is int 0 (every slot, when an operand
         is zero), one reached by int x int pairs alone is an int, and any
-        other is the exact sum in the coefficients' ring. When every
-        coefficient of both operands is an int or a Fraction, and some is a
-        Fraction, the same slots are built on ints: each operand is put
-        over the lcm Da or Db of its denominators, the two int rows are
-        convolved, and each slot becomes one Fraction(num, Da * Db), an int
-        where int x int pairs alone reach it. All-int and BetaPoly
-        coefficients keep the loop, after an O(cap) type scan.
+        other is the exact sum in the coefficients' ring.
         """
         if isinstance(other, ThetaPoly):
             self._require_same_cap(other)
-            if not (any(self._coeffs) and any(other._coeffs)):
-                return ThetaPoly(self._cap)  # no nonzero pair: every slot int 0
-            kinds = {*map(type, self._coeffs), *map(type, other._coeffs)}
-            if Fraction in kinds and kinds <= _RATIONAL_KINDS:
-                return ThetaPoly(self._cap, _rational_product(self._coeffs, other._coeffs))
             out = [0] * (self._cap + 1)
             for d1, c1 in enumerate(self._coeffs):
                 if not c1:

@@ -2,7 +2,8 @@
 the property tests, so every run and every Python draws the same cases and
 a failure replays; without the variable the default profile applies.
 
-broken_interaction corrupts the oracle's interaction series for a test."""
+broken_interaction corrupts the oracle's interaction series for a test, and
+theta_products records the ThetaPoly products it takes."""
 
 import os
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import settings
 
 from prymck import operator_engine
+from prymck.series_ring import ThetaPoly
 
 settings.register_profile("ci", derandomize=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
@@ -31,3 +33,19 @@ def broken_interaction(monkeypatch):
     monkeypatch.setattr(operator_engine, "interaction_expansion", broken)
     yield
     operator_engine._raised_prefactor.cache_clear()
+
+
+@pytest.fixture
+def theta_products(monkeypatch):
+    """The list of (left, right) operands of every ThetaPoly x ThetaPoly
+    product the test takes, through a wrapper on ThetaPoly.__mul__."""
+    products = []
+    true = ThetaPoly.__mul__
+
+    def recorded(self, other):
+        if isinstance(other, ThetaPoly):
+            products.append((self, other))
+        return true(self, other)
+
+    monkeypatch.setattr(ThetaPoly, "__mul__", recorded)
+    return products

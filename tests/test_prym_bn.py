@@ -7,7 +7,7 @@ from itertools import permutations
 import pytest
 from test_pfaffian import Terms
 
-from prymck import prym_bn
+from prymck import prym_bn, selfcheck
 from prymck.exact_arith import abel_coefficient, abel_row, factorial
 from prymck.operator_engine import apply_pair_operator, prefactor_expansion
 from prymck.pfaffian import SkewMatrix, augment_odd, perm_sign, pfaffian_matchings
@@ -247,6 +247,18 @@ def test_expected_empty_class_still_calls_the_kernel(monkeypatch):
         ch = ch_k_class(p)
         assert ch == ThetaPoly.zero(g - 1) and all(type(c) is int for c in ch.coeffs)
         assert len(calls) == len(lam) * (len(lam) - 1) // 2, lam
+
+
+def test_routes_multiply_int_series_only(theta_products):
+    # the one product loop of ThetaPoly is only ever run on int series: the
+    # oracle's entry windows are scaled to ints before the Pfaffian
+    for p in selfcheck._suite_problems(7):
+        ch_k_class(p)
+        for beta_mode in (-1, 0, "symbolic"):
+            ck_class(p, beta_mode)
+        euler_oracle(p)
+    assert theta_products
+    assert all(type(c) is int for pair in theta_products for x in pair for c in x.coeffs)
 
 
 def test_ck_class_beta_zero_is_single_monomial():

@@ -10,6 +10,7 @@ import random
 import pytest
 
 from prymck import selfcheck
+from prymck.series_ring import ThetaPoly
 
 # case counts, as `prymck selfcheck` prints them
 CASES = {
@@ -39,6 +40,32 @@ def test_every_check_has_pinned_counts():
 @pytest.mark.parametrize("name, fn", selfcheck.CHECKS, ids=[f"{name}-full" for name, _ in selfcheck.CHECKS])
 def test_registry_check(name, fn):
     assert fn() == (True, CASES[name])
+
+
+_SERIES_CHECKS = {
+    "series-ring-laws": selfcheck.check_series_laws,
+    "series-vanishing": selfcheck.check_series_vanishing,
+}
+
+
+@pytest.mark.parametrize("name", list(_SERIES_CHECKS))
+def test_series_checks_multiply_int_rows(monkeypatch, theta_products, name):
+    # both checks multiply int series, as the routes do, and still catch a
+    # product that is wrong in its top slot
+    check = _SERIES_CHECKS[name]
+    assert selfcheck._tally(check()) == (True, CASES[name])
+    assert theta_products
+    assert all(type(c) is int for pair in theta_products for x in pair for c in x.coeffs)
+    true = ThetaPoly.__mul__
+
+    def corrupted(self, other):
+        out = true(self, other)
+        if isinstance(other, ThetaPoly):
+            out = ThetaPoly(out.cap, out.coeffs[:-1] + (out.coeffs[-1] + 1,))
+        return out
+
+    monkeypatch.setattr(ThetaPoly, "__mul__", corrupted)
+    assert selfcheck._tally(check()) == (False, 0)
 
 
 def test_pfaffian_engines_200_matrices():

