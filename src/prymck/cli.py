@@ -84,10 +84,12 @@ _WALK_STEPS_PER_UNIT = 25 * 10**4
 # in about 1.4 s, about 4 * 10^6 to a unit
 _SCALED_STEPS_PER_UNIT = 2 * 10**6
 # entry kernel steps per unit of work, a first or second stage counting
-# cap^3: ch_k_class at g = 601, lambda = (2, 1) takes its two stages,
-# 2 * 600^3 steps, in about 56 s, about 770 to a unit; a step slows as the
-# ints grow with the cap (1,900 to a unit at cap 150, 650 at 700), and two
-# parts reach the bound at cap 630
+# cap^3: ch_k_class at g = 601, lambda = (2, 1) took its two stages,
+# 2 * 600^3 steps, in about 56 s, about 770 to a unit, when the first stage
+# was a cap^3 convolution; a step slows as the ints grow with the cap
+# (1,900 to a unit at cap 150, 650 at 700), and two parts reach the bound at
+# cap 630. The first stage is now O(cap^2) additions per entry, but
+# _oracle_work still prices l - 1 of them at cap^3 (ROADMAP item 7)
 _KERNEL_STEPS_PER_UNIT = 500
 # steps of the one-part class per unit of work, cap^3 in all for its cap + 1
 # boundary Fractions: ch_k_class at g = 12001, lambda = (20) takes 12000^3
@@ -167,16 +169,17 @@ def _oracle_work(problem) -> int:
     1,055 at n = 12), each of two truncated int series, cap^3 steps a
     product (cap^2 coefficient products of ints of about cap bits),
     _PRODUCT_STEPS_PER_UNIT to a unit; none when n = 2, where the Pfaffian
-    is its one entry. Plus the entry kernel: l - 1 first stages, one per
-    i-side prefactor row, and l(l-1)/2 second stages, one per entry, cap^3
-    steps each, _KERNEL_STEPS_PER_UNIT to a unit. Plus, at one part, the
-    cap + 1 boundary Fractions, cap^3 steps in all,
-    _BOUNDARY_STEPS_PER_UNIT to a unit.
+    is its one entry. Plus the entry kernel: l - 1 first stages and
+    l(l-1)/2 second stages, cap^3 steps each, _KERNEL_STEPS_PER_UNIT to a
+    unit. Plus, at one part, the cap + 1 boundary Fractions, cap^3 steps in
+    all, _BOUNDARY_STEPS_PER_UNIT to a unit.
 
     ch_k_class runs on the excess degree B = cap - |lambda|: its products
     take series of B + 1 terms and its kernel stages stop at row
-    lambda_2 + B. So these cap^3 prices hold for two or three parts, where
-    B is close to cap, and over-price more parts, until the work model is
+    lambda_j + B. Its first stage takes O(cap^2) int additions per entry,
+    so the l - 1 first stages priced here at cap^3 over-price it. The
+    cap^3 prices hold for the second stages at two or three parts, where B
+    is close to cap, and over-price the rest, until the work model is
     fitted to counted steps (ROADMAP item 7)."""
     cap, ell = problem.dim_prym, problem.ell
     products = _pfaffian_products(ell + ell % 2) * cap**3

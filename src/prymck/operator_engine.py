@@ -18,13 +18,15 @@ and the pairwise interaction is
 Both series are expanded here at beta = -1, the Chern character route,
 truncated by the total degree cap of the target ring: the prefactor into
 a tuple of ints scaled by 2^(cap+1), the interaction into a cached table
-of ints. No other value of beta is needed: the T^v prefactor coefficient
-is a rational multiple of beta^v and the interaction coefficient of raise
-a and lowering b one of beta^(a-b), so every entry is homogeneous with
-beta of degree -1 against theta' of degree 1, the grading of the
-connective K-theory Pfaffian formulas. Its degree-d coefficient at general
-beta is the beta = -1 one times (-beta)^(d - base_i - base_j), and prym_bn
-reads the beta = 0 and symbolic classes off the beta = -1 class this way.
+of ints, which the checks read (the kernel works from the interaction's
+denominator instead, see below). No other value of beta is needed: the
+T^v prefactor coefficient is a rational multiple of beta^v and the
+interaction coefficient of raise a and lowering b one of beta^(a-b), so
+every entry is homogeneous with beta of degree -1 against theta' of
+degree 1, the grading of the connective K-theory Pfaffian formulas. Its
+degree-d coefficient at general beta is the beta = -1 one times
+(-beta)^(d - base_i - base_j), and prym_bn reads the beta = 0 and
+symbolic classes off the beta = -1 class this way.
 
 apply_pair_operator builds an entry from the expansions with one integer
 kernel. With P_i, P_j the prefactor coefficients, I[b][a] the interaction
@@ -42,20 +44,25 @@ with D = diag(theta'^l_i) (l = 0 for the boundary index), and
 Pf(D A~ D) = det(D) * Pf(A~) = theta'^|lambda| * Pf(A~) for any matrix,
 so degrees 0..B of the shifted entries give every class coefficient.
 
-The kernel takes the window in two convolution stages, where the direct
-sum over (v_i, v_j, a, b) is O(cap^4):
+The kernel takes the window in two stages, where the direct sum over
+(v_i, v_j, a, b) is O(cap^4):
 
     Q[x][b]   = sum over v_i + a = x of P_i[v_i] * I[b][a]
     E[ii][jj] = sum over b of Q[ii - l_i][b] * P_j[jj - l_j + b]
 
 and adds E[ii][jj] * cap! / (ii! * jj!) into degree ii + jj - L. The
 window reads the rows x = 0..l_j + B of Q and, in each, the cells
-l_j - x <= jj <= l_j + B - x. The first stage depends only on the i-side
-prefactor and a row bound, so it is cached per prefactor row and reused
-by every entry of that row, whatever its bases; ch_k_class passes one row
-bound for all its entries, lambda_2 + B (lambda_2 when B < 0, at most
-cap), so parts with equal shifts share one table. Everything is scaled by S = 4^(cap+1) * cap!, so both
-stages run on plain ints: each prefactor comes as the ints
+l_j - x <= jj <= l_j + B - x. The first stage needs no convolution: Q is
+P_i(T) times the interaction, whose generating function at beta = -1 is
+(1 - TU) / (1 + T + TU) in raise T and lowering U, so
+Q * (1 + T + TU) = P_i(T) * (1 - TU), that is
+
+    Q[x][b] = P_i[x] [b = 0] - P_i[x-1] [b = 1] - Q[x-1][b] - Q[x-1][b-1].
+
+Each entry builds its own table this way, to row min(l_j + B, cap), from
+the prefactor row alone: int additions, no products, nothing cached.
+Everything is scaled by S = 4^(cap+1) * cap!, so both stages run on plain
+ints: each prefactor comes as the ints
 2^(cap+1) * P[v] (the T^v coefficient has a denominator dividing
 2^(v+1)), the interaction coefficients are integers, and
 cap! / (ii! * jj!) is an integer whenever ii + jj <= cap. The window is
@@ -69,18 +76,16 @@ one is nonzero, which the interaction's zeros at b > a rule out.
 With B < 0 (an expected-empty problem) there is no window, and the
 kernel runs the guard alone and returns None.
 
-Costs, with R the row bound: the first stage O(R^3) per prefactor row,
-the second O(B * R^2) per entry, and the Pfaffian multiplies series of
-B + 1 coefficients, where full entries took O(cap^3) for each. A class
-with l nonzero parts has l(l-1)/2 entries over at most l - 1 distinct
-i-side rows.
+Costs per entry, with R = min(l_j + B, cap) its row bound: the first
+stage O(R^2) additions, the second O(B * R^2) products, and the Pfaffian
+multiplies series of B + 1 coefficients, where full entries took O(cap^3)
+for each. A class with l nonzero parts has l(l-1)/2 entries.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
-from operator import mul
+from operator import add, mul
 
 from .exact_arith import abel_row
 from .series_ring import ThetaPoly
@@ -139,35 +144,42 @@ def interaction_expansion(cap: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _pair_weights(cap: int):
-    """Rows cap! / (ii! * jj!) over ii + jj <= cap."""
-    top = factorial(cap)
-    return tuple(
-        tuple(top // (factorial(ii) * factorial(jj)) for jj in range(cap + 1 - ii))
-        for ii in range(cap + 1)
-    )
+    """Rows cap! / (ii! * jj!) over ii + jj <= cap: row 0 by a running
+    product, and each later row from the last, w[ii][jj] = w[ii-1][jj] / ii,
+    an exact division as every cell is an integer."""
+    row = [1] * (cap + 1)  # row 0, cap! / jj!, from jj = cap down
+    for jj in range(cap - 1, -1, -1):
+        row[jj] = row[jj + 1] * (jj + 1)
+    weights = [tuple(row)]
+    for ii in range(1, cap + 1):
+        weights.append(tuple(c // ii for c in weights[-1][: cap + 1 - ii]))
+    return tuple(weights)
 
 
-@lru_cache(maxsize=None)
-def _raised_prefactor(prefactors: tuple, rows: int) -> tuple:
-    """Stage 1 of the entry kernel for one i-side prefactor row:
+def _first_stage(prefactors, rows: int) -> list:
+    """Stage 1 of the entry kernel for the i-side prefactor row P:
     Q[x][b] = sum over v + a = x of P[v] * I[b][a], for x, b = 0..rows.
 
-    It depends on neither base index, so every entry of the row reads the
-    one cached table of (rows + 1)^2 ints. For b <= x the sum runs over
-    a = b..x, as I[b][a] = 0 for a < b; the columns b > x sum only such
-    cells, so they are 0, and only the kernel's guard reads them.
+    At beta = -1 the interaction in raise T and lowering U is
+    (1 - TU) / (1 + T + TU), so Q = P(T) * (1 - TU) / (1 + T + TU) and
+    Q * (1 + T + TU) = P(T) * (1 - TU) gives each row from the last:
+
+        Q[x][b] = P[x] [b = 0] - P[x-1] [b = 1] - Q[x-1][b] - Q[x-1][b-1]
+
+    in O(rows^2) int additions. The columns b > x come out 0, as
+    I[b][a] = 0 for b > a, and only the kernel's guard reads them.
     """
-    table = interaction_expansion(rows)
-    rev = prefactors[rows::-1]
-    out = []
-    for x in range(rows + 1):
-        pre = rev[rows - x :]  # P[x - a] for a = 0..x
-        low = [sum(map(mul, row[b : x + 1], pre[b:])) for b, row in enumerate(table[: x + 1])]
-        out.append(tuple(low + [sum(map(mul, row[: x + 1], pre)) for row in table[x + 1 :]]))
-    return tuple(out)
+    row = [prefactors[0]] + [0] * rows
+    table = [row]
+    for x in range(1, rows + 1):
+        row = [-c for c in map(add, row, [0, *row])]
+        row[0] += prefactors[x]
+        row[1] -= prefactors[x - 1]
+        table.append(row)
+    return table
 
 
-def apply_pair_operator(base, prefactors_i, prefactors_j, cap: int, excess: int, rows=None):
+def apply_pair_operator(base, prefactors_i, prefactors_j, cap: int, excess: int):
     """Act with the interaction and both prefactor series on d(base_i) d(base_j),
     and return degrees L..L + excess of the entry, L = base_i + base_j,
     shifted down, times S = 4^(cap+1) * cap!, as a ThetaPoly of cap excess.
@@ -179,36 +191,32 @@ def apply_pair_operator(base, prefactors_i, prefactors_j, cap: int, excess: int,
 
         pre_i[v_i] * pre_j[v_j] * I[b][a] * d(base_i + v_i + a) * d(base_j + v_j - b)
 
-    where shifted second indices below zero contribute exactly 0. rows is
-    the first stage's row bound, between min(base_j + max(excess, 0), cap),
-    the default, and cap; ch_k_class passes one bound for all its entries,
-    so that the entries of one prefactor row share one table.
+    where shifted second indices below zero contribute exactly 0.
 
-    The sum is taken in two convolution stages, first the i-side prefactor
-    into the interaction raise, cached per prefactor row and row bound, then
-    the result into the j-side lowering (see the module docstring). Every
-    term has b <= a, so the degrees below L vanish; the kernel computes
-    those inside the cap and raises ArithmeticError if one is not 0. With
-    excess < 0 there is no window: the guard runs alone and None is
-    returned. Raises ValueError on negative bases, on a window past the cap
-    and on a row bound outside the range above.
+    The sum is taken in two stages (see the module docstring): first the
+    i-side prefactor times the interaction, by the recurrence that the
+    interaction's denominator 1 + T + TU gives (_first_stage), to row
+    R = min(base_j + max(excess, 0), cap), then the result into the j-side
+    lowering. Every term has b <= a, so the degrees below L vanish; the
+    kernel computes those inside the cap and raises ArithmeticError if one
+    is not 0. With excess < 0 there is no window: the guard runs alone and
+    None is returned. Raises ValueError on negative bases, on prefactor
+    rows of other than cap + 1 ints (rows built at another cap) and on a
+    window past the cap.
 
-    With R the row bound, the first stage costs O(R^3) once per prefactor
-    row and bound, the second O(excess * R^2) per entry, where a whole entry
-    took O(cap^3) in each. ch_k_class multiplies the windows in its
-    Pfaffian and puts theta'^|lambda| back, by Pf(D A~ D) = det(D) * Pf(A~)
-    (see the module docstring).
+    The first stage costs O(R^2) int additions, the second O(excess * R^2)
+    products, where a whole entry took O(cap^3) in each. ch_k_class
+    multiplies the windows in its Pfaffian and puts theta'^|lambda| back,
+    by Pf(D A~ D) = det(D) * Pf(A~) (see the module docstring).
     """
     li, lj = base
     if li < 0 or lj < 0:
         raise ValueError(f"apply_pair_operator: negative base indices ({li}, {lj})")
+    if len(prefactors_i) != cap + 1 or len(prefactors_j) != cap + 1:
+        raise ValueError(f"apply_pair_operator: prefactor rows need cap + 1 = {cap + 1} ints")
     if excess >= 0 and li + lj + excess > cap:
         raise ValueError(f"apply_pair_operator: window {li + lj}..{li + lj + excess} passes the cap {cap}")
-    need = min(lj + max(excess, 0), cap)
-    rows = need if rows is None else rows
-    if not need <= rows <= cap:
-        raise ValueError(f"apply_pair_operator: row bound {rows} outside {need}..{cap}")
-    q = _raised_prefactor(prefactors_i, rows)
+    q = _first_stage(prefactors_i, min(lj + max(excess, 0), cap))
     weights = _pair_weights(cap)
 
     # stage 2: E[ii][jj] = sum_b q[x][b] * P_j[jj - lj + b] with ii = li + x.

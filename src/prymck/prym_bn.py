@@ -307,10 +307,13 @@ def ch_k_class(problem: PrymProblem) -> ThetaPoly:
     theta'^|lambda| * Pf(A~), an identity for any matrix. Degrees 0..B of
     A~ give every coefficient: apply_pair_operator and _boundary_entry
     return them as ints, S = 4^(cap+1) * cap! times the coefficients,
-    series of B + 1 terms, and pfaffian_matchings multiplies those. Every
-    term of the Pfaffian of the n x n matrix is a product of n/2 entries,
-    so S^(n/2) is divided out once per degree: degrees |lambda|..cap are
-    Fractions and the degrees below int 0. The kernel raises
+    series of B + 1 terms, and pfaffian_matchings multiplies those. Each
+    entry is built on its own from its two prefactor rows, the kernel's
+    first stage in O((lambda_j + B)^2) int additions, so no table is shared
+    between entries or cached. Every term of the Pfaffian of the n x n
+    matrix is a product of n/2 entries, so S^(n/2) is divided out once per
+    degree: degrees |lambda|..cap are Fractions and the degrees below int
+    0. The kernel raises
     ArithmeticError if an entry is nonzero below its base degree. With
     B < 0 every entry still goes through the kernel and its guard, and the
     class is the zero series of int 0s, as theta'^|lambda| lies above the
@@ -325,10 +328,9 @@ def ch_k_class(problem: PrymProblem) -> ThetaPoly:
     if ell == 1:
         return _one_part_class(lam[0], pre[0], cap)
     excess = cap - problem.codim
-    rows = min(lam[1] + max(excess, 0), cap)  # one stage-1 bound: lambda_j <= lambda_2
 
     def entry(i, j):
-        return apply_pair_operator((lam[i], lam[j]), pre[i], pre[j], cap, excess, rows)
+        return apply_pair_operator((lam[i], lam[j]), pre[i], pre[j], cap, excess)
 
     m = SkewMatrix.from_upper(ell, entry)
     if excess < 0:

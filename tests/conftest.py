@@ -2,7 +2,7 @@
 the property tests, so every run and every Python draws the same cases and
 a failure replays; without the variable the default profile applies.
 
-broken_interaction corrupts the oracle's interaction series for a test, and
+broken_first_stage corrupts the oracle kernel's first stage for a test, and
 theta_products records the ThetaPoly products it takes."""
 
 import os
@@ -18,21 +18,19 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture
-def broken_interaction(monkeypatch):
-    """interaction_expansion with the cell of raise 0 and lowering 1 set to
-    1, where the true series has 0, as b > a; the kernel's stage-1 tables
-    are dropped before and after, so none built on it outlives the test."""
-    true = operator_engine.interaction_expansion
+def broken_first_stage(monkeypatch):
+    """The kernel's first stage with Q[0][1] set to 1, a cell with b > x
+    where the true table has 0, as the interaction vanishes at b > a; only
+    the guard reads that column. Tables are built per entry and never
+    cached, so none built on it outlives the test."""
+    true = operator_engine._first_stage
 
-    def broken(rows):
-        table = [list(row) for row in true(rows)]
-        table[1][0] = 1
-        return tuple(map(tuple, table))
+    def broken(prefactors, rows):
+        table = true(prefactors, rows)
+        table[0][1] = 1
+        return table
 
-    operator_engine._raised_prefactor.cache_clear()
-    monkeypatch.setattr(operator_engine, "interaction_expansion", broken)
-    yield
-    operator_engine._raised_prefactor.cache_clear()
+    monkeypatch.setattr(operator_engine, "_first_stage", broken)
 
 
 @pytest.fixture

@@ -3,7 +3,13 @@ from fractions import Fraction
 import pytest
 
 from prymck.exact_arith import abel_coefficient, binom_gen, factorial
-from prymck.operator_engine import apply_pair_operator, interaction_expansion, prefactor_expansion
+from prymck.operator_engine import (
+    _first_stage,
+    _pair_weights,
+    apply_pair_operator,
+    interaction_expansion,
+    prefactor_expansion,
+)
 from prymck.prym_bn import SYMBOLIC
 from prymck.series_ring import BetaPoly, ThetaPoly
 
@@ -184,20 +190,27 @@ def test_apply_cap_below_base_degree_runs_the_guard_alone():
         assert apply_pair_operator(base, pre, pre, 2, -7) is None, base
 
 
-def test_apply_rejects_windows_past_the_cap_and_short_row_bounds():
+def test_apply_rejects_windows_past_the_cap_and_negative_bases():
     pre = prefactor_expansion(0, 4)
     with pytest.raises(ValueError):
         apply_pair_operator((2, 1), pre, pre, 4, 2)
     with pytest.raises(ValueError):
         apply_pair_operator((-1, 1), pre, pre, 4, 0)
-    for rows in (1, 5):  # the window needs rows 0..base_j + excess = 2
-        with pytest.raises(ValueError):
-            apply_pair_operator((2, 1), pre, pre, 4, 1, rows)
-    assert apply_pair_operator((2, 1), pre, pre, 4, 1, 4) == apply_pair_operator((2, 1), pre, pre, 4, 1)
 
 
-def test_apply_guard_raises_on_a_nonzero_below_the_base(broken_interaction):
-    # an interaction cell with b > a reaches the cells below the base, which
+def test_apply_rejects_prefactor_rows_of_another_cap():
+    # rows built at cap 2 or 6 are too short or too long for cap 4, on
+    # either side, and read as they are they give a wrong window
+    pre = prefactor_expansion(0, 4)
+    assert apply_pair_operator((2, 1), pre, pre, 4, 1).coeffs == (1024, -512)
+    for other in (prefactor_expansion(0, 2), prefactor_expansion(0, 6), pre[:-1], pre + (0,)):
+        for rows in ((other, pre), (pre, other), (other, other)):
+            with pytest.raises(ValueError):
+                apply_pair_operator((2, 1), *rows, 4, 1)
+
+
+def test_apply_guard_raises_on_a_nonzero_below_the_base(broken_first_stage):
+    # a first-stage cell with b > x reaches the cells below the base, which
     # the kernel computes and refuses, in a window and without one
     pre = prefactor_expansion(0, 6)
     for base, excess in (((2, 1), 0), ((2, 1), 3), ((4, 3), -2)):
@@ -237,6 +250,43 @@ def test_interaction_table_equals_binomial_closed_form():
         for b in range(cap + 1)
     )
     assert interaction_expansion(cap) == want
+
+
+@pytest.mark.parametrize("cap", range(25))
+def test_first_stage_equals_convolution_and_closed_form(cap):
+    # the kernel's first stage, by the recurrence of the interaction's
+    # denominator, over the full square x, b = 0..cap (b > x included)
+    # against two references: the convolution of the prefactor row with
+    # interaction_expansion, and the closed form, whose column 0 is the
+    # prefactor row of s - 1 and whose cell at 1 <= b <= x is
+    # 2^(cap+1) * (-1)^b * binom(s - b - 1, x - b); any smaller row bound
+    # gives the leading block
+    inter = interaction_expansion(cap)
+    for s in range(-30, 6):
+        pre = prefactor_expansion(s, cap)
+        table = _first_stage(pre, cap)
+        convolution = [
+            [sum(pre[x - a] * inter[b][a] for a in range(x + 1)) for b in range(cap + 1)] for x in range(cap + 1)
+        ]
+        assert table == convolution, s
+        column = prefactor_expansion(s - 1, cap)
+        closed = [
+            [column[x]]
+            + [2 ** (cap + 1) * (-1) ** b * binom_gen(s - b - 1, x - b) if b <= x else 0 for b in range(1, cap + 1)]
+            for x in range(cap + 1)
+        ]
+        assert table == closed, s
+        for rows in range(cap):
+            assert _first_stage(pre, rows) == [row[: rows + 1] for row in table[: rows + 1]], (s, rows)
+
+
+def test_pair_weights_equal_factorial_quotients():
+    for cap in range(41):
+        want = tuple(
+            tuple(factorial(cap) // (factorial(ii) * factorial(jj)) for jj in range(cap + 1 - ii))
+            for ii in range(cap + 1)
+        )
+        assert _pair_weights(cap) == want, cap
 
 
 def test_expansions_are_cached():

@@ -220,7 +220,7 @@ def test_ch_k_class_matches_fraction_first_pfaffian(g):
         assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs], lam
 
 
-def test_ch_k_class_rejects_nonzero_low_degree(broken_interaction):
+def test_ch_k_class_rejects_nonzero_low_degree(broken_first_stage):
     # the cell puts a nonzero below the base degree of an entry, which the
     # kernel computes and raises, not drops: with an excess window (B = 4
     # and 1) and on an expected-empty problem (B = -1), whose entries still
