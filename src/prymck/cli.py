@@ -54,10 +54,12 @@ _WORK_MAX = 10**6
 # 9.5 s, about 7,200 to a unit, 28,000 at g = 80 on the twelve-part
 # staircase (1,055 products, 1.9 s) and 48,000 at g = 46 on the nine-part
 # one (317 products, 0.06 s); euler_theorem at g = 120 on the eight-part
-# staircase takes 105 * (2 * 84^2 + 84) * 119, two products and a dot
-# product a matching, in about 1 s, 18,000; 8,000 is kept from the earlier
-# fit, so the g = 200 problem is underpriced by about 10 % until a work
-# model fitted to counted steps replaces these constants
+# staircase took 105 * (2 * 84^2 + 84) * 119, two products and a dot
+# product a matching, in about 1 s, 18,000, when it multiplied out each
+# matching apart (its depth-first walk now takes 140 products there, not
+# 210); 8,000 is kept from the earlier fit, so the g = 200 problem is
+# underpriced by about 10 % until a work model fitted to counted steps
+# replaces these constants
 _PRODUCT_STEPS_PER_UNIT = 8000
 # theorem pair series steps per unit, each of the C(B + 2, 2) terms of a
 # pair of parts counting h steps: euler_theorem at g = 6000,
@@ -130,7 +132,12 @@ def _theorem_work(problem) -> int:
     and one x^B dot product each (none when n = 2, where the lone series
     is read at x^B), a product counting (B + 1)^2 coefficient products of
     ints of about h bits, so (B + 1)^2 * h steps, and the dot product
-    (B + 1) * h, _PRODUCT_STEPS_PER_UNIT to a unit.
+    (B + 1) * h, _PRODUCT_STEPS_PER_UNIT to a unit. The dot products are
+    counted exactly. The products are exact at n <= 6, but the
+    depth-first walk of _matching_sum shares each prefix product among
+    the matchings below it, so the term over-prices them 1.5x at n = 8
+    (140 products, not 210) and 2.8x at n = 12 (14,652, not 41,580)
+    until the work model is fitted to counted steps (ROADMAP item 7).
     Plus the pair series: each of the l(l-1)/2 pairs of parts sums
     C(B + 2, 2) terms, h steps each, _PAIR_STEPS_PER_UNIT to a unit (a
     pair with the boundary index 0 reads its Abel row as it is). Plus the

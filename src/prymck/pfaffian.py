@@ -168,7 +168,13 @@ def pfaffian_matchings(m: SkewMatrix):
 
 
 def perm_sign(seq) -> int:
-    """Sign of the permutation given as an arrangement of distinct comparables."""
+    """Sign of the permutation given as an arrangement of distinct comparables.
+
+    No route calls it: the engines carry their signs as they walk, and so
+    does the theorem route's matching walk. The tests' flat n! references
+    sign with it, and the benchmark's tracer wraps it by name, until
+    ROADMAP items 1b and 6.
+    """
     seq = tuple(seq)
     inversions = 0
     for idx, x in enumerate(seq):

@@ -1,13 +1,14 @@
 import hashlib
 import json
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 from test_pfaffian import Terms
 
-from prymck import prym_bn, selfcheck
+from prymck import pfaffian, prym_bn, selfcheck
 from prymck.exact_arith import abel_coefficient, abel_row, factorial
 from prymck.operator_engine import apply_pair_operator, prefactor_expansion
 from prymck.pfaffian import SkewMatrix, augment_odd, perm_sign, pfaffian_matchings
@@ -455,32 +456,49 @@ def test_euler_theorem_reads_pair_ints(monkeypatch):
     assert euler_theorem(p) != euler_oracle(p)
 
 
-def _crossings(pairs):
-    return sum(
-        1
-        for x, (a, b) in enumerate(pairs)
-        for c, d in pairs[x + 1 :]
-        if a < c < b < d or c < a < d < b
-    )
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_matching_sum_signs_equal_oracle_engine(n):
+    # one-term series of formal letters: the walk's signed terms, factors in
+    # order, are the signed matchings the oracle's Pfaffian engine sums
+    # (3, 15, 105 and 945 of them)
+    series = {(i, j): [Terms.letter(i, j)] for i in range(n) for j in range(i + 1, n)}
+    got = prym_bn._matching_sum(tuple(range(n)), series)
+    want = pfaffian_matchings(SkewMatrix.from_upper(n, Terms.letter))
+    assert len(got.terms) == factorial(n) // (2 ** (n // 2) * factorial(n // 2))  # (n-1)!!
+    assert Counter(got.terms) == Counter(want.terms)
 
 
-@pytest.mark.parametrize("n", [0, 2, 4, 6, 8])
-def test_signed_arrangements(n):
-    indices = tuple(range(n))
-    got = prym_bn._signed_arrangements(indices)
-    assert len(got) == factorial(n) // (2 ** (n // 2) * factorial(n // 2))  # (n-1)!!
-    assert len({sigma for _, sigma in got}) == len(got)
-    matchings = set()
-    for sign, sigma in got:
-        assert sorted(sigma) == list(indices)
-        pairs = tuple((sigma[2 * b], sigma[2 * b + 1]) for b in range(n // 2))
-        assert all(a < b for a, b in pairs)
-        assert [a for a, _ in pairs] == sorted(a for a, _ in pairs)
-        assert sign == perm_sign(sigma) == (-1) ** _crossings(pairs)
-        matchings.add((sign, pairs))
-    # the signed matchings the oracle's Pfaffian sums
-    pf = pfaffian_matchings(SkewMatrix.from_upper(n, Terms.letter)) if n else Terms([(1, ())])
-    assert matchings == set(pf.terms)
+def test_euler_theorem_needs_no_pfaffian_engine_or_series_ring(monkeypatch):
+    problems = selfcheck._suite_problems(7) + [
+        problem_from_partition(g, lam)
+        for g, lam in [
+            (16, (5, 4, 3, 2, 1)),
+            (20, (7, 5, 3, 2, 1)),
+            (22, (6, 5, 4, 3, 2, 1)),
+            (27, (7, 6, 4, 3, 2, 1)),
+            (30, (7, 6, 5, 4, 3, 2, 1)),
+            (31, (8, 6, 5, 4, 3, 2, 1)),
+            (37, (8, 7, 6, 5, 4, 3, 2, 1)),
+            (40, (9, 7, 6, 5, 4, 3, 2, 1)),
+        ]
+    ]
+    want = [euler_oracle(p) for p in problems]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the theorem route called the Pfaffian engines or the series ring")
+
+    for name in pfaffian.__all__:
+        monkeypatch.setattr(prym_bn, name, refuse, raising=False)
+    monkeypatch.setattr(ThetaPoly, "__mul__", refuse)
+    assert [euler_theorem(p) for p in problems] == want
+
+
+def test_theorem_walk_six_levels_deep():
+    # the 13-part staircase with the boundary index: 14 indices, 13!! = 135,135
+    # matchings, at its smallest genus, where the degree budget is 0
+    p = problem_from_partition(92, tuple(range(13, 0, -1)))
+    assert p.rho == 0
+    assert euler_theorem(p) == euler_oracle(p)
 
 
 def test_one_part_theorem_holds_one_abel_value():
