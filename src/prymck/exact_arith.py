@@ -24,7 +24,6 @@ __all__ = [
     "abel_last",
     "abel_row",
     "binom_gen",
-    "factorial",
     "format_rational",
     "parse_rational",
 ]

@@ -22,11 +22,13 @@ term, read from the matrix entries at (x, y) and (y, x) alike, into the
 running total of its parity, and the odd total is negated once at the end;
 nothing is merged through skew-symmetry, no entry or product is stored per
 set of used indices, and nothing is factored across permutations. The last
-two levels run as C-level products: when four indices remain, the 12
-ordered first pairs and, after each, the leaf that keeps and the leaf that
-flips the parity are read from the flat grid through itemgetters, whose
-positions are planned once per four-index tail in the call, and each
-leaf's product goes into its parity total through one sum(map(mul, ...)).
+three levels run as C-level products: when six indices remain (four at
+n = 4), the tail's sub-grid is read once, and itemgetters planned once per
+process and tail size (_tail_plan) give its ordered first pairs, the
+second pairs after each, and after each (first, second) node the leaf that
+keeps and the leaf that flips the parity; the prefix times the first
+pairs is one list comprehension, the second level one map(mul, ...) and
+each parity total one sum(map(mul, ...)).
 
 Rational matrices are put over one common denominator D first, the lcm of
 the entry denominators: the permutation walk and the Bareiss elimination
@@ -38,6 +40,7 @@ expansion walks the entries as they are.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import factorial, lcm
 from numbers import Rational
 from operator import itemgetter, mul
@@ -184,6 +187,38 @@ def perm_sign(seq) -> int:
     return -1 if inversions % 2 else 1
 
 
+@cache
+def _tail_plan(k):
+    """Itemgetters that run the last k/2 levels of the permutation walk.
+
+    They read the row-major k x k sub-grid of a k-index tail, at tail-local
+    positions (k = 4 or 6): first, the k(k-1) ordered first pairs (x, y);
+    then, for k = 6, one (repeat, second) stage whose repeat getter gives
+    each first pair's product once per second pair (u, v) after it, and
+    whose second getter gives those 360 pairs; last, after each node of the
+    deepest stage, the leaf that keeps and the leaf that flips the prefix's
+    parity, at the node's own index. A node's parity is that of the p + q
+    of its pairs, relative to the prefix's, and the leaf (u, v) adds 0 to
+    it and (v, u) adds 1.
+    """
+    level = [(0, tuple(range(k)))]  # per node: parity and the unused indices
+    stages = []
+    for _ in range(k // 2 - 1):
+        parents, pairs, below = [], [], []
+        for node, (odd, left) in enumerate(level):
+            for p, x in enumerate(left):
+                rest = left[:p] + left[p + 1 :]
+                for q, y in enumerate(rest):
+                    parents.append(node)
+                    pairs.append(x * k + y)
+                    below.append((odd ^ ((p + q) & 1), rest[:q] + rest[q + 1 :]))
+        stages.append((itemgetter(*parents), itemgetter(*pairs)))
+        level = below
+    keep = itemgetter(*(v * k + u if odd else u * k + v for odd, (u, v) in level))
+    flip = itemgetter(*(u * k + v if odd else v * k + u for odd, (u, v) in level))
+    return stages[0][1], stages[1:], keep, flip
+
+
 def pfaffian_permutations(m: SkewMatrix):
     """Pfaffian as (1 / (2^(n/2) (n/2)!)) sum over all of S_n.
 
@@ -196,15 +231,15 @@ def pfaffian_permutations(m: SkewMatrix):
     the running total of its parity; the odd total is negated once at the
     end. Entries are read once, with m.rows().
 
-    The walk stops when four indices are left. For each such tail it plans,
-    once per call, the positions in the row-major grid of the 12 ordered
-    first pairs (x, y) and of the two leaves after each: (u, v) or (v, u),
-    sorted by whether p + q keeps or flips the prefix's parity. One list
-    comprehension multiplies the prefix into the 12 first pairs, and one
-    sum(map(mul, ...)) per parity multiplies each of them into its leaf and
-    adds it up: every permutation of the tail still takes its own product
-    and addition, as many as the walk takes one level at a time. n = 2
-    adds its two leaves directly.
+    The walk stops when six indices are left (four at n = 4). It reads the
+    tail's 6 x 6 sub-grid with one list comprehension and runs the last
+    three levels through the tail plan of _tail_plan, built once per
+    process: the prefix times each of the 30 first pairs, then
+    map(mul, ...) of those into the 360 second pairs after them, then one
+    sum(map(mul, ...)) per parity of the 360 nodes into their leaves.
+    Every permutation of the tail still takes its own product and
+    addition, as many as the walk takes one level at a time. n = 2 adds
+    its two leaves directly.
 
     When every entry is Rational, the grid is first put over one common
     denominator D (the lcm of the entry denominators) and the walk runs on
@@ -229,39 +264,22 @@ def pfaffian_permutations(m: SkewMatrix):
     if n == 2:
         # the two leaves (0, 1) and (1, 0): p + q is 0 and 1
         return (grid[0][1] + -grid[1][0]) * Fraction(1, norm)
-    flat = [e for row in grid for e in row]
+    tail = min(n, 6)
+    first, stages, keep, flip = _tail_plan(tail)
     totals = [0, 0]  # sums of the even and of the odd permutations' terms
-    plans = {}
-
-    def plan(tail):
-        # positions in flat of a four-index tail's 12 ordered first pairs,
-        # of the leaf after each that keeps the prefix's parity and of the
-        # leaf that flips it
-        firsts, same, other = [], [], []
-        for p, x in enumerate(tail):
-            rest = tail[:p] + tail[p + 1 :]
-            for q, y in enumerate(rest):
-                u, v = rest[:q] + rest[q + 1 :]
-                leaves = (u * n + v, v * n + u)
-                firsts.append(x * n + y)
-                same.append(leaves[(p + q) & 1])
-                other.append(leaves[(p + q + 1) & 1])
-        return itemgetter(*firsts), itemgetter(*same), itemgetter(*other)
 
     def walk(left, prefix, odd):
         # left: tuple of the unused indices in increasing order; odd: parity
         # of the prefix
-        if len(left) == 4:
-            # the last two levels as C-level products: each of the 24
-            # permutations of the tail takes its own product and addition
-            if left not in plans:
-                plans[left] = plan(left)
-            xy, same, other = plans[left]
-            firsts = xy(flat)
+        if len(left) == tail:
+            sub = [grid[x][y] for x in left for y in left]
+            nodes = first(sub)
             if prefix is not None:
-                firsts = [prefix * e for e in firsts]
-            totals[odd] = totals[odd] + sum(map(mul, firsts, same(flat)))
-            totals[odd ^ 1] = totals[odd ^ 1] + sum(map(mul, firsts, other(flat)))
+                nodes = [prefix * e for e in nodes]
+            for repeat, pairs in stages:
+                nodes = list(map(mul, repeat(nodes), pairs(sub)))
+            totals[odd] = totals[odd] + sum(map(mul, nodes, keep(sub)))
+            totals[odd ^ 1] = totals[odd ^ 1] + sum(map(mul, nodes, flip(sub)))
             return
         for p, x in enumerate(left):
             rest = left[:p] + left[p + 1 :]

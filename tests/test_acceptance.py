@@ -8,11 +8,10 @@ pass/fail listing (add -s to see the summary lines printed below).
 
 import time
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
-from prymck.exact_arith import factorial
 from prymck.prym_bn import (
     ch_k_class,
     chow_class_closed,

@@ -10,21 +10,9 @@ from prymck.exact_arith import (
     abel_last,
     abel_row,
     binom_gen,
-    factorial,
     format_rational,
     parse_rational,
 )
-
-
-def test_factorial_values():
-    assert factorial(0) == 1
-    assert factorial(5) == 120
-    assert factorial(10) == 3628800
-
-
-def test_factorial_rejects_negative():
-    with pytest.raises(ValueError):
-        factorial(-1)
 
 
 def test_binom_gen_ordinary():

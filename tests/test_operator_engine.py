@@ -1,8 +1,9 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from prymck.exact_arith import abel_coefficient, binom_gen, factorial
+from prymck.exact_arith import abel_coefficient, binom_gen
 from prymck.operator_engine import (
     _first_stage,
     _pair_weights,

@@ -292,6 +292,15 @@ def test_permutation_engine_distinct_primes_n8():
     assert pf.denominator == 1 and pf != 0
 
 
+def test_permutation_engine_n10_walks_above_the_tail():
+    # n = 10 is the smallest size whose walk carries a prefix through a
+    # Python level above the six-index tail: 3,628,800 permutations
+    m = random_skew(random.Random(1010), 10, den=5)
+    pf = pfaffian_permutations(m)
+    assert pf == pfaffian_matchings(m) != 0
+    assert pf * pf == det_fraction_free(m.rows())
+
+
 def test_permutation_engine_theta_poly_entries():
     rng = random.Random(1357)
     cap = 4

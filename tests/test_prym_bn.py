@@ -4,12 +4,13 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
 import pytest
 from test_pfaffian import Terms
 
 from prymck import pfaffian, prym_bn, selfcheck
-from prymck.exact_arith import abel_coefficient, abel_row, factorial
+from prymck.exact_arith import abel_coefficient, abel_row
 from prymck.operator_engine import apply_pair_operator, prefactor_expansion
 from prymck.pfaffian import SkewMatrix, augment_odd, perm_sign, pfaffian_matchings
 from prymck.prym_bn import (
@@ -176,6 +177,19 @@ def test_ch_k_class_empty_problem_is_zero():
     assert not ch_k_class(p)
 
 
+def test_ch_k_class_is_uniform_in_the_genus():
+    # for fixed lambda the class is one power series in theta': at genus g it
+    # is the class at g + 3 truncated at degree g - 1
+    cases = 0
+    for lam in strict_partitions(8, 3, 8)[1:]:  # all but the empty partition
+        for g in range(sum(lam) + 1, sum(lam) + 5):
+            low = ch_k_class(problem_from_partition(g, lam))
+            high = ch_k_class(problem_from_partition(g + 3, lam))
+            assert low.coeffs == high.coeffs[:g], (g, lam)
+            cases += 1
+    assert cases == 96
+
+
 def fraction_first_class(p):
     """ch_k_class restated with every entry divided to Fractions before the
     Pfaffian, on whole entries rather than excess windows: the widest window
@@ -340,6 +354,22 @@ def test_euler_anchors(g, a, chi):
     p = build_problem(g, len(a) - 1, a)
     assert euler_oracle(p) == chi
     assert euler_theorem(p) == chi
+
+
+@pytest.mark.parametrize("g", [*range(3, 12), 200, 1000])
+def test_euler_closed_form_anchors(g):
+    """chi at lambda = (1), (2) and (2, 1) in closed form, with h = g - 1.
+
+    The closed forms come from the count of shifted set-valued tableaux of
+    shape lambda with content {1, ..., h}, each weighted by 2 per entry off
+    the main diagonal, with chi = (-1)^(h - |lambda|) times the count. The
+    repository checks that identity on many problems but does not prove
+    it, so these anchor euler_theorem to a conjectured outside formula.
+    """
+    h = g - 1
+    assert euler_theorem(problem_from_partition(g, (1,))) == (-1) ** (h - 1)
+    assert euler_theorem(problem_from_partition(g, (2,))) == (-1) ** h * (2**h - 2)
+    assert euler_theorem(problem_from_partition(g, (2, 1))) == (-1) ** (h - 1) * (2**h - 2 * h)
 
 
 def test_euler_routes_agree():

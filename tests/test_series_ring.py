@@ -1,9 +1,9 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
-from prymck.exact_arith import factorial
 from prymck.series_ring import BetaPoly, ThetaPoly
 
 
