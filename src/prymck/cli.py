@@ -85,13 +85,16 @@ _WALK_STEPS_PER_UNIT = 25 * 10**4
 # euler_theorem at g = 100000, lambda = (99990, 3, 2, 1) takes 6 * 99999^2
 # in about 1.4 s, about 4 * 10^6 to a unit
 _SCALED_STEPS_PER_UNIT = 2 * 10**6
-# entry kernel steps per unit of work, a first or second stage counting
-# cap^3: ch_k_class at g = 601, lambda = (2, 1) took its two stages,
-# 2 * 600^3 steps, in about 56 s, about 770 to a unit, when the first stage
-# was a cap^3 convolution; a step slows as the ints grow with the cap
-# (1,900 to a unit at cap 150, 650 at 700), and two parts reach the bound at
-# cap 630. The first stage is now O(cap^2) additions per entry, but
-# _oracle_work still prices l - 1 of them at cap^3 (ROADMAP item 7)
+# entry kernel steps per unit of work, fitted on the kernel's former two
+# stages, each counting cap^3: ch_k_class at g = 601, lambda = (2, 1) took
+# its two stages, 2 * 600^3 steps, in about 56 s, about 770 to a unit, when
+# the first stage was a cap^3 convolution; a step slowed as the ints grew
+# with the cap (1,900 to a unit at cap 150, 650 at 700), and two parts reach
+# the bound at cap 630. The kernel is now one recurrence of
+# O((lambda_j + B) * B + lambda_j^2) int products per entry, and that class
+# takes about 0.4 s, so _oracle_work, which keeps the two-stage terms until
+# the work model is fitted to counted steps (ROADMAP item 7), over-prices it
+# about 200x
 _KERNEL_STEPS_PER_UNIT = 500
 # steps of the one-part class per unit of work, cap^3 in all for its cap + 1
 # boundary Fractions: ch_k_class at g = 12001, lambda = (20) takes 12000^3
@@ -176,25 +179,27 @@ def _oracle_work(problem) -> int:
     1,055 at n = 12), each of two truncated int series, cap^3 steps a
     product (cap^2 coefficient products of ints of about cap bits),
     _PRODUCT_STEPS_PER_UNIT to a unit; none when n = 2, where the Pfaffian
-    is its one entry. Plus the entry kernel: l - 1 first stages and
-    l(l-1)/2 second stages, cap^3 steps each, _KERNEL_STEPS_PER_UNIT to a
-    unit. Plus, at one part, the cap + 1 boundary Fractions, cap^3 steps in
-    all, _BOUNDARY_STEPS_PER_UNIT to a unit.
+    is its one entry. Plus the entry kernel, priced as l - 1 + l(l-1)/2
+    terms of cap^3 steps, _KERNEL_STEPS_PER_UNIT to a unit: the l - 1
+    first and l(l-1)/2 second stages of the two-stage kernel these prices
+    were fitted on. Plus, at one part, the cap + 1 boundary Fractions,
+    cap^3 steps in all, _BOUNDARY_STEPS_PER_UNIT to a unit.
 
     ch_k_class runs on the excess degree B = cap - |lambda|: its products
-    take series of B + 1 terms and its kernel stages stop at row
-    lambda_j + B. Its first stage takes O(cap^2) int additions per entry,
-    so the l - 1 first stages priced here at cap^3 over-price it. The
-    cap^3 prices hold for the second stages at two or three parts, where B
-    is close to cap, and over-price the rest, until the work model is
-    fitted to counted steps (ROADMAP item 7)."""
+    take series of B + 1 terms, and its kernel is one recurrence of
+    O((lambda_j + B) * B + lambda_j^2) int products per entry, no cap^3
+    stage. So the kernel terms over-price it at every number of parts
+    (about 200x at g = 601, lambda = (2, 1)), and the product term
+    over-prices every problem whose B lies well below the cap, until the
+    work model is fitted to counted steps (ROADMAP item 7). That re-pricing waits for a digit
+    pre-check on multi-part classes, as it admits larger caps."""
     cap, ell = problem.dim_prym, problem.ell
     products = _pfaffian_products(ell + ell % 2) * cap**3
-    stages = ell - 1 + comb(ell, 2) if ell > 1 else 0
+    kernel = ell - 1 + comb(ell, 2) if ell > 1 else 0
     boundary = cap**3 // _BOUNDARY_STEPS_PER_UNIT if ell == 1 else 0
     return (
         products // _PRODUCT_STEPS_PER_UNIT
-        + stages * cap**3 // _KERNEL_STEPS_PER_UNIT
+        + kernel * cap**3 // _KERNEL_STEPS_PER_UNIT
         + boundary
     )
 

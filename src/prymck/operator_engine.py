@@ -44,25 +44,25 @@ with D = diag(theta'^l_i) (l = 0 for the boundary index), and
 Pf(D A~ D) = det(D) * Pf(A~) = theta'^|lambda| * Pf(A~) for any matrix,
 so degrees 0..B of the shifted entries give every class coefficient.
 
-The kernel takes the window in two stages, where the direct sum over
-(v_i, v_j, a, b) is O(cap^4):
+The kernel takes the window by one recurrence, where the direct sum over
+(v_i, v_j, a, b) is O(cap^4). With x = ii - l_i the i-side raise and
+k = jj - l_j the j-side shift, write E_x[k] for the sum of the terms at
+(ii, jj) before their weight. At beta = -1 the interaction in raise T and
+lowering U is (1 - TU) / (1 + T + TU), so Q = P_i(T) times it satisfies
+Q * (1 + T + TU) = P_i(T) * (1 - TU). E_x[k] is the sum over b of
+Q[x][b] * P_j[k + b], so multiplying that identity by the j-side
+lowering gives each row of E from the last, with no Q built:
 
-    Q[x][b]   = sum over v_i + a = x of P_i[v_i] * I[b][a]
-    E[ii][jj] = sum over b of Q[ii - l_i][b] * P_j[jj - l_j + b]
+    E_x[k] = P_i[x] P_j[k] - P_i[x-1] P_j[k+1] - E_(x-1)[k] - E_(x-1)[k+1]
 
-and adds E[ii][jj] * cap! / (ii! * jj!) into degree ii + jj - L. The
-window reads the rows x = 0..l_j + B of Q and, in each, the cells
-l_j - x <= jj <= l_j + B - x. The first stage needs no convolution: Q is
-P_i(T) times the interaction, whose generating function at beta = -1 is
-(1 - TU) / (1 + T + TU) in raise T and lowering U, so
-Q * (1 + T + TU) = P_i(T) * (1 - TU), that is
+with P_j = 0 below index 0 and above the cap, and P_i[-1] = 0. The kernel
+keeps two rows, E_(x-1) and the products P_i[x-1] * P_j, and adds
+E_x[k] * cap! / (ii! * jj!) into degree x + k of the window, for
+x + k = 0..B and k >= -l_j. The recurrence is the interaction's own
+denominator and the prefactor rows: it uses nothing of the theorem route.
 
-    Q[x][b] = P_i[x] [b = 0] - P_i[x-1] [b = 1] - Q[x-1][b] - Q[x-1][b-1].
-
-Each entry builds its own table this way, to row min(l_j + B, cap), from
-the prefactor row alone: int additions, no products, nothing cached.
-Everything is scaled by S = 4^(cap+1) * cap!, so both stages run on plain
-ints: each prefactor comes as the ints
+Everything is scaled by S = 4^(cap+1) * cap!, so the recurrence runs on
+plain ints: each prefactor comes as the ints
 2^(cap+1) * P[v] (the T^v coefficient has a denominator dividing
 2^(v+1)), the interaction coefficients are integers, and
 cap! / (ii! * jj!) is an integer whenever ii + jj <= cap. The window is
@@ -71,21 +71,24 @@ built here: ch_k_class runs the Pfaffian on the scaled windows and
 divides S^(n/2) out once per degree of the product.
 
 The kernel also computes the cells below L inside the cap, those with
-jj < l_j - x, from the columns b > x of Q, and raises ArithmeticError if
-one is nonzero, which the interaction's zeros at b > a rule out.
-With B < 0 (an expected-empty problem) there is no window, and the
-kernel runs the guard alone and returns None.
+k < -x (and k >= -l_j, x + k <= min(-1, cap - L)), and raises
+ArithmeticError if one is nonzero, which the interaction's zeros at b > a
+rule out. The recurrence reads those cells only from cells of the same
+region, so they cost no others, and they are all 0 when the kernel is
+right: E_0[k] = P_i[0] * P_j[k] is 0 below k = 0, and every later row
+keeps them 0. With B < 0 (an expected-empty problem) there is no window,
+and the kernel runs the guard alone and returns None.
 
-Costs per entry, with R = min(l_j + B, cap) its row bound: the first
-stage O(R^2) additions, the second O(B * R^2) products, and the Pfaffian
-multiplies series of B + 1 coefficients, where full entries took O(cap^3)
-for each. A class with l nonzero parts has l(l-1)/2 entries.
+Costs per entry, with R = l_j + B its row bound: O(R * B) window cells
+and O(l_j^2) guard cells, each one product with P_i[x] and the window's
+cells one weight product more, and the Pfaffian multiplies series of
+B + 1 coefficients, where full entries took O(cap^3) for each. A class
+with l nonzero parts has l(l-1)/2 entries.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add, mul
 
 from .exact_arith import abel_row
 from .series_ring import ThetaPoly
@@ -156,27 +159,11 @@ def _pair_weights(cap: int):
     return tuple(weights)
 
 
-def _first_stage(prefactors, rows: int) -> list:
-    """Stage 1 of the entry kernel for the i-side prefactor row P:
-    Q[x][b] = sum over v + a = x of P[v] * I[b][a], for x, b = 0..rows.
-
-    At beta = -1 the interaction in raise T and lowering U is
-    (1 - TU) / (1 + T + TU), so Q = P(T) * (1 - TU) / (1 + T + TU) and
-    Q * (1 + T + TU) = P(T) * (1 - TU) gives each row from the last:
-
-        Q[x][b] = P[x] [b = 0] - P[x-1] [b = 1] - Q[x-1][b] - Q[x-1][b-1]
-
-    in O(rows^2) int additions. The columns b > x come out 0, as
-    I[b][a] = 0 for b > a, and only the kernel's guard reads them.
-    """
-    row = [prefactors[0]] + [0] * rows
-    table = [row]
-    for x in range(1, rows + 1):
-        row = [-c for c in map(add, row, [0, *row])]
-        row[0] += prefactors[x]
-        row[1] -= prefactors[x - 1]
-        table.append(row)
-    return table
+def _padded(prefactors, low: int) -> tuple:
+    """The j-side prefactor row as the kernel reads it, P[-low..cap]: low
+    zeros for the indices below 0, then the row. The guard's cells start
+    from those zeros."""
+    return (0,) * low + prefactors
 
 
 def apply_pair_operator(base, prefactors_i, prefactors_j, cap: int, excess: int):
@@ -193,21 +180,23 @@ def apply_pair_operator(base, prefactors_i, prefactors_j, cap: int, excess: int)
 
     where shifted second indices below zero contribute exactly 0.
 
-    The sum is taken in two stages (see the module docstring): first the
-    i-side prefactor times the interaction, by the recurrence that the
-    interaction's denominator 1 + T + TU gives (_first_stage), to row
-    R = min(base_j + max(excess, 0), cap), then the result into the j-side
-    lowering. Every term has b <= a, so the degrees below L vanish; the
-    kernel computes those inside the cap and raises ArithmeticError if one
-    is not 0. With excess < 0 there is no window: the guard runs alone and
-    None is returned. Raises ValueError on negative bases, on prefactor
-    rows of other than cap + 1 ints (rows built at another cap) and on a
-    window past the cap.
+    The sum is taken by one recurrence over the i-side raise x, from x = 0
+    to base_j + excess, that the interaction's denominator 1 + T + TU
+    gives (see the module docstring): row x of the cells is P_i[x] times
+    the j-side row, less P_i[x-1] times it one cell on and two cells of
+    row x - 1, so no table of the interaction or of its product with a
+    prefactor row is built. Every term has b <= a, so the degrees below L
+    vanish; the kernel computes those inside the cap, the guard, and
+    raises ArithmeticError if one is not 0. With excess < 0 there is no
+    window: the guard runs alone and None is returned. Raises ValueError
+    on negative bases, on prefactor rows of other than cap + 1 ints (rows
+    built at another cap) and on a window past the cap.
 
-    The first stage costs O(R^2) int additions, the second O(excess * R^2)
-    products, where a whole entry took O(cap^3) in each. ch_k_class
-    multiplies the windows in its Pfaffian and puts theta'^|lambda| back,
-    by Pf(D A~ D) = det(D) * Pf(A~) (see the module docstring).
+    It costs O((base_j + excess) * excess) window cells and O(base_j^2)
+    guard cells, each an int product and three additions, where the
+    whole entry took O(cap^3). ch_k_class multiplies the windows in its
+    Pfaffian and puts theta'^|lambda| back, by Pf(D A~ D) = det(D) * Pf(A~)
+    (see the module docstring).
     """
     li, lj = base
     if li < 0 or lj < 0:
@@ -216,23 +205,20 @@ def apply_pair_operator(base, prefactors_i, prefactors_j, cap: int, excess: int)
         raise ValueError(f"apply_pair_operator: prefactor rows need cap + 1 = {cap + 1} ints")
     if excess >= 0 and li + lj + excess > cap:
         raise ValueError(f"apply_pair_operator: window {li + lj}..{li + lj + excess} passes the cap {cap}")
-    q = _first_stage(prefactors_i, min(lj + max(excess, 0), cap))
+    # row x holds the cells k = -lj..top - x at index lj + k: the guard's
+    # below k = -x, the window's from there, each x + k <= top
+    top = excess if excess >= 0 else min(-1, cap - li - lj)
+    pj = _padded(prefactors_j, lj)
     weights = _pair_weights(cap)
-
-    # stage 2: E[ii][jj] = sum_b q[x][b] * P_j[jj - lj + b] with ii = li + x.
-    # Below the base (jj < lj - x) every term has b > x: the guard. In the
-    # window, b runs to x, and padded[jj + b] is P_j[jj - lj + b], 0 below lj
-    padded = (0,) * lj + prefactors_j
     window = [0] * (excess + 1)
-    for x in range(min(lj + max(excess, -1), cap - li) + 1):
-        qx = q[x]
-        ii = li + x
-        for jj in range(min(lj - x, cap - ii + 1)):
-            if sum(map(mul, qx[lj - jj :], prefactors_j)):
-                raise ArithmeticError(f"apply_pair_operator: degree {ii + jj} below {li + lj} is nonzero")
-        row, head = weights[ii], qx[: x + 1]
-        for jj in range(max(lj - x, 0), lj + excess - x + 1):
-            e = sum(map(mul, head, padded[jj : jj + x + 1]))
-            if e:
-                window[x + jj - lj] += e * row[jj]
+    e = last = [0] * (lj + top + 2)  # E_(x-1) and P_i[x-1] * P_j, 0 before row 0
+    for x in range(lj + top + 1):
+        cur = [prefactors_i[x] * c for c in pj[: lj + top + 1 - x]]
+        e = [c - d - a - b for c, d, a, b in zip(cur, last[1:], e, e[1:])]
+        last, low = cur, max(lj - x, 0)
+        if any(e[:low]):
+            raise ArithmeticError(f"apply_pair_operator: row {x} is nonzero below the base degree {li + lj}")
+        row = weights[li + x]
+        for t in range(low, len(e)):
+            window[x + t - lj] += e[t] * row[t]
     return ThetaPoly(excess, window) if excess >= 0 else None

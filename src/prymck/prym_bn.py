@@ -309,13 +309,14 @@ def ch_k_class(problem: PrymProblem) -> ThetaPoly:
     A~ give every coefficient: apply_pair_operator and _boundary_entry
     return them as ints, S = 4^(cap+1) * cap! times the coefficients,
     series of B + 1 terms, and pfaffian_matchings multiplies those. Each
-    entry is built on its own from its two prefactor rows, the kernel's
-    first stage in O((lambda_j + B)^2) int additions, so no table is shared
+    entry is built on its own from its two prefactor rows, by the kernel's
+    one recurrence over rows 0..lambda_j + B, so no table is shared
     between entries or cached. Every term of the Pfaffian of the n x n
     matrix is a product of n/2 entries, so S^(n/2) is divided out once per
     degree: degrees |lambda|..cap are Fractions and the degrees below int
-    0. The kernel raises
-    ArithmeticError if an entry is nonzero below its base degree. With
+    0. The kernel computes each entry's cells below its base degree inside
+    the cap by the same recurrence, its guard, and raises ArithmeticError
+    if one is nonzero. With
     B < 0 every entry still goes through the kernel and its guard, and the
     class is the zero series of int 0s, as theta'^|lambda| lies above the
     cap. One part is the boundary entry alone (_one_part_class).

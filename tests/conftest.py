@@ -2,8 +2,8 @@
 the property tests, so every run and every Python draws the same cases and
 a failure replays; without the variable the default profile applies.
 
-broken_first_stage corrupts the oracle kernel's first stage for a test, and
-theta_products records the ThetaPoly products it takes."""
+broken_kernel_start corrupts the start of the oracle kernel's recurrence
+for a test, and theta_products records the ThetaPoly products it takes."""
 
 import os
 
@@ -18,19 +18,18 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture
-def broken_first_stage(monkeypatch):
-    """The kernel's first stage with Q[0][1] set to 1, a cell with b > x
-    where the true table has 0, as the interaction vanishes at b > a; only
-    the guard reads that column. Tables are built per entry and never
-    cached, so none built on it outlives the test."""
-    true = operator_engine._first_stage
+def broken_kernel_start(monkeypatch):
+    """The kernel's j-side row with P_j[-1] set to 1, where the true row has
+    a 0 below index 0. Row 0 of the recurrence, E_0[k] = P_i[0] * P_j[k],
+    is then nonzero at k = -1, a cell below the base that the guard
+    computes whenever base_j >= 1; the later rows carry it on."""
+    true = operator_engine._padded
 
-    def broken(prefactors, rows):
-        table = true(prefactors, rows)
-        table[0][1] = 1
-        return table
+    def broken(prefactors, low):
+        row = true(prefactors, low)
+        return row[: low - 1] + (1,) + row[low:] if low else row
 
-    monkeypatch.setattr(operator_engine, "_first_stage", broken)
+    monkeypatch.setattr(operator_engine, "_padded", broken)
 
 
 @pytest.fixture

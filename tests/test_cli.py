@@ -230,6 +230,23 @@ def test_large_regime_outputs_are_frozen(capsys):
     assert out == "-4303725722915322389361158547827850525694236916898070528000\n"
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ("class -g 300 -a 1,2,3 --beta -1", "5a909e8be8ad453a86625dfca928f576019d1de2b79e5e31189eab8a645e6954"),
+        ("chi -g 601 -a 1,2 --verify", "b6081202aa6e83941429d5ea644a10ff51ef3c4e04810912ab23d84d9fdf0095"),
+    ],
+    ids=("g300-three-parts", "g601-two-parts-verify"),
+)
+def test_large_cap_kernel_outputs_are_frozen(capsys, argv, digest):
+    # the entry kernel at caps 299 and 600, far above the caps the kernel
+    # tests reach: sha256 of the stdout, recorded while the kernel built
+    # each entry from a table of the i-side prefactor times the interaction
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_table_json_parses(capsys):
     code, out, _ = run_cli(
         capsys, "table", "--g-min", "2", "--g-max", "3", "--output", "json"
@@ -433,8 +450,8 @@ def test_work_estimates_closed_forms():
     # terms, h steps each; 7 Abel rows of (B + 1) * h steps; 28 pair series
     # put over h!, h^2 steps each. The oracle's Pfaffian, expanded along
     # the first index with each sub-Pfaffian once, 87 products (where the
-    # 105 matchings hold 3 each), cap^3 steps each, and 6 first plus 21
-    # second kernel stages, cap^3 steps each
+    # 105 matchings hold 3 each), cap^3 steps each, and the kernel priced
+    # as 6 + 21 terms of cap^3 steps, its former first and second stages
     p = prym_bn.problem_from_partition(30, (7, 6, 5, 4, 3, 2, 1))
     assert cli._theorem_work(p) == (
         105 * (2 * 2**2 * 29 + 2 * 29) // cli._PRODUCT_STEPS_PER_UNIT
@@ -457,15 +474,17 @@ def test_work_estimates_closed_forms():
     )
     assert all(terms) and cli._theorem_work(p) == sum(terms)
     # expected empty: the theorem route returns before summing, the oracle
-    # still computes its zero: 3 products, one per matching, 2 + 3 stages
+    # still computes its zero: 3 products, one per matching, 2 + 3 kernel
+    # terms
     p = prym_bn.problem_from_partition(10, (8, 3, 1))
     assert cli._theorem_work(p) == 0
     assert cli._oracle_work(p) == (
         3 * 9**3 // cli._PRODUCT_STEPS_PER_UNIT + (2 + 3) * 9**3 // cli._KERNEL_STEPS_PER_UNIT
     )
     # n = 2: the Pfaffian is its one entry and the theorem's lone series is
-    # read at x^B, so no products; two parts are one entry of two stages,
-    # one part only the boundary Fractions
+    # read at x^B, so no products; two parts are one entry, still priced as
+    # the two cap^3 terms the kernel was fitted on, one part only the
+    # boundary Fractions
     p = prym_bn.problem_from_partition(50, (2, 1))
     assert cli._theorem_work(p) == (
         47 * 48 // 2 * 49 // cli._PAIR_STEPS_PER_UNIT + 2 * 47 * 49 // cli._ROW_STEPS_PER_UNIT
@@ -592,9 +611,9 @@ def test_import_loads_no_dataclasses_machinery():
 
 
 def test_work_bound_counts_entry_kernel(capsys, monkeypatch):
-    # class at beta -1 runs l - 1 first and l(l-1)/2 second kernel stages
-    # of cap^3 steps each: at g = 1000, lambda = (2, 1) that is 2 * 999^3
-    # steps, about 4 * 10^6 units
+    # class at beta -1 prices its kernel as l - 1 + l(l-1)/2 terms of cap^3
+    # steps each: at g = 1000, lambda = (2, 1) that is 2 * 999^3 steps,
+    # about 4 * 10^6 units
     p = prym_bn.problem_from_partition(1000, (2, 1))
     assert cli._oracle_work(p) == 2 * 999**3 // cli._KERNEL_STEPS_PER_UNIT
     assert cli._oracle_work(p) > cli._WORK_MAX

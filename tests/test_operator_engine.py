@@ -1,11 +1,11 @@
 from fractions import Fraction
 from math import factorial
+from operator import mul
 
 import pytest
 
 from prymck.exact_arith import abel_coefficient, binom_gen
 from prymck.operator_engine import (
-    _first_stage,
     _pair_weights,
     apply_pair_operator,
     interaction_expansion,
@@ -82,7 +82,7 @@ def lift_window(window, mode):
 def reference_apply(terms, base, prefactors_i, prefactors_j, cap):
     """Direct O(cap^4) sum over (v_i, v_j, interaction term (a, b)) with the
     terms a dict {(a, b): coefficient}: the reference that
-    apply_pair_operator's two-stage integer kernel must reproduce."""
+    apply_pair_operator's integer recurrence must reproduce."""
     li, lj = base
     out = [0] * (cap + 1)
     for vi, pi in enumerate(prefactors_i):
@@ -210,9 +210,9 @@ def test_apply_rejects_prefactor_rows_of_another_cap():
                 apply_pair_operator((2, 1), *rows, 4, 1)
 
 
-def test_apply_guard_raises_on_a_nonzero_below_the_base(broken_first_stage):
-    # a first-stage cell with b > x reaches the cells below the base, which
-    # the kernel computes and refuses, in a window and without one
+def test_apply_guard_raises_on_a_nonzero_below_the_base(broken_kernel_start):
+    # a nonzero P_j[-1] puts a nonzero in row 0 below the base, which the
+    # kernel computes and refuses, in a window and without one
     pre = prefactor_expansion(0, 6)
     for base, excess in (((2, 1), 0), ((2, 1), 3), ((4, 3), -2)):
         with pytest.raises(ArithmeticError):
@@ -253,32 +253,73 @@ def test_interaction_table_equals_binomial_closed_form():
     assert interaction_expansion(cap) == want
 
 
+def q_by_convolution(pre, cap):
+    """Q[x][b] = sum over v + a = x of P_i[v] * I[b][a], x, b = 0..cap: the
+    i-side prefactor row times interaction_expansion, b > x included."""
+    inter = interaction_expansion(cap)
+    return [[sum(pre[x - a] * inter[b][a] for a in range(x + 1)) for b in range(cap + 1)] for x in range(cap + 1)]
+
+
+def q_by_closed_form(s, cap):
+    """The same Q by its closed form: column 0 is the prefactor row of
+    s - 1, the cell at 1 <= b <= x is 2^(cap+1) * (-1)^b * binom(s - b - 1, x - b)
+    and the cells at b > x are 0."""
+    column = prefactor_expansion(s - 1, cap)
+    return [
+        [column[x]]
+        + [2 ** (cap + 1) * (-1) ** b * binom_gen(s - b - 1, x - b) if b <= x else 0 for b in range(1, cap + 1)]
+        for x in range(cap + 1)
+    ]
+
+
+def e_from_q(q, pre_j, cap):
+    """E[x][k + cap + 1] = sum over b of Q[x][b] * P_j[k + b], for
+    k = -cap - 1..cap, with P_j 0 outside 0..cap."""
+    padded = (0,) * (cap + 1) + pre_j + (0,) * (cap + 1)
+    return [[sum(map(mul, qx, padded[m : m + cap + 1])) for m in range(2 * cap + 2)] for qx in q]
+
+
+def weighted_window(e, base, cap):
+    """Degrees 0..cap - L of the entry at base (li, lj), L = li + lj, from
+    its table E, S times each coefficient: degree d sums
+    E[x][d - x] * cap! / ((li + x)! * (lj + d - x)!) over the i-side raises
+    x = 0..lj + d, those that keep lj + d - x >= 0."""
+    li, lj = base
+    fact = [factorial(n) for n in range(cap + 1)]
+    return [
+        sum(e[x][d - x + cap + 1] * (fact[cap] // (fact[li + x] * fact[lj + d - x])) for x in range(lj + d + 1))
+        for d in range(cap - li - lj + 1)
+    ]
+
+
 @pytest.mark.parametrize("cap", range(25))
 def test_first_stage_equals_convolution_and_closed_form(cap):
-    # the kernel's first stage, by the recurrence of the interaction's
-    # denominator, over the full square x, b = 0..cap (b > x included)
-    # against two references: the convolution of the prefactor row with
-    # interaction_expansion, and the closed form, whose column 0 is the
-    # prefactor row of s - 1 and whose cell at 1 <= b <= x is
-    # 2^(cap+1) * (-1)^b * binom(s - b - 1, x - b); any smaller row bound
-    # gives the leading block
-    inter = interaction_expansion(cap)
-    for s in range(-30, 6):
-        pre = prefactor_expansion(s, cap)
-        table = _first_stage(pre, cap)
-        convolution = [
-            [sum(pre[x - a] * inter[b][a] for a in range(x + 1)) for b in range(cap + 1)] for x in range(cap + 1)
-        ]
-        assert table == convolution, s
-        column = prefactor_expansion(s - 1, cap)
-        closed = [
-            [column[x]]
-            + [2 ** (cap + 1) * (-1) ** b * binom_gen(s - b - 1, x - b) if b <= x else 0 for b in range(1, cap + 1)]
-            for x in range(cap + 1)
-        ]
-        assert table == closed, s
-        for rows in range(cap):
-            assert _first_stage(pre, rows) == [row[: rows + 1] for row in table[: rows + 1]], (s, rows)
+    # the first stage Q, the i-side prefactor times the interaction, which
+    # the kernel no longer builds, by two test-local references: the
+    # convolution with interaction_expansion and the binomial closed form.
+    # They must agree, and the kernel's recurrence must give the weighted
+    # window of the table E that each of them gives. Every s in -30..5
+    # on the i side (and -25 - s on the j side) and every base pair up to
+    # cap + 1 on each side meet at least once; each base runs every excess,
+    # the negative ones (the guard alone, None returned) included
+    bases = [(li, lj) for li in range(cap + 2) for lj in range(cap + 2)]
+    exponents = range(-30, 6)
+    tables = {}
+    for t in range(max(len(bases), len(exponents))):
+        (li, lj), s = bases[t % len(bases)], exponents[t % len(exponents)]
+        pre_i, pre_j = prefactor_expansion(s, cap), prefactor_expansion(-25 - s, cap)
+        if s not in tables:
+            conv, closed = q_by_convolution(pre_i, cap), q_by_closed_form(s, cap)
+            assert conv == closed, s
+            tables[s] = e_from_q(conv, pre_j, cap), e_from_q(closed, pre_j, cap)
+        wants = [weighted_window(e, (li, lj), cap) for e in tables[s]]
+        for excess in range(-3, cap - li - lj + 1):
+            window = apply_pair_operator((li, lj), pre_i, pre_j, cap, excess)
+            if excess < 0:
+                assert window is None, (li, lj, s, excess)
+                continue
+            for want in wants:
+                assert list(window.coeffs) == want[: excess + 1], (li, lj, s, excess)
 
 
 def test_pair_weights_equal_factorial_quotients():
