@@ -3,13 +3,15 @@
 Exit codes: 0 success, 1 selfcheck failure, 2 input validation failure
 (a problem whose estimated work exceeds _WORK_MAX, or whose output has
 more digits than str() converts, included), 3 Euler characteristic
-route mismatch under --verify, 4 internal error.
+route mismatch under --verify, 4 internal error, 141 stdout closed by
+its reader (nothing is printed on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -282,24 +284,9 @@ def _check_digits(what: str, rationals, limit: int) -> None:
 # ---------------------------------------------------------------- rendering
 
 
-def _poly_strings(poly: ThetaPoly):
-    return [format_rational(c) for c in poly.coeffs]
-
-
 def _xi_coeffs(poly: ThetaPoly):
     # theta' = 2*xi, so the xi-basis coefficient of degree d gains 2^d
     return [Fraction(c) * 2**d for d, c in enumerate(poly.coeffs)]
-
-
-def _problem_block(p):
-    return {
-        "g": p.g,
-        "r": p.r,
-        "a": list(p.a),
-        "lambda": list(p.lam),
-        "parity": p.parity,
-        "expected_empty": p.expected_empty,
-    }
 
 
 def _meta_block(beta_label, flags, normalization):
@@ -313,28 +300,17 @@ def _meta_block(beta_label, flags, normalization):
 
 def _json_document(problem, result, beta, flags, normalization):
     return {
-        "problem": _problem_block(problem),
+        "problem": {
+            "g": problem.g,
+            "r": problem.r,
+            "a": list(problem.a),
+            "lambda": list(problem.lam),
+            "parity": problem.parity,
+            "expected_empty": problem.expected_empty,
+        },
         "result": {field: result.get(field) for field in _RESULT_FIELDS},
         "meta": _meta_block(str(beta), flags, normalization),
     }
-
-
-def _result_json(problem, beta, value):
-    kind, flags = _MODES[beta]
-    normalization = {"basis": "theta_prime", "relation": "theta_prime = 2*xi"}
-    if beta == 0:
-        result = {"kind": kind, "gamma": format_rational(value), "exponent": problem.codim}
-        normalization["gamma_xi"] = format_rational(value * 2**problem.codim)
-    else:
-        result = {"kind": kind, "theta_poly": value.to_json_dict()}
-        if beta != SYMBOLIC:
-            normalization["xi_coeffs"] = [format_rational(c) for c in _xi_coeffs(value)]
-    return _json_document(problem, result, beta, flags, normalization)
-
-
-def _chi_json(problem, chi):
-    result = {"kind": "euler_characteristic", "chi": format_rational(chi)}
-    return _json_document(problem, result, -1, (), {"relation": "theta_prime = 2*xi"})
 
 
 def _latex_rational(x: Fraction) -> str:
@@ -346,69 +322,72 @@ def _latex_rational(x: Fraction) -> str:
     return f"{sign}\\frac{{{x.numerator}}}{{{x.denominator}}}"
 
 
-def _latex_beta_poly(c: BetaPoly) -> str:
-    parts = []
-    for e, val in c.items():
-        body = _latex_rational(val)
-        if e == 1:
-            body += "\\beta"
-        elif e > 1:
-            body += f"\\beta^{{{e}}}"
-        parts.append(body if not parts or body.startswith("-") else f"+{body}")
-    return "".join(parts) if parts else "0"
+def _latex_sum(terms) -> str:
+    """The LaTeX terms joined, with a "+" before each later term that has no
+    "-"; "0" when there are none."""
+    return "".join(t if t.startswith("-") else f"+{t}" for t in terms).removeprefix("+") or "0"
 
 
-def _latex_poly(poly: ThetaPoly) -> str:
-    terms = []
-    for d, c in enumerate(poly.coeffs):
-        if not c:
-            continue
-        if isinstance(c, BetaPoly):
-            coeff = f"\\left({_latex_beta_poly(c)}\\right)"
-        else:
-            coeff = _latex_rational(c)
-        term = coeff if d == 0 else f"{coeff}(\\theta')^{{{d}}}"
-        terms.append(term if not terms or term.startswith("-") else f"+{term}")
-    return "".join(terms) if terms else "0"
+def _latex_theta(poly: ThetaPoly, coeff):
+    # the nonzero terms of poly, each coefficient c printed as coeff(c), as
+    # a generator: built only when joined
+    return (coeff(c) + (f"(\\theta')^{{{d}}}" if d else "") for d, c in enumerate(poly.coeffs) if c)
+
+
+def _latex_beta_coeff(c) -> str:
+    if not isinstance(c, BetaPoly):  # the int 1 of the empty partition
+        return _latex_rational(c)
+    terms = (
+        _latex_rational(x) + ("\\beta" if k == 1 else f"\\beta^{{{k}}}" if k else "") for k, x in c.items()
+    )
+    return f"\\left({_latex_sum(terms)}\\right)"
+
+
+def _commas(ints) -> str:
+    return ",".join(str(x) for x in ints)
 
 
 def _problem_line(p) -> str:
-    a = ",".join(str(x) for x in p.a)
-    lam = ",".join(str(x) for x in p.lam) if p.lam else "()"
+    lam = _commas(p.lam) if p.lam else "()"
     empty = "yes" if p.expected_empty else "no"
-    return f"problem: g={p.g} r={p.r} a={a} lambda={lam} parity={p.parity} expected_empty={empty}"
+    return f"problem: g={p.g} r={p.r} a={_commas(p.a)} lambda={lam} parity={p.parity} expected_empty={empty}"
 
 
-def _emit_class_plain(problem, beta, value):
+def _print_class(problem, beta, value, output):
+    """Print a class in one output format. The beta branch formats each
+    value once: the json document and the plain lines read the same
+    strings, and the latex terms are joined only when printed."""
     kind, flags = _MODES[beta]
-    print(_problem_line(problem))
-    flag = f" [{', '.join(flags)}]" if flags else ""
-    print(f"kind: {kind} (beta={beta}){flag}")
+    normalization = {"basis": "theta_prime", "relation": "theta_prime = 2*xi"}
     if beta == 0:
-        gamma, e = format_rational(value), problem.codim
-        print(f"gamma: {gamma}")
-        print(f"exponent: {e}")
-        print(f"class: ({gamma})*(2xi)^{e} = ({format_rational(value * 2**e)})*xi^{e}")
+        e = problem.codim
+        gamma, gamma_xi = format_rational(value), format_rational(value * 2**e)
+        result = {"kind": kind, "gamma": gamma, "exponent": e}
+        normalization["gamma_xi"] = gamma_xi
+        lines = [f"gamma: {gamma}", f"exponent: {e}", f"class: ({gamma})*(2xi)^{e} = ({gamma_xi})*xi^{e}"]
+        latex_terms = [_latex_rational(value) + (f"(2\\xi)^{{{e}}}" if e else "")]
     elif beta == SYMBOLIC:
-        print("theta_poly (T = theta' = 2xi, b = beta):")
-        for d, c in enumerate(value.coeffs):
-            if c:
-                print(f"  T^{d}: {c}")
-        if not value:
-            print("  0")
+        result = {"kind": kind, "theta_poly": value.to_json_dict()}
+        shown = [f"  T^{d}: {c}" for d, c in enumerate(value.coeffs) if c]
+        lines = ["theta_poly (T = theta' = 2xi, b = beta):", *(shown or ["  0"])]
+        latex_terms = _latex_theta(value, _latex_beta_coeff)
     else:
-        print(f"theta_poly: {', '.join(_poly_strings(value))}  (T^0..T^{value.cap}; T = theta' = 2xi)")
-        xi = ", ".join(format_rational(c) for c in _xi_coeffs(value))
-        print(f"xi_poly: {xi}")
-
-
-def _emit_class_latex(problem, beta, value):
-    if beta != 0:
-        print(_latex_poly(value))
-    elif problem.codim == 0:
-        print(_latex_rational(value))
+        theta = [format_rational(c) for c in value.coeffs]
+        xi = [format_rational(c) for c in _xi_coeffs(value)]
+        result = {"kind": kind, "theta_poly": {"cap": value.cap, "coeffs": theta}}
+        normalization["xi_coeffs"] = xi
+        lines = [
+            f"theta_poly: {', '.join(theta)}  (T^0..T^{value.cap}; T = theta' = 2xi)",
+            f"xi_poly: {', '.join(xi)}",
+        ]
+        latex_terms = _latex_theta(value, _latex_rational)
+    if output == "json":
+        print(json.dumps(_json_document(problem, result, beta, flags, normalization), indent=2))
+    elif output == "latex":
+        print(_latex_sum(latex_terms))
     else:
-        print(f"{_latex_rational(value)}(2\\xi)^{{{problem.codim}}}")
+        flag = f" [{', '.join(flags)}]" if flags else ""
+        print("\n".join([_problem_line(problem), f"kind: {kind} (beta={beta}){flag}", *lines]))
 
 
 def _shown_rationals(problem, beta, value):
@@ -439,12 +418,7 @@ def run_class(args) -> int:
     value = class_result(problem, beta)
     # the exact check on what plain and json print (latex: a subset)
     _check_digits(what, _shown_rationals(problem, beta, value), limit)
-    if args.output == "json":
-        print(json.dumps(_result_json(problem, beta, value), indent=2))
-    elif args.output == "latex":
-        _emit_class_latex(problem, beta, value)
-    else:
-        _emit_class_plain(problem, beta, value)
+    _print_class(problem, beta, value, args.output)
     return 0
 
 
@@ -465,31 +439,12 @@ def run_chi(args) -> int:
             )
             return 3
     if args.output == "json":
-        print(json.dumps(_chi_json(problem, chi), indent=2))
+        result = {"kind": "euler_characteristic", "chi": format_rational(chi)}
+        document = _json_document(problem, result, -1, (), {"relation": "theta_prime = 2*xi"})
+        print(json.dumps(document, indent=2))
     else:  # plain and latex both print the bare integer
         print(format_rational(chi))
     return 0
-
-
-def _table_rows(g_min, g_max, max_len):
-    rows = []
-    for g in range(g_min, g_max + 1):
-        for lam in strict_partitions(g - 1, max_len, 2 * g - 2):
-            if lam:
-                rows.append((g, lam))
-    return rows
-
-
-def _table_entry(g, lam):
-    p = problem_from_partition(g, lam)
-    return {
-        "g": g,
-        "a": list(p.a),
-        "lambda": list(lam),
-        "gamma": format_rational(chow_class_closed(lam)),
-        "exponent": p.codim,
-        "chi": format_rational(euler_theorem(p)),
-    }
 
 
 def run_table(args) -> int:
@@ -504,38 +459,39 @@ def run_table(args) -> int:
         raise ValidationError(f"g_max exceeds {_TABLE_G_MAX} (got {g_max})")
     if not (1 <= max_len <= _TABLE_LEN_MAX):
         raise ValidationError(f"max_len must be between 1 and {_TABLE_LEN_MAX} (got {max_len})")
-    entries = [_table_entry(g, lam) for g, lam in _table_rows(g_min, g_max, max_len)]
+    problems = [
+        problem_from_partition(g, lam)
+        for g in range(g_min, g_max + 1)
+        for lam in strict_partitions(g - 1, max_len, 2 * g - 2)
+        if lam
+    ]
+    rows = [(p, chow_class_closed(p.lam), format_rational(euler_theorem(p))) for p in problems]
     if args.output == "json":
+        entries = [
+            {
+                "g": p.g,
+                "a": list(p.a),
+                "lambda": list(p.lam),
+                "gamma": format_rational(gamma),
+                "exponent": p.codim,
+                "chi": chi,
+            }
+            for p, gamma, chi in rows
+        ]
         print(json.dumps({"rows": entries, "meta": _meta_block("-1", (), {"relation": "theta_prime = 2*xi"})}, indent=2))
-        return 0
-    if args.output == "latex":
+    elif args.output == "latex":
         print("\\begin{tabular}{llllll}")
         print("g & a & \\lambda & \\gamma & e & \\chi \\\\")
-        for e in entries:
-            a = ",".join(str(x) for x in e["a"])
-            lam = ",".join(str(x) for x in e["lambda"])
-            print(
-                f"{e['g']} & ({a}) & ({lam}) & {_latex_rational(Fraction(e['gamma']))} & "
-                f"{e['exponent']} & {e['chi']} \\\\"
-            )
+        for p, gamma, chi in rows:
+            print(f"{p.g} & ({_commas(p.a)}) & ({_commas(p.lam)}) & {_latex_rational(gamma)} & {p.codim} & {chi} \\\\")
         print("\\end{tabular}")
-        return 0
-    header = ("g", "a", "lambda", "gamma", "exp", "chi")
-    table = [header]
-    for e in entries:
-        table.append(
-            (
-                str(e["g"]),
-                ",".join(str(x) for x in e["a"]),
-                ",".join(str(x) for x in e["lambda"]),
-                e["gamma"],
-                str(e["exponent"]),
-                e["chi"],
-            )
-        )
-    widths = [max(len(row[c]) for row in table) for c in range(len(header))]
-    for row in table:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+    else:
+        table = [("g", "a", "lambda", "gamma", "exp", "chi")]
+        for p, gamma, chi in rows:
+            table.append((str(p.g), _commas(p.a), _commas(p.lam), format_rational(gamma), str(p.codim), chi))
+        widths = [max(len(row[c]) for row in table) for c in range(len(table[0]))]
+        for row in table:
+            print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
     return 0
 
 
@@ -592,7 +548,14 @@ def _make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _make_parser().parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: point fd 1 at devnull, so that the flush at
+        # exit has nowhere to fail, and exit as a shell reports SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -90,7 +90,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .exact_arith import abel_row
 from .series_ring import ThetaPoly
 
 __all__ = [
@@ -105,13 +104,22 @@ def prefactor_expansion(s: int, cap: int) -> tuple:
     """T^0..T^cap coefficients of (1 + T)^s / (2 + T), the beta = -1 prefactor,
     as the ints 2^(cap+1) * c_v that apply_pair_operator reads.
 
-    c_v is abel_coefficient(s, v), so the v-th int is abel_row(s, cap)[v]
-    shifted left by cap - v. For general beta the coefficient is (-beta)^v
-    times c_v (see the module docstring).
+    P = (1 + T)^s / (2 + T) satisfies
+    (1 + T)(2 + T) P' = (s(2 + T) - (1 + T)) P, so the ints
+    a_v = 2^(v+1) * c_v follow a_0 = 1, a_1 = 2s - 1 and
+    (v + 1) a_(v+1) = (2s - 1 - 3v) a_v + 2(s - v) a_(v-1), an exact
+    division; the v-th int is a_v shifted left by cap - v. The theorem
+    route reads the same c_v from exact_arith.abel_row, another recurrence,
+    so the two chi routes share no arithmetic helper. For general beta the
+    coefficient is (-beta)^v times c_v (see the module docstring).
     """
     if cap < 0:
         raise ValueError(f"prefactor_expansion: cap must be nonnegative, got {cap}")
-    return tuple(a << (cap - v) for v, a in enumerate(abel_row(s, cap)))
+    ints, prev, a = [], 0, 1
+    for v in range(cap + 1):
+        ints.append(a << (cap - v))
+        prev, a = a, ((2 * s - 1 - 3 * v) * a + 2 * (s - v) * prev) // (v + 1)
+    return tuple(ints)
 
 
 @lru_cache(maxsize=None)

@@ -30,11 +30,15 @@ divergent alternating prefactor sums are taken in Abel-summed form. Each
 index sits in one pair of a matching, so the sum for one matching is the
 top coefficient of a product of one int series per pair, built from the
 Abel rows and an integer closed form of the pair coefficient. The routes
-share no series or entry code. The theorem route walks and signs its own
-matchings, depth first in _matching_sum, and imports nothing from the
-Pfaffian engines or the series ring for it. The routes must agree
-exactly, which the test suite and the command line verification switch
-enforce.
+share only the problem record and Python's ints and Fractions. The
+theorem route reads its Abel rows from exact_arith.abel_row and
+abel_last; the oracle builds the same prefactor coefficients by another
+recurrence, in operator_engine.prefactor_expansion, and reads none of the
+theorem's rows, pair series or matchings. The theorem route walks and
+signs its own matchings, depth first in _matching_sum, and imports
+nothing from the Pfaffian engines or the series ring for it. The routes
+must agree exactly, which the test suite and the command line
+verification switch enforce.
 
 g_coeff, GTable and enumerate_f state the formula's pair coefficients and
 degree distributions term by term, in Fractions. No route calls them:

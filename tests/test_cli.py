@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -74,6 +75,27 @@ def test_class_latex(capsys):
     )
     assert code == 0
     assert out.strip() == "\\frac{1}{24}(2\\xi)^{3}"
+
+
+@pytest.mark.parametrize("argv", ["chi -g 5 -a 1,2", "table --g-max 10 --max-len 5"], ids=("chi", "table"))
+def test_closed_stdout_exits_141_with_nothing_on_stderr(argv):
+    # stdout is a pipe whose read end is closed before prymck starts, so
+    # every run fails the same way: inside main, which exits as a shell
+    # reports SIGPIPE, where it used to report an internal error (exit 4)
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "prymck", *argv.split()],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (run.returncode, run.stderr) == (141, b"")
 
 
 def test_class_validation_exit_2(capsys):
@@ -189,6 +211,62 @@ def test_class_output_is_frozen(capsys, beta, fmt, digest):
             code, out, _ = run_cli(
                 capsys, "class", "--genus", str(g), "--vanishing", a, "--beta", beta, "--output", fmt
             )
+            assert code == 0, (g, lam)
+            h.update(out.encode())
+    assert h.hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize(
+    "beta, fmt, digest",
+    [
+        ("0", "plain", "24515a221724b592"),
+        ("0", "json", "798801fede28347e"),
+        ("0", "latex", "d644bcfd6400d37c"),
+        ("-1", "plain", "857601b1c91ac6dd"),
+        ("-1", "json", "2199c307228bca7a"),
+        ("-1", "latex", "efdfd6bbf885440a"),
+        ("symbolic", "plain", "3cc1e04f910ac58b"),
+        ("symbolic", "json", "6357a5cd2c9285cb"),
+        ("symbolic", "latex", "bfe6ed2fc595fdd0"),
+    ],
+)
+def test_class_output_from_a_leading_zero_is_frozen(capsys, beta, fmt, digest):
+    # sha256 prefixes of the concatenated class stdout over g = 2..8 and
+    # every sequence 0, lambda with lambda strict, at most 4 parts and size
+    # at most 2g - 3 (212 sequences): -a 0 (lambda = (), codimension 0) and
+    # sequences whose a, r and parity differ from lambda's, which the
+    # minimal sequences above never reach
+    h = hashlib.sha256()
+    count = 0
+    for g in range(2, 9):
+        for lam in prym_bn.strict_partitions(2 * g - 3, 4, 2 * g - 2):
+            a = ",".join(str(p) for p in (0, *sorted(lam)))
+            code, out, _ = run_cli(
+                capsys, "class", "--genus", str(g), "--vanishing", a, "--beta", beta, "--output", fmt
+            )
+            assert code == 0, (g, a)
+            h.update(out.encode())
+            count += 1
+    assert count == 212
+    assert h.hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [("plain", "10d7ba1182f4826e"), ("json", "d63eb143f64ad4ca"), ("latex", "10d7ba1182f4826e")],
+)
+@pytest.mark.parametrize("verify", [(), ("--verify",)], ids=("theorem", "verify"))
+def test_chi_output_is_frozen(capsys, fmt, verify, digest):
+    # sha256 prefixes of the concatenated chi stdout over the 265 problems
+    # of test_class_output_is_frozen, in each format, with and without
+    # --verify; latex prints the bare integer, as plain does
+    h = hashlib.sha256()
+    for g in range(2, 9):
+        for lam in prym_bn.strict_partitions(2 * g - 2, 5, 2 * g - 2):
+            if not lam:
+                continue
+            a = ",".join(str(p) for p in sorted(lam))
+            code, out, _ = run_cli(capsys, "chi", "--genus", str(g), "--vanishing", a, "--output", fmt, *verify)
             assert code == 0, (g, lam)
             h.update(out.encode())
     assert h.hexdigest()[:16] == digest

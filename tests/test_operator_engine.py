@@ -4,7 +4,7 @@ from operator import mul
 
 import pytest
 
-from prymck.exact_arith import abel_coefficient, binom_gen
+from prymck.exact_arith import abel_coefficient, abel_row, binom_gen
 from prymck.operator_engine import (
     _pair_weights,
     apply_pair_operator,
@@ -114,6 +114,15 @@ def test_prefactor_beta_minus_one_is_abel():
         pre = prefactor_expansion(s, 8)
         for v in range(9):
             assert Fraction(pre[v], 2**9) == abel_coefficient(s, v)
+
+
+def test_prefactor_rows_equal_the_theorem_routes_abel_rows():
+    # prefactor_expansion's own three-term recurrence against abel_row's
+    # two-term one, which the theorem route reads, shifted onto 2^(cap+1)
+    for s in range(-40, 41):
+        for cap in (0, 1, 2, 5, 59):
+            want = tuple(a << (cap - v) for v, a in enumerate(abel_row(s, cap)))
+            assert prefactor_expansion(s, cap) == want, (s, cap)
 
 
 def test_prefactor_symbolic_specializes():

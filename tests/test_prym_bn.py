@@ -9,7 +9,7 @@ from math import factorial
 import pytest
 from test_pfaffian import Terms
 
-from prymck import pfaffian, prym_bn, selfcheck
+from prymck import exact_arith, operator_engine, pfaffian, prym_bn, selfcheck
 from prymck.exact_arith import abel_coefficient, abel_row
 from prymck.operator_engine import apply_pair_operator, prefactor_expansion
 from prymck.pfaffian import SkewMatrix, augment_odd, perm_sign, pfaffian_matchings
@@ -568,6 +568,27 @@ def test_euler_theorem_needs_no_pfaffian_engine_or_series_ring(monkeypatch):
         monkeypatch.setattr(prym_bn, name, refuse, raising=False)
     monkeypatch.setattr(ThetaPoly, "__mul__", refuse)
     assert [euler_theorem(p) for p in problems] == want
+
+
+def test_euler_oracle_needs_no_abel_row_or_theorem_series(monkeypatch):
+    # the oracle builds its prefactor rows by their own recurrence, so it
+    # reads none of the theorem route's Abel rows, pair series or matching
+    # walk: with those made to raise, it still gives the classes recorded
+    # before, its prefactor cache emptied so that no row is served from it
+    problems = selfcheck._suite_problems(7)
+    want = [(ch_k_class(p), euler_oracle(p)) for p in problems]
+    prefactor_expansion.cache_clear()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle called an Abel row or series of the theorem route")
+
+    for module in (exact_arith, operator_engine, prym_bn):
+        for name in ("abel_row", "abel_last"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    monkeypatch.setattr(prym_bn, "_pair_ints", refuse)
+    monkeypatch.setattr(prym_bn, "_matching_sum", refuse)
+    assert [(ch_k_class(p), euler_oracle(p)) for p in problems] == want
+    assert prefactor_expansion.cache_info().currsize > 0
 
 
 def test_theorem_walk_six_levels_deep():
