@@ -93,10 +93,11 @@ _SCALED_STEPS_PER_UNIT = 2 * 10**6
 # the first stage was a cap^3 convolution; a step slowed as the ints grew
 # with the cap (1,900 to a unit at cap 150, 650 at 700), and two parts reach
 # the bound at cap 630. The kernel is now one recurrence of
-# O((lambda_j + B) * B + lambda_j^2) int products per entry, and that class
-# takes about 0.4 s, so _oracle_work, which keeps the two-stage terms until
-# the work model is fitted to counted steps (ROADMAP item 7), over-prices it
-# about 200x
+# O((lambda_j + B) * B + lambda_j^2) int products per entry, weighed by
+# stepped binomials with no table of weights, and that class takes about
+# 0.14 s, so _oracle_work, which keeps the two-stage terms until the work
+# model is fitted to counted steps (ROADMAP item 7), over-prices it about
+# 600x
 _KERNEL_STEPS_PER_UNIT = 500
 # steps of the one-part class per unit of work, cap^3 in all for its cap + 1
 # boundary Fractions: ch_k_class at g = 12001, lambda = (20) takes 12000^3
@@ -190,10 +191,11 @@ def _oracle_work(problem) -> int:
     ch_k_class runs on the excess degree B = cap - |lambda|: its products
     take series of B + 1 terms, and its kernel is one recurrence of
     O((lambda_j + B) * B + lambda_j^2) int products per entry, no cap^3
-    stage. So the kernel terms over-price it at every number of parts
-    (about 200x at g = 601, lambda = (2, 1)), and the product term
-    over-prices every problem whose B lies well below the cap, until the
-    work model is fitted to counted steps (ROADMAP item 7). That re-pricing waits for a digit
+    stage and no table of weights. So the kernel terms over-price it at
+    every number of parts (about 600x at g = 601, lambda = (2, 1), which
+    takes about 0.14 s), and the product term over-prices every problem
+    whose B lies well below the cap, until the work model is fitted to
+    counted steps (ROADMAP item 7). That re-pricing waits for a digit
     pre-check on multi-part classes, as it admits larger caps."""
     cap, ell = problem.dim_prym, problem.ell
     products = _pfaffian_products(ell + ell % 2) * cap**3
@@ -353,53 +355,53 @@ def _problem_line(p) -> str:
     return f"problem: g={p.g} r={p.r} a={_commas(p.a)} lambda={lam} parity={p.parity} expected_empty={empty}"
 
 
-def _print_class(problem, beta, value, output):
-    """Print a class in one output format. The beta branch formats each
-    value once: the json document and the plain lines read the same
-    strings, and the latex terms are joined only when printed."""
+def _print_class(problem, beta, value, output, limit):
+    """Check and print a class in one output format. The beta branch lists
+    the rationals that plain and json print: gamma and its xi form, the
+    theta' and xi coefficients, or the symbolic coefficients' rationals.
+    _check_digits refuses them (exit 2) before any str(). Latex, which
+    prints a subset of them, is printed next, from the value; plain and
+    json format each listed rational once and read the same strings."""
     kind, flags = _MODES[beta]
+    e = problem.codim
+    if beta == 0:
+        shown = [value, value * 2**e]
+    elif beta == SYMBOLIC:
+        # the other coefficients are the int 0, or the 1 of the empty partition
+        shown = [x for c in value.coeffs if isinstance(c, BetaPoly) for _, x in c.items()]
+    else:
+        shown = [*value.coeffs, *_xi_coeffs(value)]
+    _check_digits("gamma" if beta == 0 else "a coefficient", shown, limit)
+    if output == "latex":
+        if beta == 0:
+            print(_latex_rational(value) + (f"(2\\xi)^{{{e}}}" if e else ""))
+        else:
+            print(_latex_sum(_latex_theta(value, _latex_beta_coeff)))
+        return
     normalization = {"basis": "theta_prime", "relation": "theta_prime = 2*xi"}
     if beta == 0:
-        e = problem.codim
-        gamma, gamma_xi = format_rational(value), format_rational(value * 2**e)
+        gamma, gamma_xi = map(format_rational, shown)
         result = {"kind": kind, "gamma": gamma, "exponent": e}
         normalization["gamma_xi"] = gamma_xi
         lines = [f"gamma: {gamma}", f"exponent: {e}", f"class: ({gamma})*(2xi)^{e} = ({gamma_xi})*xi^{e}"]
-        latex_terms = [_latex_rational(value) + (f"(2\\xi)^{{{e}}}" if e else "")]
     elif beta == SYMBOLIC:
         result = {"kind": kind, "theta_poly": value.to_json_dict()}
-        shown = [f"  T^{d}: {c}" for d, c in enumerate(value.coeffs) if c]
-        lines = ["theta_poly (T = theta' = 2xi, b = beta):", *(shown or ["  0"])]
-        latex_terms = _latex_theta(value, _latex_beta_coeff)
+        terms = [f"  T^{d}: {c}" for d, c in enumerate(value.coeffs) if c]
+        lines = ["theta_poly (T = theta' = 2xi, b = beta):", *(terms or ["  0"])]
     else:
-        theta = [format_rational(c) for c in value.coeffs]
-        xi = [format_rational(c) for c in _xi_coeffs(value)]
+        strings = [format_rational(x) for x in shown]
+        theta, xi = strings[: len(value.coeffs)], strings[len(value.coeffs) :]
         result = {"kind": kind, "theta_poly": {"cap": value.cap, "coeffs": theta}}
         normalization["xi_coeffs"] = xi
         lines = [
             f"theta_poly: {', '.join(theta)}  (T^0..T^{value.cap}; T = theta' = 2xi)",
             f"xi_poly: {', '.join(xi)}",
         ]
-        latex_terms = _latex_theta(value, _latex_rational)
     if output == "json":
         print(json.dumps(_json_document(problem, result, beta, flags, normalization), indent=2))
-    elif output == "latex":
-        print(_latex_sum(latex_terms))
     else:
         flag = f" [{', '.join(flags)}]" if flags else ""
         print("\n".join([_problem_line(problem), f"kind: {kind} (beta={beta}){flag}", *lines]))
-
-
-def _shown_rationals(problem, beta, value):
-    """The rationals that plain and json print for a class: gamma and its
-    xi form, the theta' and xi coefficients, or the symbolic coefficients'
-    rationals."""
-    if beta == 0:
-        return [value, value * 2**problem.codim]
-    if beta == SYMBOLIC:
-        # the other coefficients are the int 0, or the 1 of the empty partition
-        return [x for c in value.coeffs if isinstance(c, BetaPoly) for _, x in c.items()]
-    return [*value.coeffs, *_xi_coeffs(value)]
 
 
 def run_class(args) -> int:
@@ -415,10 +417,7 @@ def run_class(args) -> int:
         too_long = _gamma_too_long(problem.lam, limit)
     if too_long:
         raise ValidationError(f"problem too large: {what} has more than {limit} digits")
-    value = class_result(problem, beta)
-    # the exact check on what plain and json print (latex: a subset)
-    _check_digits(what, _shown_rationals(problem, beta, value), limit)
-    _print_class(problem, beta, value, args.output)
+    _print_class(problem, beta, class_result(problem, beta), args.output, limit)
     return 0
 
 
@@ -433,10 +432,10 @@ def run_chi(args) -> int:
     if args.verify:
         other = euler_oracle(problem)
         if chi != other:
-            print(
-                f"error: route mismatch: theorem={chi} oracle={other}",
-                file=sys.stderr,
-            )
+            # chi passed the digit check; the oracle's value may not have
+            fits = max(abs(other.numerator), other.denominator) < 10**limit
+            shown = other if fits else f"(more than {limit} digits)"
+            print(f"error: route mismatch: theorem={chi} oracle={shown}", file=sys.stderr)
             return 3
     if args.output == "json":
         result = {"kind": "euler_characteristic", "chi": format_rational(chi)}

@@ -57,15 +57,24 @@ lowering gives each row of E from the last, with no Q built:
 
 with P_j = 0 below index 0 and above the cap, and P_i[-1] = 0. The kernel
 keeps two rows, E_(x-1) and the products P_i[x-1] * P_j, and adds
-E_x[k] * cap! / (ii! * jj!) into degree x + k of the window, for
-x + k = 0..B and k >= -l_j. The recurrence is the interaction's own
+E_x[k] * cap! / (ii! * jj!) into degree d = x + k of the window, for
+d = 0..B and k >= -l_j. The recurrence is the interaction's own
 denominator and the prefactor rows: it uses nothing of the theorem route.
+
+The weight is C(L + d, ii) * cap! / (L + d)!, as ii + jj = L + d. Along
+row x the kernel steps the binomial, C(L + d + 1, ii) =
+C(L + d, ii) * (L + d + 1) / (jj + 1), from the row's first window cell:
+C(L, l_i + x) while x < l_j, each row's from the last by
+(l_j - x) / (l_i + x + 1), and 1 from x = l_j on. Every division is
+exact. After the last row it multiplies each degree d of the window once
+by cap! / (L + d)!, a running product from d = B down. So a call holds
+O(l_j + B) ints, its two rows, the window and a few weights, and keeps
+nothing between calls.
 
 Everything is scaled by S = 4^(cap+1) * cap!, so the recurrence runs on
 plain ints: each prefactor comes as the ints
 2^(cap+1) * P[v] (the T^v coefficient has a denominator dividing
-2^(v+1)), the interaction coefficients are integers, and
-cap! / (ii! * jj!) is an integer whenever ii + jj <= cap. The window is
+2^(v+1)) and the interaction coefficients are integers. The window is
 returned as those ints, S times its coefficients, and no Fraction is
 built here: ch_k_class runs the Pfaffian on the scaled windows and
 divides S^(n/2) out once per degree of the product.
@@ -81,14 +90,15 @@ and the kernel runs the guard alone and returns None.
 
 Costs per entry, with R = l_j + B its row bound: O(R * B) window cells
 and O(l_j^2) guard cells, each one product with P_i[x] and the window's
-cells one weight product more, and the Pfaffian multiplies series of
-B + 1 coefficients, where full entries took O(cap^3) for each. A class
-with l nonzero parts has l(l-1)/2 entries.
+cells one weight product and one binomial step more, and the Pfaffian
+multiplies series of B + 1 coefficients, where full entries took O(cap^3)
+for each. A class with l nonzero parts has l(l-1)/2 entries.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb, prod
 
 from .series_ring import ThetaPoly
 
@@ -153,20 +163,6 @@ def interaction_expansion(cap: int) -> tuple:
     return tuple(map(tuple, table))
 
 
-@lru_cache(maxsize=None)
-def _pair_weights(cap: int):
-    """Rows cap! / (ii! * jj!) over ii + jj <= cap: row 0 by a running
-    product, and each later row from the last, w[ii][jj] = w[ii-1][jj] / ii,
-    an exact division as every cell is an integer."""
-    row = [1] * (cap + 1)  # row 0, cap! / jj!, from jj = cap down
-    for jj in range(cap - 1, -1, -1):
-        row[jj] = row[jj + 1] * (jj + 1)
-    weights = [tuple(row)]
-    for ii in range(1, cap + 1):
-        weights.append(tuple(c // ii for c in weights[-1][: cap + 1 - ii]))
-    return tuple(weights)
-
-
 def _padded(prefactors, low: int) -> tuple:
     """The j-side prefactor row as the kernel reads it, P[-low..cap]: low
     zeros for the indices below 0, then the row. The guard's cells start
@@ -193,15 +189,21 @@ def apply_pair_operator(base, prefactors_i, prefactors_j, cap: int, excess: int)
     gives (see the module docstring): row x of the cells is P_i[x] times
     the j-side row, less P_i[x-1] times it one cell on and two cells of
     row x - 1, so no table of the interaction or of its product with a
-    prefactor row is built. Every term has b <= a, so the degrees below L
-    vanish; the kernel computes those inside the cap, the guard, and
-    raises ArithmeticError if one is not 0. With excess < 0 there is no
-    window: the guard runs alone and None is returned. Raises ValueError
-    on negative bases, on prefactor rows of other than cap + 1 ints (rows
-    built at another cap) and on a window past the cap.
+    prefactor row is built. Each window cell is weighed by
+    cap! / (ii! * jj!) = C(L + d, ii) * cap! / (L + d)!, d its degree in
+    the window: the binomial is stepped cell by cell along the row, and
+    cap! / (L + d)! multiplies degree d once after the last row, so no
+    table of weights is built either. A call holds O(base_j + excess) ints
+    and keeps nothing between calls. Every term has b <= a, so the degrees
+    below L vanish; the kernel computes those inside the cap, the guard,
+    and raises ArithmeticError if one is not 0. With excess < 0 there is
+    no window: the guard runs alone and None is returned. Raises
+    ValueError on negative bases, on prefactor rows of other than cap + 1
+    ints (rows built at another cap) and on a window past the cap.
 
     It costs O((base_j + excess) * excess) window cells and O(base_j^2)
-    guard cells, each an int product and three additions, where the
+    guard cells, each an int product and three additions (a window cell
+    one weight product and one binomial step more), where the
     whole entry took O(cap^3). ch_k_class multiplies the windows in its
     Pfaffian and puts theta'^|lambda| back, by Pf(D A~ D) = det(D) * Pf(A~)
     (see the module docstring).
@@ -217,16 +219,22 @@ def apply_pair_operator(base, prefactors_i, prefactors_j, cap: int, excess: int)
     # below k = -x, the window's from there, each x + k <= top
     top = excess if excess >= 0 else min(-1, cap - li - lj)
     pj = _padded(prefactors_j, lj)
-    weights = _pair_weights(cap)
     window = [0] * (excess + 1)
     e = last = [0] * (lj + top + 2)  # E_(x-1) and P_i[x-1] * P_j, 0 before row 0
+    start = comb(li + lj, li)  # C(L + deg, li + x) at row x's first window cell
     for x in range(lj + top + 1):
         cur = [prefactors_i[x] * c for c in pj[: lj + top + 1 - x]]
         e = [c - d - a - b for c, d, a, b in zip(cur, last[1:], e, e[1:])]
         last, low = cur, max(lj - x, 0)
         if any(e[:low]):
             raise ArithmeticError(f"apply_pair_operator: row {x} is nonzero below the base degree {li + lj}")
-        row = weights[li + x]
+        w = start  # C(L + deg, li + x) at jj = t, deg = x + t - lj
         for t in range(low, len(e)):
-            window[x + t - lj] += e[t] * row[t]
+            window[x + t - lj] += e[t] * w
+            w = w * (li + x + t + 1) // (t + 1)
+        start = start * (lj - x) // (li + x + 1) if x < lj else 1
+    scale = prod(range(li + lj + excess + 1, cap + 1))  # cap! / (L + deg)!, from deg = excess down
+    for deg in range(excess, -1, -1):
+        window[deg] *= scale
+        scale *= li + lj + deg
     return ThetaPoly(excess, window) if excess >= 0 else None

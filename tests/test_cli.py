@@ -151,6 +151,17 @@ def test_chi_verify_detects_route_mismatch(capsys, monkeypatch):
     assert "route mismatch" in err
 
 
+def test_chi_verify_names_an_oracle_value_over_the_str_limit(capsys, monkeypatch):
+    # a mismatch whose oracle value has more digits than str() converts
+    # still exits 3, naming that value by its size rather than an internal
+    # error from formatting it
+    monkeypatch.setattr(cli, "euler_oracle", lambda problem: Fraction(10**5000 + 1, 3))
+    code, out, err = run_cli(capsys, "chi", "-g", "5", "-a", "1,2", "--verify")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: route mismatch: theorem=")
+    assert err.endswith(f" oracle=(more than {cli._str_limit()} digits)\n")
+
+
 def test_chi_json(capsys):
     code, out, _ = run_cli(
         capsys, "chi", "--genus", "4", "-r", "1", "--vanishing", "1,2", "--output", "json"
@@ -770,6 +781,34 @@ def test_class_refuses_coefficients_over_the_str_limit(capsys):
     assert code == 0 and err == "" and out.startswith("problem: g=1400 ")
 
 
+def test_class_refuses_exactly_the_classes_it_cannot_print(capsys, monkeypatch):
+    # with str() limits of a few digits, every beta mode and format of class
+    # exits 2 with nothing on stdout exactly when a rational that plain or
+    # json prints has more than limit digits, and 0 otherwise
+    def printed(p, beta):
+        if beta == "0":
+            gamma = prym_bn.chow_class_closed(p.lam)
+            return [gamma, gamma * 2**p.codim]
+        coeffs = [Fraction(c) for c in prym_bn.ch_k_class(p).coeffs]
+        # symbolic prints the theta' coefficients up to sign, -1 their xi forms too
+        return coeffs if beta == "symbolic" else coeffs + [c * 2**d for d, c in enumerate(coeffs)]
+
+    outcomes = set()
+    for p in selfcheck._suite_problems(6):
+        argv = ("class", "-g", str(p.g), "-r", str(p.r), "-a", ",".join(map(str, p.a)))
+        for beta in ("0", "-1", "symbolic"):
+            size = max(decimal_digits(n) for x in printed(p, beta) for n in (abs(x.numerator), x.denominator))
+            for limit in (1, 2, 3, 6):
+                monkeypatch.setattr(cli, "_str_limit", lambda: limit)
+                refused = size > limit
+                outcomes.add((beta, refused))
+                for fmt in ("plain", "json", "latex"):
+                    code, out, err = run_cli(capsys, *argv, "--beta", beta, "--output", fmt)
+                    assert (code, out == "") == ((2, True) if refused else (0, False)), (p, beta, limit, fmt)
+                    assert (err == "") != refused, (p, beta, limit, fmt)
+    assert len(outcomes) == 6
+
+
 def test_class_beta_zero_prints_up_to_the_str_limit(capsys):
     # gamma of lambda = (52, ..., 1) is 1 / q with q of 2311 digits, and
     # gamma * 2^|lambda| has 1896: it prints until str() converts fewer
@@ -867,7 +906,7 @@ def test_one_part_class_lower_bound():
             den = value.coeff(cap).denominator
             assert den * comb(cap - 1, k - 1) >= 2 * factorial(cap), (g, k)
             reached += den * comb(cap - 1, k - 1) == 2 * factorial(cap)
-            shown = cli._shown_rationals(p, -1, value)
+            shown = [*value.coeffs, *cli._xi_coeffs(value)]
             digits = max(decimal_digits(n) for x in shown for n in (abs(x.numerator), x.denominator))
             for limit in range(1, 30):
                 assert not cli._class_too_long(p, limit) or digits > limit, (g, k, limit)
@@ -908,7 +947,8 @@ def test_one_part_class_pre_check_never_refuses_a_printable_class():
         for genus in (g, g + 1):
             p = prym_bn.problem_from_partition(genus, (k,))
             assert cli._class_too_long(p, 4300)
-            shown = cli._shown_rationals(p, -1, prym_bn.ch_k_class(p))
+            value = prym_bn.ch_k_class(p)
+            shown = [*value.coeffs, *cli._xi_coeffs(value)]
             with pytest.raises(prym_bn.ValidationError, match="a coefficient has more than 4300 digits"):
                 cli._check_digits("a coefficient", shown, 4300)
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 from operator import mul
@@ -6,12 +7,11 @@ import pytest
 
 from prymck.exact_arith import abel_coefficient, abel_row, binom_gen
 from prymck.operator_engine import (
-    _pair_weights,
     apply_pair_operator,
     interaction_expansion,
     prefactor_expansion,
 )
-from prymck.prym_bn import SYMBOLIC
+from prymck.prym_bn import SYMBOLIC, ch_k_class, problem_from_partition
 from prymck.series_ring import BetaPoly, ThetaPoly
 
 
@@ -331,13 +331,19 @@ def test_first_stage_equals_convolution_and_closed_form(cap):
                 assert list(window.coeffs) == want[: excess + 1], (li, lj, s, excess)
 
 
-def test_pair_weights_equal_factorial_quotients():
-    for cap in range(41):
-        want = tuple(
-            tuple(factorial(cap) // (factorial(ii) * factorial(jj)) for jj in range(cap + 1 - ii))
-            for ii in range(cap + 1)
-        )
-        assert _pair_weights(cap) == want, cap
+def test_kernel_keeps_nothing_between_calls():
+    # a class at g = 200, lambda = (2, 1), dropped, leaves only the cached
+    # prefactor rows behind: no table of weights outlives the call (a
+    # cap^2 / 2 table of factorial quotients would keep about 2 MiB)
+    prefactor_expansion.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ch_k_class(problem_from_partition(200, (2, 1)))
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 2**19, kept
 
 
 def test_expansions_are_cached():
