@@ -153,7 +153,7 @@ def _theorem_work(problem) -> int:
     n(n-1)/2 pair series, h^2 steps each, _SCALED_STEPS_PER_UNIT to a
     unit. One part is its Abel walk alone, (B + 1) * h steps,
     _WALK_STEPS_PER_UNIT to a unit, rounded up so that no walk is free."""
-    budget = problem.dim_prym - problem.codim
+    budget = problem.rho
     if budget < 0:
         return 0
     h, ell = problem.dim_prym, problem.ell
@@ -330,10 +330,10 @@ def _latex_sum(terms) -> str:
     return "".join(t if t.startswith("-") else f"+{t}" for t in terms).removeprefix("+") or "0"
 
 
-def _latex_theta(poly: ThetaPoly, coeff):
-    # the nonzero terms of poly, each coefficient c printed as coeff(c), as
-    # a generator: built only when joined
-    return (coeff(c) + (f"(\\theta')^{{{d}}}" if d else "") for d, c in enumerate(poly.coeffs) if c)
+def _latex_theta(poly: ThetaPoly):
+    # the nonzero terms of poly, each coefficient c printed as
+    # _latex_beta_coeff(c), as a generator: built only when joined
+    return (_latex_beta_coeff(c) + (f"(\\theta')^{{{d}}}" if d else "") for d, c in enumerate(poly.coeffs) if c)
 
 
 def _latex_beta_coeff(c) -> str:
@@ -376,7 +376,7 @@ def _print_class(problem, beta, value, output, limit):
         if beta == 0:
             print(_latex_rational(value) + (f"(2\\xi)^{{{e}}}" if e else ""))
         else:
-            print(_latex_sum(_latex_theta(value, _latex_beta_coeff)))
+            print(_latex_sum(_latex_theta(value)))
         return
     normalization = {"basis": "theta_prime", "relation": "theta_prime = 2*xi"}
     if beta == 0:

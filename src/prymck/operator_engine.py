@@ -18,15 +18,17 @@ and the pairwise interaction is
 Both series are expanded here at beta = -1, the Chern character route,
 truncated by the total degree cap of the target ring: the prefactor into
 a tuple of ints scaled by 2^(cap+1), the interaction into a cached table
-of ints, which the checks read (the kernel works from the interaction's
-denominator instead, see below). No other value of beta is needed: the
-T^v prefactor coefficient is a rational multiple of beta^v and the
-interaction coefficient of raise a and lowering b one of beta^(a-b), so
-every entry is homogeneous with beta of degree -1 against theta' of
-degree 1, the grading of the connective K-theory Pfaffian formulas. Its
-degree-d coefficient at general beta is the beta = -1 one times
-(-beta)^(d - base_i - base_j), and prym_bn reads the beta = 0 and
-symbolic classes off the beta = -1 class this way.
+of ints. The kernel builds no such table but runs the interaction's
+denominator identity (see below); interaction_expansion builds its table
+by that same identity, so the checks that compare the table with the
+paper's closed form check what the kernel relies on. No other value of
+beta is needed: the T^v prefactor coefficient is a rational multiple of
+beta^v and the interaction coefficient of raise a and lowering b one of
+beta^(a-b), so every entry is homogeneous with beta of degree -1 against
+theta' of degree 1, the grading of the connective K-theory Pfaffian
+formulas. Its degree-d coefficient at general beta is the beta = -1 one
+times (-beta)^(d - base_i - base_j), and prym_bn reads the symbolic class
+off the beta = -1 class this way.
 
 apply_pair_operator builds an entry from the expansions with one integer
 kernel. With P_i, P_j the prefactor coefficients, I[b][a] the interaction
@@ -146,20 +148,24 @@ def interaction_expansion(cap: int) -> tuple:
     (-1)^a * (binom(a, b) + binom(a-1, b-1)). Returned as a tuple of int
     tuples indexed [b][a], for a, b = 0..cap.
 
-    The binomials come by Pascal's rule, one row of binom(a, .) from the
-    last, so the table costs O(cap^2) additions.
+    The table is not built from that closed form but from the interaction's
+    own denominator, the identity apply_pair_operator runs: with T the
+    raise and U the lowering, I = (1 - TU) / (1 + T + TU) satisfies
+    (1 + T + TU) * I = 1 - TU, so
+
+        I[b][a] = [a = b = 0] - [a = b = 1] - I[b][a-1] - I[b-1][a-1],
+
+    one column a from the last. The checks compare the closed form with
+    this table, so they check what the kernel relies on.
     """
     if cap < 0:
         raise ValueError(f"interaction_expansion: cap must be nonnegative, got {cap}")
     table = [[0] * (cap + 1) for _ in range(cap + 1)]
-    prev = [0] * (cap + 1)  # binom(a - 1, b): all 0 at a = 0
-    row = [1] + [0] * cap  # binom(a, b)
-    for a in range(cap + 1):
-        sign = -1 if a % 2 else 1
-        table[0][a] = sign
-        for b in range(1, a + 1):
-            table[b][a] = sign * (row[b] + prev[b - 1])
-        prev, row = row, [1] + [row[b] + row[b - 1] for b in range(1, cap + 1)]
+    table[0][0] = 1
+    for a in range(1, cap + 1):
+        for b in range(a + 1):
+            source = -1 if a == b == 1 else 0  # the -TU of 1 - TU
+            table[b][a] = source - table[b][a - 1] - (table[b - 1][a - 1] if b else 0)
     return tuple(map(tuple, table))
 
 

@@ -76,26 +76,6 @@ class SkewMatrix:
         self._upper = data
 
     @classmethod
-    def from_rows(cls, rows) -> "SkewMatrix":
-        """Build from a full square grid, validating skew-symmetry."""
-        rows = [list(r) for r in rows]
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise ValueError("SkewMatrix.from_rows: grid is not square")
-        upper = {}
-        for i in range(n):
-            if rows[i][i]:
-                raise ValueError(f"SkewMatrix.from_rows: nonzero diagonal at {i}")
-            for j in range(i + 1, n):
-                if not (rows[j][i] == -rows[i][j]):
-                    raise ValueError(
-                        f"SkewMatrix.from_rows: entries ({i},{j}) and ({j},{i}) "
-                        "are not skew"
-                    )
-                upper[(i, j)] = rows[i][j]
-        return cls(n, upper)
-
-    @classmethod
     def from_upper(cls, n: int, fn) -> "SkewMatrix":
         """Build from a callable giving the entry at (i, j) for i < j."""
         return cls(n, {(i, j): fn(i, j) for i in range(n) for j in range(i + 1, n)})

@@ -14,12 +14,14 @@ Class computations:
 * ch_k_class gives the Chern character expansion of the structure-sheaf
   class as a polynomial in the restricted theta class theta' = 2*xi,
   truncated at degree g - 1.
-* ck_class interpolates both through the connective deformation parameter
-  beta (0 recovers the cohomology class, -1 the Chern character route). It
-  is a view of ch_k_class: the class is homogeneous with beta of degree -1
-  (the grading of Hudson-Ikeda-Matsumura-Naruse, Adv. Math. 2017), so its
-  degree-d coefficient is that of ch_k_class times (-beta)^(d - |lambda|),
-  and beta = 0 leaves the single monomial of degree |lambda|.
+* ck_class keeps the connective deformation parameter beta, at -1 (the
+  Chern character route) or as a symbol. It is a view of ch_k_class: the
+  class is homogeneous with beta of degree -1 (the grading of
+  Hudson-Ikeda-Matsumura-Naruse, Adv. Math. 2017), so its degree-d
+  coefficient is that of ch_k_class times (-beta)^(d - |lambda|). The
+  symbolic class at beta = 0 leaves the single monomial of degree
+  |lambda|, the cohomology class; class_result answers beta = 0 by
+  chow_class_closed.
 
 The holomorphic Euler characteristic is computed by two independent
 routes. euler_oracle integrates the top coefficient of ch_k_class against
@@ -333,7 +335,7 @@ def ch_k_class(problem: PrymProblem) -> ThetaPoly:
     pre = [prefactor_expansion(s[i], cap) for i in range(ell)]
     if ell == 1:
         return _one_part_class(lam[0], pre[0], cap)
-    excess = cap - problem.codim
+    excess = problem.rho
 
     def entry(i, j):
         return apply_pair_operator((lam[i], lam[j]), pre[i], pre[j], cap, excess)
@@ -350,14 +352,12 @@ def ch_k_class(problem: PrymProblem) -> ThetaPoly:
 def ck_class(problem: PrymProblem, beta_mode) -> ThetaPoly:
     """Connective class as a truncated theta' polynomial, read off ch_k_class.
 
-    beta_mode -1 is ch_k_class itself. 0 gives the cohomology class, the
-    single monomial of degree |lambda| with the coefficient ch_k_class has
-    there. "symbolic" keeps the parameter as a polynomial variable: the
-    degree-d coefficient c becomes c * (-beta)^(d - |lambda|), a BetaPoly
-    (BetaPoly() when c is a Fraction 0, at any degree), while an int
-    coefficient, a degree no entry term reaches or the 1 of the empty
-    partition, stays as it is; JSON output tells BetaPoly() ({}) and 0 ("0")
-    apart.
+    beta_mode -1 is ch_k_class itself. "symbolic" keeps the parameter as a
+    polynomial variable: the degree-d coefficient c becomes
+    c * (-beta)^(d - |lambda|), a BetaPoly (BetaPoly() when c is a Fraction
+    0, at any degree), while an int coefficient, a degree no entry term
+    reaches or the 1 of the empty partition, stays as it is; JSON output
+    tells BetaPoly() ({}) and 0 ("0") apart.
 
     So the zeros below the base degree print by their type, and the bytes
     are kept as they are. One part is _one_part_class, which builds
@@ -365,15 +365,18 @@ def ck_class(problem: PrymProblem, beta_mode) -> ThetaPoly:
     json prints {} at degrees 0 and 1. From two parts on, ch_k_class puts
     int 0s below |lambda|, under the Pfaffian of the excess windows, and
     -a 1,2 prints "0" at degrees 0..2.
+
+    The symbolic class at beta = 0 is the cohomology class, the single
+    monomial of degree |lambda| with the coefficient ch_k_class has there;
+    for beta = 0 itself use class_result or chow_class_closed. Any other
+    mode, 0 included, raises ValueError.
     """
-    if beta_mode not in (0, -1, SYMBOLIC):
-        raise ValueError(f"beta_mode must be one of (0, -1, {SYMBOLIC!r}), got {beta_mode!r}")
+    if beta_mode not in (-1, SYMBOLIC):
+        raise ValueError(f"beta_mode must be -1 or {SYMBOLIC!r}, got {beta_mode!r}")
     ch = ch_k_class(problem)
-    low = problem.codim
     if beta_mode == -1:
         return ch
-    if beta_mode == 0:
-        return ThetaPoly.monomial(ch.cap, low, ch.coeff(low))
+    low = problem.codim
 
     def lift(d, c):
         if isinstance(c, int):

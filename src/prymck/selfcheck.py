@@ -201,9 +201,10 @@ def check_classical_recovery():
 
 
 def check_interaction_specialization():
-    # the general-beta closed forms at beta = 0 and -1 against the engine's
-    # beta = -1 expansions, scaled by (-beta)^(a-b) and (-beta)^v; the
-    # prefactor comes as ints over 2^(cap+1)
+    # the paper's general-beta closed forms at beta = 0 and -1 against the
+    # engine's beta = -1 expansions, scaled by (-beta)^(a-b) and (-beta)^v:
+    # the interaction table by the denominator identity the kernel runs,
+    # the prefactor as ints over 2^(cap+1)
     cap = 10
     inter = interaction_expansion(cap)
     for beta in (Fraction(0), Fraction(-1)):

@@ -58,13 +58,6 @@ class BetaPoly:
                     data[exp] = c
         self._coeffs = data
 
-    @classmethod
-    def term(cls, coeff, exp: int = 0) -> "BetaPoly":
-        return cls({exp: coeff})
-
-    def coeff(self, exp: int) -> Fraction:
-        return self._coeffs.get(exp, Fraction(0))
-
     def items(self):
         """Sorted (exponent, coefficient) pairs."""
         return tuple(sorted(self._coeffs.items()))
@@ -82,17 +75,9 @@ class BetaPoly:
             return self._coeffs == {0: other}
         return NotImplemented
 
-    def __hash__(self):
-        # constant polynomials hash like their value so x == y => hash equal
-        if not self._coeffs:
-            return hash(Fraction(0))
-        if set(self._coeffs) == {0}:
-            return hash(self._coeffs[0])
-        return hash(self.items())
-
     def __add__(self, other):
         if isinstance(other, Rational):
-            other = BetaPoly.term(other)
+            other = BetaPoly({0: other})
         if not isinstance(other, BetaPoly):
             return NotImplemented
         data = dict(self._coeffs)
@@ -258,9 +243,6 @@ class ThetaPoly:
         return self._cap == other._cap and all(
             a == b for a, b in zip(self._coeffs, other._coeffs)
         )
-
-    def __hash__(self):
-        return hash((self._cap, self._coeffs))
 
     def __repr__(self):
         body = ", ".join(str(c) for c in self._coeffs)

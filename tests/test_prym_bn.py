@@ -269,26 +269,11 @@ def test_routes_multiply_int_series_only(theta_products):
     # oracle's entry windows are scaled to ints before the Pfaffian
     for p in selfcheck._suite_problems(7):
         ch_k_class(p)
-        for beta_mode in (-1, 0, "symbolic"):
+        for beta_mode in (-1, "symbolic"):
             ck_class(p, beta_mode)
         euler_oracle(p)
     assert theta_products
     assert all(type(c) is int for pair in theta_products for x in pair for c in x.coeffs)
-
-
-def test_ck_class_beta_zero_is_single_monomial():
-    p = build_problem(4, 1, (1, 2))
-    assert ck_class(p, 0) == ThetaPoly.monomial(3, 3, Fraction(1, 24))
-
-
-def test_ck_class_beta_zero_matches_pfaffian_embedding():
-    for g in (4, 5, 6):
-        for lam in strict_partitions(g - 1, 3, 2 * g - 2):
-            if not lam:
-                continue
-            p = problem_from_partition(g, lam)
-            want = ThetaPoly.monomial(g - 1, sum(lam), chow_class_pfaffian(lam))
-            assert ck_class(p, 0) == want
 
 
 def test_ck_class_beta_minus_one_is_ch_k():
@@ -301,11 +286,13 @@ def test_ck_class_beta_minus_one_is_ch_k():
 def test_ck_class_empty_partition_is_one():
     p = problem_from_partition(4, ())
     assert ck_class(p, -1) == ThetaPoly.one(3)
-    assert ck_class(p, 0) == ThetaPoly.one(3)
+    assert ck_class(p, "symbolic") == ThetaPoly.one(3)
 
 
 def test_ck_class_symbolic_specializes():
-    for g in (3, 4, 5):
+    # at beta = 0 the symbolic class is the cohomology class, the single
+    # monomial gamma * theta'^|lambda|, and 1 for the empty partition
+    for g in (3, 4, 5, 6):
         for lam in strict_partitions(g - 1, 3, 2 * g - 2):
             p = problem_from_partition(g, lam)
             sym = ck_class(p, "symbolic")
@@ -318,10 +305,11 @@ def test_ck_class_symbolic_specializes():
                 ])
 
             assert at(-1) == ch_k_class(p)
-            assert at(0) == ck_class(p, 0)
             if lam:
                 want = ThetaPoly.monomial(g - 1, sum(lam), chow_class_pfaffian(lam))
-                assert at(0) == want
+            else:
+                want = ThetaPoly.one(g - 1)
+            assert at(0) == want
 
 
 def test_leading_term_is_cohomology_class():
@@ -738,7 +726,7 @@ def test_class_result_kinds():
     assert class_result(p, "symbolic") == ck_class(p, "symbolic")
     with pytest.raises(ValueError):
         class_result(p, 2)
-    for mode in (1, "beta", None):
+    for mode in (0, 1, "beta", None):
         with pytest.raises(ValueError):
             ck_class(p, mode)
 
