@@ -276,6 +276,33 @@ def test_routes_multiply_int_series_only(theta_products):
     assert all(type(c) is int for pair in theta_products for x in pair for c in x.coeffs)
 
 
+def _symbolic_at(p, beta):
+    # the symbolic class with each BetaPoly coefficient evaluated at beta; an int stays
+    sym = ck_class(p, "symbolic")
+    return ThetaPoly(sym.cap, [
+        sum(x * beta**e for e, x in c.items()) if isinstance(c, BetaPoly) else c
+        for c in sym.coeffs
+    ])
+
+
+def test_ck_class_beta_zero_is_single_monomial():
+    # at beta = 0 the class is gamma * theta'^|lambda|, gamma as class_result answers it
+    p = build_problem(4, 1, (1, 2))
+    assert _symbolic_at(p, 0) == ThetaPoly.monomial(3, 3, Fraction(1, 24))
+    assert class_result(p, 0) == Fraction(1, 24)
+
+
+def test_ck_class_beta_zero_matches_pfaffian_embedding():
+    for g in (4, 5, 6):
+        for lam in strict_partitions(g - 1, 3, 2 * g - 2):
+            if not lam:
+                continue
+            p = problem_from_partition(g, lam)
+            want = ThetaPoly.monomial(g - 1, sum(lam), chow_class_pfaffian(lam))
+            assert _symbolic_at(p, 0) == want
+            assert class_result(p, 0) == chow_class_pfaffian(lam)
+
+
 def test_ck_class_beta_minus_one_is_ch_k():
     for g in (3, 4, 5):
         for lam in strict_partitions(g - 1, 3, 2 * g - 2):
@@ -290,26 +317,14 @@ def test_ck_class_empty_partition_is_one():
 
 
 def test_ck_class_symbolic_specializes():
-    # at beta = 0 the symbolic class is the cohomology class, the single
-    # monomial gamma * theta'^|lambda|, and 1 for the empty partition
-    for g in (3, 4, 5, 6):
+    # beta = -1 gives the Chern character; beta = 0 gives 1 for the empty
+    # partition (nonempty ones: test_ck_class_beta_zero_matches_pfaffian_embedding)
+    for g in (3, 4, 5):
         for lam in strict_partitions(g - 1, 3, 2 * g - 2):
             p = problem_from_partition(g, lam)
-            sym = ck_class(p, "symbolic")
-
-            def at(beta):
-                # each BetaPoly coefficient evaluated at beta; an int stays
-                return ThetaPoly(sym.cap, [
-                    sum(x * beta**e for e, x in c.items()) if isinstance(c, BetaPoly) else c
-                    for c in sym.coeffs
-                ])
-
-            assert at(-1) == ch_k_class(p)
-            if lam:
-                want = ThetaPoly.monomial(g - 1, sum(lam), chow_class_pfaffian(lam))
-            else:
-                want = ThetaPoly.one(g - 1)
-            assert at(0) == want
+            assert _symbolic_at(p, -1) == ch_k_class(p)
+            if not lam:
+                assert _symbolic_at(p, 0) == ThetaPoly.one(g - 1)
 
 
 def test_leading_term_is_cohomology_class():
