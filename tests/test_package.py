@@ -62,8 +62,9 @@ KEPT = {
 }
 
 # runs every reference command through prymck.cli.main with a profile hook
-# set before the import, and prints the (file, first line, name) of each
-# code object under src/prymck that was entered
+# set before the import, and prints the number of commands, those that exited
+# non-zero, and the (file, first line, name) of each code object under
+# src/prymck that was entered
 _PROFILED = """
 import contextlib, io, json, os, sys
 src, reference = sys.argv[1], sys.argv[2]
@@ -81,9 +82,9 @@ import prymck.cli
 with open(reference, encoding="utf-8") as f:
     commands = list(json.load(f))
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [prymck.cli.main(command.split()) for command in commands]
+    failed = [command for command in commands if prymck.cli.main(command.split()) != 0]
 sys.setprofile(None)
-print(json.dumps({"codes": codes, "entered": sorted(entered)}))
+print(json.dumps({"count": len(commands), "failed": failed, "entered": sorted(entered)}))
 """
 
 
@@ -119,7 +120,8 @@ def test_every_src_function_runs_on_the_reference_commands():
     )
     assert run.returncode == 0, run.stderr
     result = json.loads(run.stdout)
-    assert result["codes"] == [0] * 28
+    assert result["count"] > 0
+    assert result["failed"] == []
     entered = {tuple(key) for key in result["entered"]}
     functions = _src_functions(package)
     never = {name for key, name in functions.items() if key not in entered}

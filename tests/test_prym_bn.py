@@ -293,7 +293,7 @@ def test_ck_class_beta_zero_is_single_monomial():
 
 
 def test_ck_class_beta_zero_matches_pfaffian_embedding():
-    for g in (4, 5, 6):
+    for g in (3, 4, 5, 6):
         for lam in strict_partitions(g - 1, 3, 2 * g - 2):
             if not lam:
                 continue
@@ -319,7 +319,7 @@ def test_ck_class_empty_partition_is_one():
 def test_ck_class_symbolic_specializes():
     # beta = -1 gives the Chern character; beta = 0 gives 1 for the empty
     # partition (nonempty ones: test_ck_class_beta_zero_matches_pfaffian_embedding)
-    for g in (3, 4, 5):
+    for g in (3, 4, 5, 6):
         for lam in strict_partitions(g - 1, 3, 2 * g - 2):
             p = problem_from_partition(g, lam)
             assert _symbolic_at(p, -1) == ch_k_class(p)
