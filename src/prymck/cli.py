@@ -125,8 +125,14 @@ def _problem(args):
 def _pfaffian_products(n: int) -> int:
     # products pfaffian_matchings takes at size n: it expands each of the
     # C(n - k, k) index sets of size n - 2k >= 4 it reaches once, along its
-    # first index, n - 2k - 1 products each
-    return sum(comb(n - k, k) * (n - 2 * k - 1) for k in range(n // 2 - 1))
+    # first index, n - 2k - 1 products each. The binomial is stepped, by
+    # C(n-k-1, k+1) = C(n-k, k) * (n-2k)(n-2k-1) / ((k+1)(n-k)), an exact
+    # division, so that a comb() a term does not hold up a many-part refusal
+    total, sets = 0, 1
+    for k in range(n // 2 - 1):
+        total += sets * (n - 2 * k - 1)
+        sets = sets * (n - 2 * k) * (n - 2 * k - 1) // ((k + 1) * (n - k))
+    return total
 
 
 def _theorem_work(problem) -> int:
@@ -259,10 +265,9 @@ def _class_too_long(problem, limit: int) -> bool:
 
 def _check_work(work: int) -> None:
     if work > _WORK_MAX:
-        # work >= 2^(bits - 1), and str() refuses ints of over 4300 digits
-        shown = str(work)
-        if work >= 10**18:
-            shown = f"over 10^{(work.bit_length() - 1) * 30103 // 100000}"
+        # from 10^18 up, named by a lower bound on its power of ten, as
+        # work >= 2^(bits - 1): str() refuses ints of over 4300 digits
+        shown = work if work < 10**18 else f"over 10^{(work.bit_length() - 1) * 30103 // 100000}"
         raise ValidationError(f"problem too large: estimated work {shown} exceeds {_WORK_MAX}")
 
 
@@ -330,12 +335,6 @@ def _latex_sum(terms) -> str:
     return "".join(t if t.startswith("-") else f"+{t}" for t in terms).removeprefix("+") or "0"
 
 
-def _latex_theta(poly: ThetaPoly):
-    # the nonzero terms of poly, each coefficient c printed as
-    # _latex_beta_coeff(c), as a generator: built only when joined
-    return (_latex_beta_coeff(c) + (f"(\\theta')^{{{d}}}" if d else "") for d, c in enumerate(poly.coeffs) if c)
-
-
 def _latex_beta_coeff(c) -> str:
     if not isinstance(c, BetaPoly):  # the int 1 of the empty partition
         return _latex_rational(c)
@@ -359,9 +358,11 @@ def _print_class(problem, beta, value, output, limit):
     """Check and print a class in one output format. The beta branch lists
     the rationals that plain and json print: gamma and its xi form, the
     theta' and xi coefficients, or the symbolic coefficients' rationals.
-    _check_digits refuses them (exit 2) before any str(). Latex, which
-    prints a subset of them, is printed next, from the value; plain and
-    json format each listed rational once and read the same strings."""
+    _check_digits refuses them (exit 2) before any str(). Then only the
+    format asked for is built, each rational it prints formatted once:
+    latex from the value, json's theta' polynomial by
+    ThetaPoly.to_json_dict (the writer selfcheck reads back), and the xi
+    forms and plain lines from the list."""
     kind, flags = _MODES[beta]
     e = problem.codim
     if beta == 0:
@@ -376,7 +377,10 @@ def _print_class(problem, beta, value, output, limit):
         if beta == 0:
             print(_latex_rational(value) + (f"(2\\xi)^{{{e}}}" if e else ""))
         else:
-            print(_latex_sum(_latex_theta(value)))
+            terms = (
+                _latex_beta_coeff(c) + (f"(\\theta')^{{{d}}}" if d else "") for d, c in enumerate(value.coeffs) if c
+            )
+            print(_latex_sum(terms))
         return
     normalization = {"basis": "theta_prime", "relation": "theta_prime = 2*xi"}
     if beta == 0:
@@ -384,19 +388,16 @@ def _print_class(problem, beta, value, output, limit):
         result = {"kind": kind, "gamma": gamma, "exponent": e}
         normalization["gamma_xi"] = gamma_xi
         lines = [f"gamma: {gamma}", f"exponent: {e}", f"class: ({gamma})*(2xi)^{e} = ({gamma_xi})*xi^{e}"]
-    elif beta == SYMBOLIC:
+    elif output == "json":
         result = {"kind": kind, "theta_poly": value.to_json_dict()}
+        if beta == -1:
+            normalization["xi_coeffs"] = [format_rational(x) for x in shown[value.cap + 1 :]]
+    elif beta == -1:
+        theta, xi = (", ".join(map(format_rational, part)) for part in (value.coeffs, shown[value.cap + 1 :]))
+        lines = [f"theta_poly: {theta}  (T^0..T^{value.cap}; T = theta' = 2xi)", f"xi_poly: {xi}"]
+    else:
         terms = [f"  T^{d}: {c}" for d, c in enumerate(value.coeffs) if c]
         lines = ["theta_poly (T = theta' = 2xi, b = beta):", *(terms or ["  0"])]
-    else:
-        strings = [format_rational(x) for x in shown]
-        theta, xi = strings[: len(value.coeffs)], strings[len(value.coeffs) :]
-        result = {"kind": kind, "theta_poly": {"cap": value.cap, "coeffs": theta}}
-        normalization["xi_coeffs"] = xi
-        lines = [
-            f"theta_poly: {', '.join(theta)}  (T^0..T^{value.cap}; T = theta' = 2xi)",
-            f"xi_poly: {', '.join(xi)}",
-        ]
     if output == "json":
         print(json.dumps(_json_document(problem, result, beta, flags, normalization), indent=2))
     else:

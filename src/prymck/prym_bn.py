@@ -127,6 +127,18 @@ def _strict_int(value, what: str) -> int:
     raise ValidationError(f"{what} must be an integer (got {value!r})")
 
 
+def _is_mode(beta_mode, mode) -> bool:
+    """Whether beta_mode names the mode mode: "symbolic" only as that str,
+    0 and -1 only as genuine integers, by _strict_int's rule (a bool, a
+    float or another str names no mode)."""
+    if isinstance(beta_mode, str):
+        return beta_mode == mode
+    try:
+        return _strict_int(beta_mode, "beta_mode") == mode
+    except ValidationError:
+        return False
+
+
 def _strict_ints(values, what: str) -> tuple:
     try:
         items = tuple(values)
@@ -369,12 +381,14 @@ def ck_class(problem: PrymProblem, beta_mode) -> ThetaPoly:
     The symbolic class at beta = 0 is the cohomology class, the single
     monomial of degree |lambda| with the coefficient ch_k_class has there;
     for beta = 0 itself use class_result or chow_class_closed. Any other
-    mode, 0 included, raises ValueError.
+    mode, 0 included, raises ValueError, and so does a bool, a float or
+    another str, whatever it equals (-1.0, True).
     """
-    if beta_mode not in (-1, SYMBOLIC):
+    chern = _is_mode(beta_mode, -1)
+    if not chern and not _is_mode(beta_mode, SYMBOLIC):
         raise ValueError(f"beta_mode must be -1 or {SYMBOLIC!r}, got {beta_mode!r}")
     ch = ch_k_class(problem)
-    if beta_mode == -1:
+    if chern:
         return ch
     low = problem.codim
 
@@ -672,8 +686,9 @@ def class_result(problem: PrymProblem, beta_mode):
 
     At 0 the cohomology coefficient gamma of (2*xi)^|lambda|, by the closed
     product, a Fraction; at -1 or "symbolic" the theta' polynomial of
-    ck_class, which rejects any other mode with ValueError.
+    ck_class, which rejects any other mode with ValueError. 0 and -1 count
+    only as genuine integers: False and 0.0 are no modes.
     """
-    if beta_mode == 0:
+    if _is_mode(beta_mode, 0):
         return chow_class_closed(problem.lam)
     return ck_class(problem, beta_mode)

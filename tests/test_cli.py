@@ -14,7 +14,7 @@ import prymck.cli as cli
 import prymck.prym_bn as prym_bn
 from prymck import selfcheck
 from prymck.cli import main
-from prymck.series_ring import ThetaPoly
+from prymck.series_ring import BetaPoly, ThetaPoly
 
 
 def run_cli(capsys, *argv):
@@ -75,6 +75,37 @@ def test_class_latex(capsys):
     )
     assert code == 0
     assert out.strip() == "\\frac{1}{24}(2\\xi)^{3}"
+
+
+def test_class_formats_only_the_output_it_prints(capsys, monkeypatch):
+    # recorders on the two coefficient writers: symbolic plain prints the
+    # str() of each BetaPoly and builds no json document, symbolic json
+    # writes them through ThetaPoly.to_json_dict alone, and json at beta -1
+    # writes its theta' polynomial through that one writer, once
+    calls = []
+    for owner, name in ((ThetaPoly, "to_json_dict"), (BetaPoly, "__str__")):
+        def recorder(self, _write=getattr(owner, name), _name=name):
+            calls.append(_name)
+            return _write(self)
+
+        monkeypatch.setattr(owner, name, recorder)
+    argv = ("class", "-g", "6", "-a", "1,2")
+    for beta, fmt, want in (
+        ("symbolic", "plain", {"__str__"}),
+        ("symbolic", "json", {"to_json_dict"}),
+        ("symbolic", "latex", set()),
+        ("-1", "json", {"to_json_dict"}),
+        ("-1", "plain", set()),
+        ("-1", "latex", set()),
+    ):
+        calls.clear()
+        code, out, err = run_cli(capsys, *argv, "--beta", beta, "--output", fmt)
+        assert (code, err) == (0, ""), (beta, fmt)
+        assert set(calls) == want, (beta, fmt, calls)
+        if "to_json_dict" in want:
+            assert calls == ["to_json_dict"], (beta, fmt, calls)
+            value = prym_bn.class_result(prym_bn.build_problem(6, 1, (1, 2)), cli._BETA_CHOICES[beta])
+            assert json.loads(out)["result"]["theta_poly"] == value.to_json_dict()
 
 
 @pytest.mark.parametrize("argv", ["chi -g 5 -a 1,2", "table --g-max 10 --max-len 5"], ids=("chi", "table"))
@@ -716,6 +747,38 @@ def test_work_bound_counts_entry_kernel(capsys, monkeypatch):
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: problem too large: "), err
+
+
+def test_pfaffian_products_step_the_binomial():
+    # the stepped binomial gives the comb() sum term for term, and prices
+    # 20,000 indices at once (a comb() a term took about 11 s there)
+    for n in range(61):
+        assert cli._pfaffian_products(n) == sum(comb(n - k, k) * (n - 2 * k - 1) for k in range(n // 2 - 1)), n
+    start = time.perf_counter()
+    assert cli._pfaffian_products(20000) > 10**4000
+    assert time.perf_counter() - start < 1
+
+
+def test_work_estimate_over_the_str_limit_is_refused_at_once(capsys, monkeypatch):
+    # estimates of over 4300 digits are named by their power of ten, never
+    # by str(), which refuses them (that exited 4 as an internal error)
+    with pytest.raises(prym_bn.ValidationError, match=r"^problem too large: estimated work over 10\^4999 exceeds "):
+        cli._check_work(10**5000)
+
+    def never(*args):
+        raise AssertionError("a route ran on a problem over the work bound")
+
+    for name in ("euler_theorem", "class_result"):
+        monkeypatch.setattr(cli, name, never)
+    for argv in (
+        ("class", "-g", "10501", "-a", staircase(21000), "--beta", "-1"),
+        ("chi", "-g", "4501501", "-a", staircase(3000)),
+    ):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 2, argv[0]
+        assert code == 2 and out == "", argv[0]
+        assert err.count("\n") == 1 and err.startswith("error: problem too large: estimated work over 10^"), err
 
 
 def test_one_part_at_genus_1000_runs(capsys):

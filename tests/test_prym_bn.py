@@ -744,6 +744,11 @@ def test_class_result_kinds():
     for mode in (0, 1, "beta", None):
         with pytest.raises(ValueError):
             ck_class(p, mode)
+    # 0 and -1 are modes only as genuine integers, by build_problem's rule
+    for mode in (False, True, 0.0, -1.0):
+        for route in (class_result, ck_class):
+            with pytest.raises(ValueError):
+                route(p, mode)
 
 
 # ------------------------------------------------- large-genus closed forms
