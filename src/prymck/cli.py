@@ -10,6 +10,7 @@ its reader (nothing is printed on stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -509,6 +510,7 @@ def _add_problem_args(sub):
     )
 
 
+@functools.cache
 def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prymck",

@@ -803,6 +803,32 @@ def test_benchmark_reference_commands_are_admitted(capsys):
         assert out == reference[command], command
 
 
+def test_parser_is_built_once_and_keeps_no_state_between_commands(capsys):
+    # main builds its parser on the first call only. Every reference
+    # command, run twice in one process with a usage error and --version
+    # after each, prints its reference byte for byte, and the help texts
+    # stay as they were
+    assert cli._make_parser() is cli._make_parser()
+
+    def exits(*argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        return exc.value.code, *capsys.readouterr()
+
+    helps = [exits("--help"), exits("class", "--help")]
+    usage_error = exits("chi", "--genus")
+    assert usage_error[:2] == (2, "") and "--genus/-g: expected one argument" in usage_error[2]
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+    reference = json.loads(path.read_text())
+    assert len(reference) == 28
+    for _ in range(2):
+        for command, want in reference.items():
+            assert run_cli(capsys, *command.split()) == (0, want, ""), command
+            assert exits("chi", "--genus") == usage_error
+            assert exits("--version") == (0, f"prymck {cli.__version__}\n", "")
+    assert [exits("--help"), exits("class", "--help")] == helps
+
+
 def staircase(k):
     return ",".join(str(p) for p in range(1, k + 1))
 
