@@ -5,16 +5,23 @@ Exit codes: 0 success, 1 selfcheck failure, 2 input validation failure
 more digits than str() converts, included), 3 Euler characteristic
 route mismatch under --verify, 4 internal error, 141 stdout closed by
 its reader (nothing is printed on stderr).
+
+The options of every subcommand are described once, in _COMMANDS.
+_read_args reads a well-formed argv from that table without argparse;
+argparse, imported and built from the same table by _make_parser, reads
+every other argv (--help, --version, abbreviations, "--opt=value", usage
+errors), so a one-shot command never pays for argparse, gettext and
+locale, and the help, messages and exit codes stay argparse's.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import re
 import sys
+import types
 from fractions import Fraction
 from math import comb, lgamma, log, prod
 
@@ -498,59 +505,103 @@ def run_table(args) -> int:
 
 # ------------------------------------------------------------------ parsing
 
-
-def _add_problem_args(sub):
-    sub.add_argument("--genus", "-g", required=True, help="genus of the base curve")
-    sub.add_argument("-r", default="-1", help="rank bound; -1, the default, means len(a)-1")
-    sub.add_argument(
-        "--vanishing",
-        "-a",
-        required=True,
-        help="comma-separated vanishing sequence, e.g. 0,1",
-    )
+_FLAG = "flag"
+_OUTPUT = (("--output",), "output", "plain", ("plain", "json", "latex"), None)
+_PROBLEM = (
+    (("--genus", "-g"), "genus", None, None, "genus of the base curve"),
+    (("-r",), "r", "-1", None, "rank bound; -1, the default, means len(a)-1"),
+    (("--vanishing", "-a"), "vanishing", None, None, "comma-separated vanishing sequence, e.g. 0,1"),
+)
+# the command line, described once: each subcommand's help, the function
+# main runs for it, and its options in the order --help lists them. An
+# option is (spellings, dest, default, choices, help); a default of None
+# makes it required, and choices _FLAG makes it a store_true flag.
+# _make_parser and _read_args both read this table
+_COMMANDS = {
+    "class": (
+        "compute a class",
+        run_class,
+        (*_PROBLEM, (("--beta",), "beta", "0", tuple(sorted(_BETA_CHOICES)), None), _OUTPUT),
+    ),
+    "chi": (
+        "compute the Euler characteristic",
+        run_chi,
+        (*_PROBLEM, (("--verify",), "verify", False, _FLAG, "cross-run both routes"), _OUTPUT),
+    ),
+    "table": (
+        "batch table over a genus range",
+        run_table,
+        (
+            (("--g-min",), "g_min", "2", None, None),
+            (("--g-max",), "g_max", "5", None, None),
+            (("--max-len",), "max_len", "3", None, None),
+            _OUTPUT,
+        ),
+    ),
+    "selfcheck": ("run the invariant suite", lambda args: selfcheck.run(), ()),
+}
 
 
 @functools.cache
-def _make_parser() -> argparse.ArgumentParser:
+def _make_parser():
+    """argparse's parser for _COMMANDS. Only --help, --version and the argv
+    that _read_args declines reach it, so argparse is imported here and the
+    parser is built once, on the first of those."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="prymck",
-        description=(
-            "Exact classes and Euler characteristics of pointed Brill-Noether "
-            "loci on Prym varieties."
-        ),
+        description="Exact classes and Euler characteristics of pointed Brill-Noether loci on Prym varieties.",
     )
     parser.add_argument("--version", action="version", version=f"prymck {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p_class = subs.add_parser("class", help="compute a class")
-    _add_problem_args(p_class)
-    p_class.add_argument("--beta", choices=sorted(_BETA_CHOICES), default="0")
-    p_class.add_argument("--output", choices=("plain", "json", "latex"), default="plain")
-    p_class.set_defaults(run=run_class)
-
-    p_chi = subs.add_parser("chi", help="compute the Euler characteristic")
-    _add_problem_args(p_chi)
-    p_chi.add_argument("--verify", action="store_true", help="cross-run both routes")
-    p_chi.add_argument("--output", choices=("plain", "json", "latex"), default="plain")
-    p_chi.set_defaults(run=run_chi)
-
-    p_table = subs.add_parser("table", help="batch table over a genus range")
-    p_table.add_argument("--g-min", default="2")
-    p_table.add_argument("--g-max", default="5")
-    p_table.add_argument("--max-len", default="3")
-    p_table.add_argument("--output", choices=("plain", "json", "latex"), default="plain")
-    p_table.set_defaults(run=run_table)
-
-    p_check = subs.add_parser("selfcheck", help="run the invariant suite")
-    p_check.set_defaults(run=lambda args: selfcheck.run())
-
+    for command, (summary, _, options) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=summary)
+        for spellings, dest, default, choices, text in options:
+            if choices == _FLAG:
+                sub.add_argument(*spellings, dest=dest, action="store_true", help=text)
+            else:
+                required = default is None
+                sub.add_argument(*spellings, dest=dest, default=default, required=required, choices=choices, help=text)
     return parser
 
 
+def _read_args(argv):
+    """The fields argparse reads from a well-formed argv, without argparse;
+    None for any other argv. Well formed: a subcommand, then exact
+    spellings of its options (no abbreviation, "=" or joined short value),
+    each value its own str token, one of its choices, and starting with
+    "-" only as a negative ASCII integer; every required option present. A
+    repeated option keeps its last value, as argparse's store does."""
+    if not argv or not all(isinstance(token, str) for token in argv) or argv[0] not in _COMMANDS:
+        return None
+    options = _COMMANDS[argv[0]][2]
+    spelled = {spelling: option for option in options for spelling in option[0]}
+    fields = {"command": argv[0], **{dest: default for _, dest, default, _, _ in options}}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token not in spelled:
+            return None
+        _, dest, _, choices, _ = spelled[token]
+        if choices == _FLAG:
+            fields[dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None or (value.startswith("-") and not (value[1:].isascii() and value[1:].isdigit())):
+            return None
+        if choices is not None and value not in choices:
+            return None
+        fields[dest] = value
+    if None in fields.values():
+        return None
+    return types.SimpleNamespace(**fields)
+
+
 def main(argv=None) -> int:
-    args = _make_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_args(argv) or _make_parser().parse_args(argv)
     try:
-        code = args.run(args)
+        code = _COMMANDS[args.command][1](args)
         sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
         return code
     except BrokenPipeError:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -730,6 +731,38 @@ def test_import_loads_no_dataclasses_machinery():
     assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "linecache"}, added
 
 
+def test_reference_commands_load_no_argparse():
+    # well-formed argvs are read without argparse, whose import and first
+    # parser build (gettext, locale and its regexes) cost a fresh process
+    # more than a chi --verify pass; --version still goes through argparse
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    reference = pathlib.Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+    code = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import prymck.cli
+with open(sys.argv[2], encoding="utf-8") as f:
+    commands = list(json.load(f))
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [prymck.cli.main(command.split()) for command in commands]
+print(json.dumps({"codes": codes, "loaded": [m for m in ("argparse", "gettext", "locale") if m in sys.modules]}))
+try:
+    prymck.cli.main(["--version"])
+except SystemExit as exc:
+    print(repr(exc.code))
+"""
+    run = subprocess.run(
+        [sys.executable, "-c", code, str(src), str(reference)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    first, version, exit_code = run.stdout.splitlines()
+    assert json.loads(first) == {"codes": [0] * 28, "loaded": []}
+    assert (version, exit_code, run.stderr) == (f"prymck {cli.__version__}", "0", "")
+
+
 def test_work_bound_counts_entry_kernel(capsys, monkeypatch):
     # class at beta -1 prices its kernel as l - 1 + l(l-1)/2 terms of cap^3
     # steps each: at g = 1000, lambda = (2, 1) that is 2 * 999^3 steps,
@@ -804,10 +837,10 @@ def test_benchmark_reference_commands_are_admitted(capsys):
 
 
 def test_parser_is_built_once_and_keeps_no_state_between_commands(capsys):
-    # main builds its parser on the first call only. Every reference
-    # command, run twice in one process with a usage error and --version
-    # after each, prints its reference byte for byte, and the help texts
-    # stay as they were
+    # argparse's parser is built once, on the first argv the reader
+    # declines. Every reference command, run twice in one process with a
+    # usage error and --version after each, prints its reference byte for
+    # byte, and the help texts stay as they were
     assert cli._make_parser() is cli._make_parser()
 
     def exits(*argv):
@@ -827,6 +860,80 @@ def test_parser_is_built_once_and_keeps_no_state_between_commands(capsys):
             assert exits("chi", "--genus") == usage_error
             assert exits("--version") == (0, f"prymck {cli.__version__}\n", "")
     assert [exits("--help"), exits("class", "--help")] == helps
+
+
+# option values _read_args takes, and tokens that argparse alone reads
+_WELL_FORMED_VALUES = ("4", "12", "-1", "-7", "+3", "0", "0,1", "1,2,9", "1, 2", "a=b", "", "x y", "٤")
+_ILL_FORMED_VALUES = ("-x", "-٤", "-1.5", "-", "--", "--genus", "xml", "-0x1")
+_ODD_TOKENS = ("--", "-h", "--help", "--version", "--gen", "-g12", "--genus=12", "--output=json", "stray", "-", "chi")
+
+
+def _argv_corpus(seed, count):
+    # argvs built from cli._COMMANDS: every spelling of each subcommand's
+    # options, in shuffled orders and with repeats, its values well formed
+    # or not, values missing, required options left out, and now and then
+    # a token only argparse reads put in at random
+    rng = random.Random(seed)
+    for _ in range(count):
+        command = rng.choice(list(cli._COMMANDS))
+        options = cli._COMMANDS[command][2]
+        chosen = [option for option in options if rng.random() < (0.9 if option[2] is None else 0.5)]
+        chosen += rng.choices(options, k=rng.randrange(3)) if options else []
+        rng.shuffle(chosen)
+        argv = [command]
+        for spellings, _, _, choices, _ in chosen:
+            argv.append(rng.choice(spellings))
+            if choices == cli._FLAG:
+                continue
+            pick = rng.random()
+            if pick < 0.75:
+                argv.append(rng.choice(choices or _WELL_FORMED_VALUES))
+            elif pick < 0.95:
+                argv.append(rng.choice(_ILL_FORMED_VALUES))
+        if rng.random() < 0.15:
+            argv.insert(rng.randrange(len(argv) + 1), rng.choice(_ODD_TOKENS))
+        yield argv
+
+
+def test_reader_gives_the_fields_argparse_gives(capsys):
+    # wherever _read_args reads an argv, argparse reads the same fields
+    # from it, so main runs the same command whichever reader read it; the
+    # forms _read_args declines are left to argparse, with its messages
+    # and exit codes
+    parser = cli._make_parser()
+    accepted = 0
+    for argv in _argv_corpus(20261020, 20000):
+        fields = cli._read_args(argv)
+        if fields is not None:
+            accepted += 1
+            assert vars(fields) == vars(parser.parse_args(argv)), argv
+    assert 4000 < accepted < 16000
+    problem = ["-g", "4", "-a", "1,2"]
+    for argv in (
+        [],
+        ["--help"],
+        ["-h"],
+        ["--version"],
+        ["chi"],
+        ["chi", *problem, "-h"],
+        ["chi", "--gen", "4", "-a", "1,2"],
+        ["chi", "--genus=4", "-a", "1,2"],
+        ["chi", "-g4", "-a", "1,2"],
+        ["chi", *problem, "--"],
+        ["chi", *problem, "stray"],
+        ["chi", *problem, "-r"],
+        ["chi", "-g", "-٤", "-a", "1,2"],
+        ["class", *problem, "--beta", "1"],
+        ["selfcheck", "--quick"],
+        ["chi", "-g", 4, "-a", "1,2"],
+    ):
+        assert cli._read_args(argv) is None, argv
+    # the benchmark's commands take the reader's path
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+    for command in json.loads(path.read_text()):
+        fields = cli._read_args(command.split())
+        assert fields is not None and vars(fields) == vars(parser.parse_args(command.split())), command
+    assert capsys.readouterr() == ("", "")
 
 
 def staircase(k):

@@ -59,6 +59,10 @@ KEPT = {
     "series_ring.ThetaPoly.__rmul__": "no route scales a series from the left; " + _TRACED,
     "series_ring.BetaPoly.__repr__": "read when a test or a user prints a value",
     "series_ring.ThetaPoly.__repr__": "read when a test or a user prints a value",
+    "cli._make_parser": (
+        "builds argparse's parser for --help, --version and every argv cli._read_args declines; "
+        "the reference commands are all read without it"
+    ),
 }
 
 # runs every reference command through prymck.cli.main with a profile hook
