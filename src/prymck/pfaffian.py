@@ -1,10 +1,10 @@
 """Pfaffians of skew-symmetric matrices over exact coefficient rings.
 
-Entries may be Fractions or any values supporting +, unary -, * and
-multiplication by Fraction (truncated polynomials in particular); the
-algorithms never look inside an entry. Entries must also accept 0 + entry:
-both Pfaffian engines start their running totals at the int 0, and so
-does sum().
+Entries of the two Pfaffian engines may be Fractions or any values
+supporting +, unary -, * and multiplication by Fraction (truncated
+polynomials in particular); the engines never look inside an entry.
+Entries must also accept 0 + entry: both engines start their running
+totals at the int 0, and so does sum().
 
 Two independent evaluation routes are provided: the expansion along the
 first index, which computes each sub-Pfaffian once and is the production
@@ -33,8 +33,12 @@ each parity total one sum(map(mul, ...)).
 Rational matrices are put over one common denominator D first, the lcm of
 the entry denominators: the permutation walk and the Bareiss elimination
 then run on the ints D * entry, and D^(n/2) (for the Pfaffian) or D^n (for
-the determinant) is divided out in the one final Fraction. The first-index
-expansion walks the entries as they are.
+the determinant) is divided out in the one final Fraction. The
+determinant takes Rational entries only, ints and Fractions, and reads
+their numerators and denominators without converting them. The first-index
+expansion walks the entries as they are, straight from the stored upper
+triangle: every index tuple it expands is increasing. augment_odd copies
+that triangle with its keys shifted.
 """
 
 from __future__ import annotations
@@ -67,11 +71,10 @@ class SkewMatrix:
     def __init__(self, n: int, upper):
         if n < 0:
             raise ValueError(f"SkewMatrix: size must be nonnegative, got {n}")
-        data = {}
-        for (i, j), val in dict(upper).items():
+        data = dict(upper)
+        for i, j in data:
             if not (0 <= i < j < n):
                 raise ValueError(f"SkewMatrix: bad upper-triangle index ({i}, {j})")
-            data[(i, j)] = val
         self._n = n
         self._upper = data
 
@@ -103,15 +106,14 @@ def augment_odd(m: SkewMatrix, row0) -> SkewMatrix:
 
     The result has size m.n + 1 with entries (0, j+1) taken from row0 and
     the old matrix shifted to indices 1..m.n. Used to evaluate Pfaffians of
-    odd-size systems.
+    odd-size systems. The old stored triangle is copied with its keys
+    shifted, so an entry m does not store stays unstored (and reads 0).
     """
     row0 = list(row0)
     if len(row0) != m.n:
         raise ValueError(f"augment_odd: row0 has length {len(row0)}, expected {m.n}")
     upper = {(0, j + 1): val for j, val in enumerate(row0)}
-    for i in range(m.n):
-        for j in range(i + 1, m.n):
-            upper[(i + 1, j + 1)] = m.entry(i, j)
+    upper.update(((i + 1, j + 1), val) for (i, j), val in m._upper.items())
     return SkewMatrix(m.n + 1, upper)
 
 
@@ -130,19 +132,24 @@ def pfaffian_matchings(m: SkewMatrix):
     (Rote, "Division-free algorithms for the determinant and the
     Pfaffian", 2001). Expanded out it is still the signed sum over perfect
     matchings, each term's factors in the order of their first indices.
+
+    Every index tuple it expands is increasing, so every entry it reads,
+    a(s_0, s_k) and the last pair, lies in the stored upper triangle: it
+    reads m's stored values directly, an unstored one as the int 0.
     """
     if m.n % 2:
         raise ValueError(f"pfaffian: size must be even, got {m.n}")
+    upper = m._upper
     memo = {(): 1}
 
     def pf(s):
         if len(s) == 2:
-            return m.entry(*s)
+            return upper.get(s, 0)
         if s not in memo:
             first, rest = s[0], s[1:]
             total = 0
             for k, partner in enumerate(rest):
-                term = m.entry(first, partner) * pf(rest[:k] + rest[k + 1 :])
+                term = upper.get((first, partner), 0) * pf(rest[:k] + rest[k + 1 :])
                 total = total + (-term if k % 2 else term)
             memo[s] = total
         return memo[s]
@@ -276,22 +283,30 @@ def pfaffian_permutations(m: SkewMatrix):
 def det_fraction_free(rows) -> Fraction:
     """Determinant by fraction-free (Bareiss) elimination, exact throughout.
 
-    The rational entries are put over one common denominator D (the lcm of
-    their denominators) and the elimination runs on the ints D * entry.
-    Every Bareiss quotient is exact, so each step divides with divmod and a
-    nonzero remainder raises ArithmeticError; det(D A) = D^n det(A), and D^n
-    is divided out in the one final Fraction.
+    Entries must be Rational: ints or Fractions. Their numerators and
+    denominators are read as they are, and an entry that has none, such as
+    the str "1/2", the float 0.5 or a Decimal, raises TypeError naming it;
+    nothing is converted. The entries are put over one common denominator D
+    (the lcm of their denominators) and the elimination runs on the ints
+    D * entry. Every Bareiss quotient is exact, so each step divides with
+    divmod and a nonzero remainder raises ArithmeticError;
+    det(D A) = D^n det(A), and D^n is divided out in the one final Fraction.
 
     Independent of both Pfaffian routes; used as the Pf(M)^2 == det(M)
     cross-check oracle.
     """
-    a = [[Fraction(x) for x in row] for row in rows]
+    a = [list(row) for row in rows]
     n = len(a)
     if any(len(r) != n for r in a):
         raise ValueError("det_fraction_free: grid is not square")
     if n == 0:
         return Fraction(1)
-    den = lcm(*(x.denominator for row in a for x in row))
+    try:
+        den = lcm(*(x.denominator for row in a for x in row))
+    except (AttributeError, TypeError):
+        # ints and Fractions have int denominators, so lcm failed on another
+        bad = next(x for row in a for x in row if not isinstance(x, (int, Fraction)))
+        raise TypeError(f"det_fraction_free: entry {bad!r} is not an int or a Fraction") from None
     a = [[x.numerator * (den // x.denominator) for x in row] for row in a]
     sign = 1
     prev = 1

@@ -262,7 +262,9 @@ def chow_class_pfaffian(lam) -> Fraction:
     lambda_1 + lambda_2 and every pj at most lambda_1: each 4 * (pi+pj)!
     and each 2 * pj! divides S. Every term of the Pfaffian of the n x n
     matrix is a product of n/2 entries, so S^(n/2) is divided out in the
-    one final Fraction.
+    one final Fraction. The binomial sum is stepped along u:
+    (-1)^u binom(pi+pj, pi+u) is the previous term times -(pj-u+1)/(pi+u),
+    an exact division.
     """
     lam = _validated_strict(lam)
     ell = len(lam)
@@ -272,8 +274,11 @@ def chow_class_pfaffian(lam) -> Fraction:
 
     def entry(i, j):
         pi, pj = lam[i], lam[j]
-        tail = sum((-1) ** u * comb(pi + pj, pi + u) for u in range(1, pj + 1))
-        return (comb(pi + pj, pi) + 2 * tail) * (scale // (4 * factorial(pi + pj)))
+        term = total = comb(pi + pj, pi)
+        for u in range(1, pj + 1):
+            term = -term * (pj - u + 1) // (pi + u)
+            total += 2 * term
+        return total * (scale // (4 * factorial(pi + pj)))
 
     m = SkewMatrix.from_upper(ell, entry)
     if ell % 2:

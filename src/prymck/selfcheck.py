@@ -101,13 +101,13 @@ def check_binomial_tail():
 
 def check_abel_series():
     for s in range(-8, 9):
-        # T^v coefficients of (1+T)^s times the geometric expansion of 1/(2+T)
+        # T^v coefficients of (1+T)^s times the geometric expansion
+        # sum_k (-1)^k T^k / 2^(k+1) of 1/(2+T): the convolution is summed
+        # as the int 2^(v+1) times it, and one Fraction a case is compared
+        # with abel_coefficient, which reads its own recurrence
         for v in range(13):
-            conv = Fraction(0)
-            for k in range(v + 1):
-                geo = Fraction((-1) ** k, 2 ** (k + 1))
-                conv += binom_gen(s, v - k) * geo
-            yield conv == abel_coefficient(s, v)
+            conv = sum((-1) ** k * binom_gen(s, v - k) * 2 ** (v - k) for k in range(v + 1))
+            yield Fraction(conv, 2 ** (v + 1)) == abel_coefficient(s, v)
 
 
 def check_series_laws():
@@ -204,10 +204,12 @@ def check_interaction_specialization():
     # the paper's general-beta closed forms at beta = 0 and -1 against the
     # engine's beta = -1 expansions, scaled by (-beta)^(a-b) and (-beta)^v:
     # the interaction table by the denominator identity the kernel runs,
-    # the prefactor as ints over 2^(cap+1)
+    # the prefactor's ints over 2^(cap+1) against the closed form's sum
+    # times 2^(cap+1), whose j-th term's denominator 2^(v+1-j) divides it.
+    # All in ints: beta is the int 0 or -1, and 0**0 == 1
     cap = 10
     inter = interaction_expansion(cap)
-    for beta in (Fraction(0), Fraction(-1)):
+    for beta in (0, -1):
         for a in range(cap + 1):
             for b in range(a + 1):
                 base = binom_gen(a, b) + (binom_gen(a - 1, b - 1) if b else 0)
@@ -216,10 +218,8 @@ def check_interaction_specialization():
         for s in range(-4, 5):
             pre = prefactor_expansion(s, cap)
             for v in range(cap + 1):
-                want = beta**v * sum(
-                    Fraction((-1) ** j * binom_gen(s, j), 2 ** (v + 1 - j)) for j in range(v + 1)
-                )
-                yield Fraction(pre[v], 2 ** (cap + 1)) * (-beta) ** v == want
+                want = beta**v * sum((-1) ** j * binom_gen(s, j) * 2 ** (cap - v + j) for j in range(v + 1))
+                yield pre[v] * (-beta) ** v == want
 
 
 def _roundtrips(poly):

@@ -1,13 +1,15 @@
 import itertools
 import random
+import re
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
-from prymck import cli
+from prymck import cli, prym_bn, selfcheck
 from prymck.pfaffian import (
     SkewMatrix,
     augment_odd,
@@ -206,6 +208,57 @@ def test_augment_length_mismatch():
     inner = SkewMatrix(3, {})
     with pytest.raises(ValueError):
         augment_odd(inner, [Fraction(1)] * 2)
+
+
+def test_matching_engine_reads_the_stored_triangle(monkeypatch):
+    # pfaffian_matchings, and augment_odd before it, read the stored upper
+    # triangle without entry(): on seeded int and Fraction matrices, on odd
+    # ones with unstored (zero) entries augmented, and on the matrices of
+    # both class routes, the values are those taken through entry()
+    rng = random.Random(4242)
+    even = [SkewMatrix.from_upper(n, lambda i, j: rng.randint(-9, 9)) for n in (2, 4, 6, 8)]
+    even += [random_skew(rng, n) for n in (2, 4, 6, 8)]
+    sparse = [
+        (
+            SkewMatrix(
+                n,
+                {
+                    (i, j): Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                    for i in range(n)
+                    for j in range(i + 1, n)
+                    if rng.randint(0, 2)
+                },
+            ),
+            [rng.randint(-9, 9) for _ in range(n)],
+        )
+        for n in (1, 3, 5, 7)
+    ]
+    partitions = list(prym_bn.strict_partitions(45, 5, 9))
+    problems = selfcheck._suite_problems(7)
+
+    def values():
+        return (
+            [pfaffian_matchings(m) for m in even],
+            [pfaffian_matchings(augment_odd(m, row0)) for m, row0 in sparse],
+            [prym_bn.chow_class_pfaffian(lam) for lam in partitions],
+            [prym_bn.ch_k_class(p) for p in problems],
+        )
+
+    want = values()
+    assert all(len(m._upper) < m.n * (m.n - 1) // 2 for m, _ in sparse[1:])
+
+    def refuse(self, i, j):
+        raise AssertionError(f"entry({i}, {j}) read")
+
+    monkeypatch.setattr(SkewMatrix, "entry", refuse)
+    assert values() == want
+
+
+@pytest.mark.parametrize("bad", ["1/2", 0.5, Decimal("0.5")], ids=["str", "float", "Decimal"])
+def test_det_refuses_entries_that_are_not_int_or_fraction(bad):
+    # Fraction() would take each of them; the determinant converts nothing
+    with pytest.raises(TypeError, match=re.escape(f"entry {bad!r} is not an int or a Fraction")):
+        det_fraction_free([[Fraction(1, 3), 2], [bad, -1]])
 
 
 def test_proportional_rows_give_zero():

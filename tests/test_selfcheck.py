@@ -6,6 +6,7 @@ shrinks fails here as well as in `prymck selfcheck`.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -66,6 +67,65 @@ def test_series_checks_multiply_int_rows(monkeypatch, theta_products, name):
 
     monkeypatch.setattr(ThetaPoly, "__mul__", corrupted)
     assert selfcheck._tally(check()) == (False, 0)
+
+
+def test_reference_sums_run_on_ints(monkeypatch):
+    # the Abel cross-check builds one Fraction a case, over the int sum of
+    # its convolution, and the beta specialization none
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(selfcheck, "Fraction", counting)
+    cases = CASES["abel-series-crosscheck"]
+    assert selfcheck._tally(selfcheck.check_abel_series()) == (True, cases)
+    assert len(built) == cases
+    built.clear()
+    cases = CASES["interaction-specialization"]
+    assert selfcheck._tally(selfcheck.check_interaction_specialization()) == (True, cases)
+    assert built == []
+
+
+def _bump_cell(table, b, a):
+    return table[:b] + (table[b][:a] + (table[b][a] + 1,) + table[b][a + 1 :],) + table[b + 1 :]
+
+
+# (name in selfcheck, the arguments at which its value is wrong, the wrong
+# value from the true one, the check, the cases that pass before it fails)
+_WRONG_VALUES = {
+    # case 11 * 13 + 5 of the (s, v) walk
+    "abel": (
+        "abel_coefficient", (3, 5), lambda x: x + Fraction(1, 2**6), selfcheck.check_abel_series, 148
+    ),
+    # the beta = 0 half hides v > 0 behind 0^v, so it shows at beta = -1,
+    # after 66 + 99 cases at beta = 0, the 66 table cells and 6 * 11 + 3
+    "prefactor": (
+        "prefactor_expansion",
+        (2, 10),
+        lambda row: row[:3] + (row[3] + 1,) + row[4:],
+        selfcheck.check_interaction_specialization,
+        300,
+    ),
+    # cell b = 1, a = 3: at beta = -1 only, after 66 + 99 cases and the
+    # columns a = 0, 1, 2 and the cell b = 0 of column 3
+    "interaction": (
+        "interaction_expansion",
+        (10,),
+        lambda table: _bump_cell(table, 1, 3),
+        selfcheck.check_interaction_specialization,
+        172,
+    ),
+}
+
+
+@pytest.mark.parametrize("wrong", list(_WRONG_VALUES))
+def test_int_reference_sums_catch_one_wrong_value(monkeypatch, wrong):
+    name, at, bump, check, passed = _WRONG_VALUES[wrong]
+    true = getattr(selfcheck, name)
+    monkeypatch.setattr(selfcheck, name, lambda *args: bump(true(*args)) if args == at else true(*args))
+    assert selfcheck._tally(check()) == (False, passed)
 
 
 def test_pfaffian_engines_200_matrices():
