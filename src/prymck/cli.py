@@ -22,7 +22,6 @@ import os
 import re
 import sys
 import types
-from fractions import Fraction
 from math import comb, lgamma, log, prod
 
 from . import __version__, selfcheck
@@ -301,7 +300,7 @@ def _check_digits(what: str, rationals, limit: int) -> None:
 
 def _xi_coeffs(poly: ThetaPoly):
     # theta' = 2*xi, so the xi-basis coefficient of degree d gains 2^d
-    return [Fraction(c) * 2**d for d, c in enumerate(poly.coeffs)]
+    return [c * 2**d for d, c in enumerate(poly.coeffs)]
 
 
 def _meta_block(beta_label, flags, normalization):
@@ -328,13 +327,13 @@ def _json_document(problem, result, beta, flags, normalization):
     }
 
 
-def _latex_rational(x: Fraction) -> str:
-    x = Fraction(x)
-    sign = "-" if x < 0 else ""
-    x = abs(x)
-    if x.denominator == 1:
-        return f"{sign}{x.numerator}"
-    return f"{sign}\\frac{{{x.numerator}}}{{{x.denominator}}}"
+def _latex_rational(x) -> str:
+    """An int or a Fraction in LaTeX, read from its numerator and denominator."""
+    num, den = x.numerator, x.denominator
+    sign = "-" if num < 0 else ""
+    if den == 1:
+        return f"{sign}{abs(num)}"
+    return f"{sign}\\frac{{{abs(num)}}}{{{den}}}"
 
 
 def _latex_sum(terms) -> str:

@@ -84,8 +84,14 @@ def abel_coefficient(s: int, v: int) -> Fraction:
 
 
 def format_rational(x) -> str:
-    """Render an exact rational as "p/q", with "/q" omitted when q == 1."""
-    return str(Fraction(x))
+    """Render an int or a Fraction as "p/q", with "/q" omitted when q == 1.
+
+    Raises TypeError for anything else, a bool, float, Decimal or str
+    included: the value is printed as it is, never converted first.
+    """
+    if type(x) is bool or not isinstance(x, (int, Fraction)):
+        raise TypeError(f"format_rational: {x!r} is not an int or a Fraction")
+    return str(x)
 
 
 # format_rational's output: p, or p/q with q nonzero

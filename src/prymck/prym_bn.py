@@ -144,6 +144,13 @@ def _strict_ints(values, what: str) -> tuple:
         items = tuple(values)
     except TypeError:
         raise ValidationError(f"{what} must be a sequence of integers (got {values!r})") from None
+    # one C-level pass when every entry is a genuine integer; otherwise the
+    # entry by entry walk names the first one that is not
+    if bool not in map(type, items):
+        try:
+            return tuple(map(operator.index, items))
+        except TypeError:
+            pass
     return tuple(_strict_int(x, f"{what} entry") for x in items)
 
 
@@ -167,24 +174,16 @@ def build_problem(g: int, r: int, a) -> PrymProblem:
         )
     if a[0] < 0:
         raise ValidationError(f"a_0 must be nonnegative (got {a[0]})")
-    if any(a[i] >= a[i + 1] for i in range(r)):
+    if not all(map(operator.lt, a, a[1:])):
         raise ValidationError("vanishing sequence must be strictly increasing")
     if a[-1] > 2 * g - 2:
         raise ValidationError(f"a_r exceeds 2g-2 (a_r={a[-1]}, 2g-2={2 * g - 2})")
-    lam = tuple(p for p in reversed(a) if p > 0)
+    # a increases from a_0 >= 0, so only a_0 can be 0
+    lam = a[::-1] if a[0] else a[:0:-1]
     ell = len(lam)
     s = tuple(ell - i - lam[i] for i in range(ell))
-    return PrymProblem(
-        g=g,
-        r=r,
-        a=a,
-        lam=lam,
-        ell=ell,
-        s=s,
-        dim_prym=g - 1,
-        parity="+" if r % 2 else "-",
-        expected_empty=sum(lam) > g - 1,
-    )
+    # the fields in PrymProblem's order: dim_prym, parity, expected_empty
+    return PrymProblem(g, r, a, lam, ell, s, g - 1, "+" if r % 2 else "-", sum(lam) > g - 1)
 
 
 def problem_from_partition(g: int, lam) -> PrymProblem:
@@ -222,9 +221,9 @@ def strict_partitions(max_size: int, max_len: int, max_part: int):
 
 def _validated_strict(lam) -> tuple:
     lam = _strict_ints(lam, "partition")
-    if any(p <= 0 for p in lam):
+    if lam and min(lam) <= 0:
         raise ValueError(f"partition parts must be positive, got {lam}")
-    if any(lam[i] <= lam[i + 1] for i in range(len(lam) - 1)):
+    if not all(map(operator.gt, lam, lam[1:])):
         raise ValueError(f"partition must be strictly decreasing, got {lam}")
     return lam
 

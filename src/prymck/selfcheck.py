@@ -103,10 +103,12 @@ def check_abel_series():
     for s in range(-8, 9):
         # T^v coefficients of (1+T)^s times the geometric expansion
         # sum_k (-1)^k T^k / 2^(k+1) of 1/(2+T): the convolution is summed
-        # as the int 2^(v+1) times it, and one Fraction a case is compared
-        # with abel_coefficient, which reads its own recurrence
+        # as the int 2^(v+1) times it, over the row of binomials built once
+        # an s, and one Fraction a case is compared with abel_coefficient,
+        # which reads its own recurrence
+        row = [binom_gen(s, t) for t in range(13)]
         for v in range(13):
-            conv = sum((-1) ** k * binom_gen(s, v - k) * 2 ** (v - k) for k in range(v + 1))
+            conv = sum((-1) ** k * row[v - k] * 2 ** (v - k) for k in range(v + 1))
             yield Fraction(conv, 2 ** (v + 1)) == abel_coefficient(s, v)
 
 
@@ -119,7 +121,8 @@ def check_series_laws():
             return ThetaPoly(cap, [rng.randint(-30, 30) for _ in range(cap + 1)])
 
         a, b, c = rand_poly(), rand_poly(), rand_poly()
-        yield (a * b) * c == a * (b * c) and a * b == b * a and a * (b + c) == a * b + a * c
+        ab = a * b
+        yield ab * c == a * (b * c) and ab == b * a and a * (b + c) == ab + a * c
 
 
 def check_series_vanishing():

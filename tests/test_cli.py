@@ -109,6 +109,32 @@ def test_class_formats_only_the_output_it_prints(capsys, monkeypatch):
             assert json.loads(out)["result"]["theta_poly"] == value.to_json_dict()
 
 
+def test_rendering_copies_no_fraction(capsys, monkeypatch):
+    # a wrapper on Fraction.__new__ counts the Fractions built from a
+    # Fraction (arithmetic builds its results from ints on every Python):
+    # table, chi and class at beta 0 and -1 print their exact values as
+    # they are, in every format
+    copies = []
+    true_new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        if args and isinstance(args[0], Fraction):
+            copies.append(args[0])
+        return true_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    runs = [("table", "--g-max", "10", "--max-len", "5", "--output", fmt) for fmt in ("plain", "json", "latex")]
+    # a small problem and a class-k rung of the benchmark
+    for problem in (("-g", "8", "-a", "1,2,4"), ("-g", "28", "-a", "1,2,3,4,5,9")):
+        runs += [("chi", *problem, "--verify", "--output", fmt) for fmt in ("plain", "json")]
+        for beta in ("0", "-1"):
+            runs += [("class", *problem, "--beta", beta, "--output", fmt) for fmt in ("plain", "json", "latex")]
+    for argv in runs:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "") and out, argv
+    assert copies == []
+
+
 @pytest.mark.parametrize("argv", ["chi -g 5 -a 1,2", "table --g-max 10 --max-len 5"], ids=("chi", "table"))
 def test_closed_stdout_exits_141_with_nothing_on_stderr(argv):
     # stdout is a pipe whose read end is closed before prymck starts, so

@@ -1,4 +1,6 @@
+import re
 import time
+from decimal import Decimal
 from fractions import Fraction
 from math import comb
 
@@ -127,3 +129,9 @@ def test_rational_format():
     assert format_rational(Fraction(3, 1)) == "3"
     assert format_rational(Fraction(-1, 8)) == "-1/8"
     assert format_rational(0) == "0"
+    assert format_rational(-12) == "-12"
+    assert format_rational(10**30) == "1" + "0" * 30
+    # only an int or a Fraction is printed; nothing is converted into one
+    for value in (True, 0.5, Decimal("0.5"), "1/2"):
+        with pytest.raises(TypeError, match=re.escape(repr(value))):
+            format_rational(value)

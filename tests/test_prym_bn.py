@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -67,26 +68,52 @@ def test_build_problem_bounds():
 
 
 def test_build_problem_rejects_non_integers():
-    for g, r, a in (
-        (2.7, 0, (0.9,)),  # once truncated silently to g=2, a=(0,)
-        (3.0, 1, (0, 1)),
-        ("3", 1, (0, 1)),
-        (3, "1", (0, 1)),
-        (3, 1, "01"),
-        (3, 1, ("0", "1")),
-        (3, 1, (0, 1.0)),
-        (True, 0, (0,)),
-        (3, 1, (False, True)),
-        (3, 0, 1),
+    # each message names the first value that is not a genuine integer
+    for g, r, a, message in (
+        (2.7, 0, (0.9,), "genus must be an integer (got 2.7)"),  # once truncated silently to g=2, a=(0,)
+        (3.0, 1, (0, 1), "genus must be an integer (got 3.0)"),
+        ("3", 1, (0, 1), "genus must be an integer (got '3')"),
+        (3, "1", (0, 1), "r must be an integer (got '1')"),
+        (3, 1, "01", "vanishing sequence entry must be an integer (got '0')"),
+        (3, 1, ("0", "1"), "vanishing sequence entry must be an integer (got '0')"),
+        (3, 1, (0, 1.0), "vanishing sequence entry must be an integer (got 1.0)"),
+        (True, 0, (0,), "genus must be an integer (got True)"),
+        (3, 1, (False, True), "vanishing sequence entry must be an integer (got False)"),
+        (3, 0, 1, "vanishing sequence must be a sequence of integers (got 1)"),
+        # a float before a bool: the float is the first bad entry
+        (3, 2, (0, 0.5, True), "vanishing sequence entry must be an integer (got 0.5)"),
     ):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             build_problem(g, r, a)
 
 
 def test_partition_rejects_non_integers():
-    for lam in ((2.0, 1), ("2", "1"), "21", (True,)):
-        with pytest.raises(ValidationError):
+    for lam, message in (
+        ((2.0, 1), "partition entry must be an integer (got 2.0)"),
+        (("2", "1"), "partition entry must be an integer (got '2')"),
+        ("21", "partition entry must be an integer (got '2')"),
+        ((True,), "partition entry must be an integer (got True)"),
+        ((3, 0.5, True), "partition entry must be an integer (got 0.5)"),
+    ):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             chow_class_closed(lam)
+
+
+class _Index:
+    """An integer-like object that is not an int: operator.index reads it."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_integer_like_entries_are_accepted():
+    p = build_problem(_Index(4), _Index(1), (_Index(1), _Index(2)))
+    assert p == build_problem(4, 1, (1, 2))
+    assert all(type(x) is int for x in (p.g, p.r, *p.a, *p.lam))
+    assert chow_class_closed((_Index(2), _Index(1))) == chow_class_closed((2, 1)) == Fraction(1, 24)
 
 
 def test_expected_empty_flag():

@@ -47,15 +47,18 @@ _SERIES_CHECKS = {
     "series-ring-laws": selfcheck.check_series_laws,
     "series-vanishing": selfcheck.check_series_vanishing,
 }
+# ThetaPoly products each series check takes: 7 a case in the ring laws,
+# with a * b taken once, and one a case in the vanishing check
+_PRODUCTS = {"series-ring-laws": 7 * 120, "series-vanishing": 20}
 
 
 @pytest.mark.parametrize("name", list(_SERIES_CHECKS))
 def test_series_checks_multiply_int_rows(monkeypatch, theta_products, name):
-    # both checks multiply int series, as the routes do, and still catch a
-    # product that is wrong in its top slot
+    # both checks multiply int series, as the routes do, each product taken
+    # once, and still catch a product that is wrong in its top slot
     check = _SERIES_CHECKS[name]
     assert selfcheck._tally(check()) == (True, CASES[name])
-    assert theta_products
+    assert len(theta_products) == _PRODUCTS[name]
     assert all(type(c) is int for pair in theta_products for x in pair for c in x.coeffs)
     true = ThetaPoly.__mul__
 
@@ -86,6 +89,21 @@ def test_reference_sums_run_on_ints(monkeypatch):
     cases = CASES["interaction-specialization"]
     assert selfcheck._tally(selfcheck.check_interaction_specialization()) == (True, cases)
     assert built == []
+
+
+def test_abel_check_builds_each_binomial_row_once(monkeypatch):
+    # one binom_gen(s, 0..12) row an s, 17 * 13 calls, where summing each
+    # convolution from scratch took 17 * (1 + 2 + ... + 13)
+    calls = []
+    true = selfcheck.binom_gen
+
+    def counting(s, t):
+        calls.append((s, t))
+        return true(s, t)
+
+    monkeypatch.setattr(selfcheck, "binom_gen", counting)
+    assert selfcheck._tally(selfcheck.check_abel_series()) == (True, CASES["abel-series-crosscheck"])
+    assert sorted(calls) == [(s, t) for s in range(-8, 9) for t in range(13)]
 
 
 def _bump_cell(table, b, a):
