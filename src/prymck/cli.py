@@ -34,6 +34,7 @@ from .prym_bn import (
     class_result,
     euler_oracle,
     euler_theorem,
+    euler_theorem_genera,
     problem_from_partition,
     strict_partitions,
 )
@@ -466,36 +467,44 @@ def run_table(args) -> int:
         raise ValidationError(f"g_max exceeds {_TABLE_G_MAX} (got {g_max})")
     if not (1 <= max_len <= _TABLE_LEN_MAX):
         raise ValidationError(f"max_len must be between 1 and {_TABLE_LEN_MAX} (got {max_len})")
-    problems = [
-        problem_from_partition(g, lam)
+    # sorted by size, so the rows of genus g are the partitions of size < g;
+    # each problem is built and validated at its first genus, and one walk
+    # at g_max gives its chi at every genus from there
+    per_partition = []
+    for lam in strict_partitions(g_max - 1, max_len, 2 * g_max - 2):
+        if lam:
+            p = problem_from_partition(max(g_min, sum(lam) + 1), lam)
+            chis = euler_theorem_genera(p, range(p.g, g_max + 1))
+            per_partition.append((p, chow_class_closed(lam), chis))
+    rows = [
+        (g, p, gamma, format_rational(chis[g - p.g]))
         for g in range(g_min, g_max + 1)
-        for lam in strict_partitions(g - 1, max_len, 2 * g - 2)
-        if lam
+        for p, gamma, chis in per_partition
+        if p.codim < g
     ]
-    rows = [(p, chow_class_closed(p.lam), format_rational(euler_theorem(p))) for p in problems]
     if args.output == "json":
         entries = [
             {
-                "g": p.g,
+                "g": g,
                 "a": list(p.a),
                 "lambda": list(p.lam),
                 "gamma": format_rational(gamma),
                 "exponent": p.codim,
                 "chi": chi,
             }
-            for p, gamma, chi in rows
+            for g, p, gamma, chi in rows
         ]
         print(json.dumps({"rows": entries, "meta": _meta_block("-1", (), {"relation": "theta_prime = 2*xi"})}, indent=2))
     elif args.output == "latex":
         print("\\begin{tabular}{llllll}")
         print("g & a & \\lambda & \\gamma & e & \\chi \\\\")
-        for p, gamma, chi in rows:
-            print(f"{p.g} & ({_commas(p.a)}) & ({_commas(p.lam)}) & {_latex_rational(gamma)} & {p.codim} & {chi} \\\\")
+        for g, p, gamma, chi in rows:
+            print(f"{g} & ({_commas(p.a)}) & ({_commas(p.lam)}) & {_latex_rational(gamma)} & {p.codim} & {chi} \\\\")
         print("\\end{tabular}")
     else:
         table = [("g", "a", "lambda", "gamma", "exp", "chi")]
-        for p, gamma, chi in rows:
-            table.append((str(p.g), _commas(p.a), _commas(p.lam), format_rational(gamma), str(p.codim), chi))
+        for g, p, gamma, chi in rows:
+            table.append((str(g), _commas(p.a), _commas(p.lam), format_rational(gamma), str(p.codim), chi))
         widths = [max(len(row[c]) for row in table) for c in range(len(table[0]))]
         for row in table:
             print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())

@@ -33,10 +33,14 @@ index sits in one pair of a matching, so the sum for one matching is the
 top coefficient of a product of one int series per pair, built from the
 Abel rows and an integer closed form of the pair coefficient. The routes
 share only the problem record and Python's ints and Fractions. The
-theorem route reads its Abel rows from exact_arith.abel_row and
+theorem route reads its Abel rows from exact_arith.abel_row, and walks a
+lone part's row with _abel_ints, the generator behind abel_row and
 abel_last; the oracle builds the same prefactor coefficients by another
 recurrence, in operator_engine.prefactor_expansion, and reads none of the
-theorem's rows, pair series or matchings. The theorem route walks and
+theorem's rows, pair series or matchings. The theorem route's series do
+not depend on the genus, so euler_theorem_genera reads chi at several
+genera from one walk at the largest, and euler_theorem is its one-genus
+read. The theorem route walks and
 signs its own matchings, depth first in _matching_sum, and imports
 nothing from the Pfaffian engines or the series ring for it. The routes
 must agree exactly, which the test suite and the command line
@@ -60,9 +64,9 @@ from __future__ import annotations
 import operator
 from collections import namedtuple
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
-from .exact_arith import abel_last, abel_row
+from .exact_arith import _abel_ints, abel_row
 from .operator_engine import apply_pair_operator, prefactor_expansion
 from .pfaffian import SkewMatrix, augment_odd, pfaffian_matchings
 from .series_ring import BetaPoly, ThetaPoly
@@ -79,6 +83,7 @@ __all__ = [
     "class_result",
     "euler_oracle",
     "euler_theorem",
+    "euler_theorem_genera",
     "problem_from_partition",
     "strict_partitions",
 ]
@@ -546,33 +551,36 @@ def _pair_ints(ni: int, nj: int, count: int) -> list:
 
 
 def _times(p: list, q: list) -> list:
-    """p * q truncated at the common length of the two int series."""
-    rev = q[::-1]
-    top = len(p) - 1
-    return [sum(map(operator.mul, p[: t + 1], rev[top - t :])) for t in range(top + 1)]
+    """p * q truncated at the common length of the two int series: at x^t
+    the dot product of p with q[t::-1], which map stops at t + 1 terms."""
+    return [sum(map(operator.mul, p, q[t::-1])) for t in range(len(p))]
 
 
-def _matching_sum(rest, series, prefix=None):
-    """Signed sum over the perfect matchings of the sorted indices rest, of
-    the x^B coefficient of the product of their pair series, times prefix.
+def _matching_sum(rest, series, degrees, totals, sign=1, prefix=None):
+    """Adds sign times the signed sum over the perfect matchings of the
+    sorted indices rest, of the x^d coefficient of the product of their
+    pair series, times prefix, to totals[i], for each d = degrees[i].
 
     Depth first: rest[0] pairs with each rest[k] in turn, a matching that
     crosses the k - 1 indices between them, so the sign is (-1)^(k-1).
     The product of the pairs taken so far, prefix (None before the first
     pair), is carried down one level at a time, so each is taken once for
-    all matchings below it. At the last pair only the x^B coefficient of
-    prefix * row is read, as one dot product. rest holds four or more
+    all matchings below it. The last pair is read in the loop of the
+    level above it: each x^d coefficient of that level's product times
+    the last series is one dot product, added into totals in place, so no
+    matching makes a call or a list of its own. rest holds four or more
     indices on the first call.
     """
-    if len(rest) == 2:
-        return sum(map(operator.mul, prefix, reversed(series[rest])))
-    first, total = rest[0], 0
     for k in range(1, len(rest)):
-        row = series[first, rest[k]]
-        below = rest[1:k] + rest[k + 1 :]
-        term = _matching_sum(below, series, row if prefix is None else _times(prefix, row))
-        total += -term if k % 2 == 0 else term
-    return total
+        row = series[rest[0], rest[k]]
+        head = row if prefix is None else _times(prefix, row)
+        below, term = rest[1:k] + rest[k + 1 :], sign if k % 2 else -sign
+        if len(below) > 2:
+            _matching_sum(below, series, degrees, totals, term, head)
+            continue
+        last = series[below]
+        for i, d in enumerate(degrees):
+            totals[i] += sum(map(operator.mul, head, last[d::-1])) * term
 
 
 def euler_theorem(problem: PrymProblem) -> Fraction:
@@ -595,11 +603,25 @@ def euler_theorem(problem: PrymProblem) -> Fraction:
     one perfect matching, and the sum over the (n-1)!! matchings with
     weight h! * 2^h is the same number.
 
+    It is euler_theorem_genera at the one genus g, whose walk reads the
+    x^B coefficient, B = h - |lambda|, with H = h: the sum over the
+    matchings over 2^(B + l) * h!^(n/2 - 1), times 2^h.
+
+    Must equal euler_oracle exactly.
+    """
+    return euler_theorem_genera(problem, (problem.g,))[0]
+
+
+def euler_theorem_genera(problem: PrymProblem, genera) -> list:
+    """euler_theorem for the partition of problem at each genus of genera,
+    an ascending sequence, from one walk at the largest; problem.g is not
+    read. A genus with g - 1 < |lambda| gives Fraction 0.
+
     Each index sits in exactly one pair of a matching and each pair takes
     its own degree f_b, so for one matching the sum over (v, f) with
-    |v| + |f| = B = h - |lambda| is the x^B coefficient of a product of one
-    series per pair. With a_i = abel_row(s_i, B), the ints 2^(v+1) times
-    the T^v Abel coefficients, and G the integer pair coefficient of
+    |v| + |f| = d = h - |lambda| is the x^d coefficient of a product of
+    one series per pair. With a_i = abel_row(s_i, B), the ints 2^(v+1)
+    times the T^v Abel coefficients, and G the integer pair coefficient of
     _pair_ints, the x^t coefficient of the series of a pair i < j of parts
     is R_ij[t] / (lambda_i + lambda_j + t)!, with
 
@@ -609,35 +631,47 @@ def euler_theorem(problem: PrymProblem) -> Fraction:
     that is P / (1 + 2x) for P the sum at m = 0 alone: the recurrence
     R[t] = P[t] - 2 R[t-1]. The boundary index 0 pairs with part j at
     degree 0 alone, with coefficient 1 / (lambda_j + v_j)!, so
-    R_0j = a_j over (lambda_j + t)!.
+    R_0j = a_j over (lambda_j + t)!. The shifts s depend on lambda alone,
+    so the rows and series do not depend on the genus: a smaller genus
+    reads a prefix of them. They are built once, to the budget
+    B = H - |lambda| of the largest genus, H = g_max - 1.
 
     A pair series with lowest factorial L (lambda_i + lambda_j, or
-    lambda_j) reads (L + t)! for t <= B, and L + B <= h because every
-    other part is at least 1. So F[k] = h! / k!, one running product over
-    k = L + B down to L per series, puts it over h!, as ints.
+    lambda_j) reads (L + t)! for t <= B, and L + B <= H because every
+    other part is at least 1. So F[k] = H! / k!, one running product over
+    k = L + B down to L per series, puts it over H!, as ints.
     _matching_sum walks the matchings depth first: a matching's product of
     its n/2 scaled series, truncated at x^B, is built one pair per level,
     each level's prefix product shared by every matching below it, and its
-    last pair only adds the x^B coefficient, one dot product. That is
-    140 products at n = 8 and 14,652 at n = 12, where multiplying out every
-    matching apart takes 210 and 41,580. Every term is then over
-    2^(B + l) * h!^(n/2), the 2^m and the 2^(|v| + l) of the prefactors
-    making up the power of 2, and the sum stays on ints up to the one
-    Fraction per problem. With one or two parts the one matching's lone
-    series is read at x^B, where L + B = h and F[h] = 1, so nothing is
-    scaled. With one part that series is the Abel row itself, and only its
-    last int is read, by abel_last, which holds one value of the row at a
-    time.
+    last pair only adds each x^d coefficient, one dot product per degree.
+    That is 140 products at n = 8 and 14,652 at n = 12, where multiplying
+    out every matching apart takes 210 and 41,580. Its x^d coefficient
+    M_d has every term over 2^(d + l) * H!^(n/2), the 2^m and the
+    2^(|v| + l) of the prefactors making up the power of 2, so with the
+    weight h! * 2^h
 
-    Must equal euler_oracle exactly.
+        chi(g) = M_d * h! * 2^h / (2^(d + l) * H!^(n/2)),
+
+    taken as M_d * 2^h over 2^(d + l) * H!^(n/2 - 1) * (H! / h!), the last
+    factor 1 at the largest genus. The sums stay on ints up to one
+    Fraction per genus. With one or two parts the one matching's lone
+    series is read at each x^d, where L + d = h, so nothing is scaled.
+    With one part that series is the Abel row itself, and the walk of
+    _abel_ints picks up each x^d as it passes, holding one value of the
+    row at a time.
     """
-    g, lam, ell, s = problem.g, problem.lam, problem.ell, problem.s
-    h = g - 1
-    budget = h - sum(lam)
-    if budget < 0 or not ell:  # no parts: no pair takes the budget h >= 1
-        return Fraction(0)
-    if ell == 1:  # the boundary pair's series is the Abel row, read at x^B
-        return Fraction(abel_last(s[0], budget) << h, 2 ** (budget + 1))
+    genera = tuple(genera)
+    if not genera or not all(map(operator.lt, genera, genera[1:])):
+        raise ValueError(f"genera must be a nonempty ascending sequence (got {genera})")
+    lam, ell, s, size = problem.lam, problem.ell, problem.s, problem.codim
+    degrees = [g - 1 - size for g in genera if g > size]
+    if not degrees or not ell:  # no parts: no pair takes the budget h >= 1
+        return [Fraction(0) for _ in genera]
+    chis = [Fraction(0) for g in genera if g <= size]
+    budget = degrees[-1]
+    if ell == 1:  # the boundary pair's series is the Abel row, read at each x^d as the walk passes it
+        walk = enumerate(_abel_ints(s[0], budget))
+        return chis + [Fraction(next(a for v, a in walk if v == d) << (size + d), 2 ** (d + 1)) for d in degrees]
     indices = tuple(range(1, ell + 1)) if ell % 2 == 0 else tuple(range(ell + 1))
     half = len(indices) // 2
     abel = [abel_row(si, budget) for si in s]
@@ -657,16 +691,22 @@ def euler_theorem(problem: PrymProblem) -> Fraction:
 
     series = {(i, j): pair_series(i, j) for n, i in enumerate(indices) for j in indices[n + 1 :]}
     if half == 1:
-        return Fraction(series[indices][budget] << h, 2 ** (budget + ell))
-    hf = factorial(h)
-    for (i, j), row in series.items():  # in place, onto h!
+        row = series[indices]
+        return chis + [Fraction(row[d] << (size + d), 2 ** (d + ell)) for d in degrees]
+    top = size + budget
+    hf = factorial(top)
+    for (i, j), row in series.items():  # in place, onto H!
         low = sum(lam[x - 1] for x in (i, j) if x)
         scale = hf // factorial(low + budget)  # F[low + t], from t = B down
         for t in range(budget, -1, -1):
             row[t] *= scale
             scale *= low + t
-    # the weight h! * 2^h over the terms' 2^(B + l) * h!^(n/2)
-    return Fraction(_matching_sum(indices, series) << h, 2 ** (budget + ell) * hf ** (half - 1))
+    sums = [0] * len(degrees)
+    _matching_sum(indices, series, degrees, sums)
+    den = hf ** (half - 1) << ell  # times (H! / h!) << d at x^d
+    return chis + [
+        Fraction(m << (size + d), den * prod(range(size + d + 1, top + 1)) << d) for d, m in zip(degrees, sums)
+    ]
 
 
 def classical_coefficient(r: int) -> Fraction:

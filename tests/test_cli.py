@@ -413,6 +413,56 @@ def test_table_latex(capsys):
     assert out.rstrip().endswith("\\end{tabular}")
 
 
+def test_table_works_per_partition(capsys, monkeypatch):
+    # table --g-max 10 --max-len 5 prints 109 rows of 32 partitions: one
+    # enumeration, and each partition's problem, gamma and walk once
+    calls = {}
+
+    def counting(name):
+        real = getattr(cli, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+
+        return wrapper
+
+    names = ("problem_from_partition", "chow_class_closed", "euler_theorem_genera", "strict_partitions")
+    for name in names:
+        monkeypatch.setattr(cli, name, counting(name))
+    code, out, _ = run_cli(capsys, "table", "--g-max", "10", "--max-len", "5", "--output", "json")
+    assert code == 0 and len(json.loads(out)["rows"]) == 109
+    assert calls == dict(zip(names, (32, 32, 32, 1)))
+
+
+def test_table_rows_equal_a_row_by_row_reference(capsys):
+    # every json table the caps allow, 225 (g_min, g_max, max_len) triples,
+    # against rows built one at a time, each at its own genus; a strict
+    # partition of size at most 9 has at most three parts, so max_len 3, 4
+    # and 5 print the same rows, and 135 of the tables differ
+    def row(g, lam):
+        p = prym_bn.problem_from_partition(g, lam)
+        gamma = prym_bn.chow_class_closed(lam)
+        chi = prym_bn.euler_theorem(p)
+        return {"g": g, "a": list(p.a), "lambda": list(lam), "gamma": str(gamma), "exponent": p.codim, "chi": str(chi)}
+
+    reference = {
+        (g, max_len): [row(g, lam) for lam in prym_bn.strict_partitions(g - 1, max_len, 2 * g - 2) if lam]
+        for g in range(2, cli._TABLE_G_MAX + 1)
+        for max_len in range(1, cli._TABLE_LEN_MAX + 1)
+    }
+    tables = 0
+    for g_min in range(2, cli._TABLE_G_MAX + 1):
+        for g_max in range(g_min, cli._TABLE_G_MAX + 1):
+            for max_len in range(1, cli._TABLE_LEN_MAX + 1):
+                argv = ("table", "--g-min", str(g_min), "--g-max", str(g_max), "--max-len", str(max_len))
+                code, out, _ = run_cli(capsys, *argv, "--output", "json")
+                want = [r for g in range(g_min, g_max + 1) for r in reference[g, max_len]]
+                assert code == 0 and json.loads(out)["rows"] == want, argv
+                tables += 1
+    assert tables == 225
+
+
 def test_table_bounds_rejected(capsys):
     code, _, err = run_cli(capsys, "table", "--g-min", "2", "--g-max", "11")
     assert code == 2

@@ -19,7 +19,7 @@ REFERENCE_ONLY = ("g_coeff", "GTable", "enumerate_f", "classical_coefficient")
 def test_package_all_is_the_module_lists():
     names = ["__version__", *(name for module in MODULES for name in module.__all__)]
     assert prymck.__all__ == names
-    assert len(set(names)) == len(names) == 31
+    assert len(set(names)) == len(names) == 32
     assert {"abel_row", "abel_last"} <= set(names)
 
 

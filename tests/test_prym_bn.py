@@ -27,6 +27,7 @@ from prymck.prym_bn import (
     enumerate_f,
     euler_oracle,
     euler_theorem,
+    euler_theorem_genera,
     g_coeff,
     problem_from_partition,
     strict_partitions,
@@ -569,7 +570,9 @@ def test_matching_sum_signs_equal_oracle_engine(n):
     # order, are the signed matchings the oracle's Pfaffian engine sums
     # (3, 15, 105 and 945 of them)
     series = {(i, j): [Terms.letter(i, j)] for i in range(n) for j in range(i + 1, n)}
-    got = prym_bn._matching_sum(tuple(range(n)), series)
+    totals = [0]
+    prym_bn._matching_sum(tuple(range(n)), series, (0,), totals)
+    [got] = totals
     want = pfaffian_matchings(SkewMatrix.from_upper(n, Terms.letter))
     assert len(got.terms) == factorial(n) // (2 ** (n // 2) * factorial(n // 2))  # (n-1)!!
     assert Counter(got.terms) == Counter(want.terms)
@@ -613,7 +616,7 @@ def test_euler_oracle_needs_no_abel_row_or_theorem_series(monkeypatch):
         raise AssertionError("the oracle called an Abel row or series of the theorem route")
 
     for module in (exact_arith, operator_engine, prym_bn):
-        for name in ("abel_row", "abel_last"):
+        for name in ("abel_row", "abel_last", "_abel_ints"):
             monkeypatch.setattr(module, name, refuse, raising=False)
     monkeypatch.setattr(prym_bn, "_pair_ints", refuse)
     monkeypatch.setattr(prym_bn, "_matching_sum", refuse)
@@ -642,6 +645,49 @@ def test_one_part_theorem_holds_one_abel_value():
     assert peak < 100_000
     budget = p.dim_prym - p.codim
     assert chi == Fraction(abel_row(p.s[0], budget)[-1] << p.dim_prym, 2 ** (budget + 1))
+
+
+def test_genus_reads_equal_per_genus_runs():
+    # every strict lambda of up to six parts: one walk at g = 24 read at each
+    # genus from 2 equals a run at that genus alone (3,528 nonzero reads),
+    # and the oracle up to g = 18; a genus with g - 1 < |lambda| reads 0
+    genera = tuple(range(2, 25))
+    lengths = set()
+    reads = 0
+    for lam in strict_partitions(23, 6, 46)[1:]:
+        lengths.add(len(lam))
+        p = problem_from_partition(sum(lam) + 1, lam)
+        got = euler_theorem_genera(p, genera)
+        assert len(got) == len(genera)
+        for g, chi in zip(genera, got):
+            if g - 1 < p.codim:
+                assert chi == 0 and type(chi) is Fraction, (lam, g)
+                continue
+            at_g = problem_from_partition(g, lam)
+            assert chi == euler_theorem(at_g), (lam, g)
+            if g <= 18:
+                assert chi == euler_oracle(at_g), (lam, g)
+            reads += 1
+    # one part walks the Abel row, two read the lone series, odd counts
+    # take the boundary index
+    assert lengths == {1, 2, 3, 4, 5, 6}
+    assert reads == 3528
+
+
+def test_genus_reads_take_an_ascending_sequence():
+    p = problem_from_partition(6, (3, 1))
+    # any iterable of genera; g = 3 lies below |lambda| + 1 = 5
+    assert euler_theorem_genera(p, iter((3, 5, 9))) == [
+        0,
+        euler_theorem(problem_from_partition(5, (3, 1))),
+        euler_theorem(problem_from_partition(9, (3, 1))),
+    ]
+    for genera in ((), (5, 4), (5, 5), (3, 6, 6)):
+        with pytest.raises(ValueError, match="ascending"):
+            euler_theorem_genera(p, genera)
+    # the walk reads lambda, not the genus the problem was built at
+    assert euler_theorem_genera(p, (12,)) == [euler_theorem(problem_from_partition(12, (3, 1)))]
+    assert euler_theorem_genera(problem_from_partition(4, ()), (2, 8)) == [0, 0]
 
 
 def test_euler_empty_problem_is_zero():
