@@ -583,7 +583,7 @@ def _matching_sum(rest, series, degrees, totals, sign=1, prefix=None):
             totals[i] += sum(map(operator.mul, head, last[d::-1])) * term
 
 
-def euler_theorem(problem: PrymProblem) -> Fraction:
+def euler_theorem(problem: PrymProblem) -> Fraction | int:
     """Euler characteristic by the closed summation formula.
 
     The formula sums over shift sequences v, signed perfect matchings of
@@ -605,7 +605,8 @@ def euler_theorem(problem: PrymProblem) -> Fraction:
 
     It is euler_theorem_genera at the one genus g, whose walk reads the
     x^B coefficient, B = h - |lambda|, with H = h: the sum over the
-    matchings over 2^(B + l) * h!^(n/2 - 1), times 2^h.
+    matchings over 2^(B + l) * h!^(n/2 - 1), times 2^h. With one or two
+    parts and g - 1 >= |lambda| it returns that int shifted, an int.
 
     Must equal euler_oracle exactly.
     """
@@ -615,7 +616,8 @@ def euler_theorem(problem: PrymProblem) -> Fraction:
 def euler_theorem_genera(problem: PrymProblem, genera) -> list:
     """euler_theorem for the partition of problem at each genus of genera,
     an ascending sequence, from one walk at the largest; problem.g is not
-    read. A genus with g - 1 < |lambda| gives Fraction 0.
+    read. A genus with g - 1 < |lambda| gives Fraction 0, and with one or
+    two parts every other genus an int.
 
     Each index sits in exactly one pair of a matching and each pair takes
     its own degree f_b, so for one matching the sum over (v, f) with
@@ -654,11 +656,13 @@ def euler_theorem_genera(problem: PrymProblem, genera) -> list:
 
     taken as M_d * 2^h over 2^(d + l) * H!^(n/2 - 1) * (H! / h!), the last
     factor 1 at the largest genus. The sums stay on ints up to one
-    Fraction per genus. With one or two parts the one matching's lone
-    series is read at each x^d, where L + d = h, so nothing is scaled.
-    With one part that series is the Abel row itself, and the walk of
-    _abel_ints picks up each x^d as it passes, holding one value of the
-    row at a time.
+    Fraction per genus, whose reduction is the integrality check. With one
+    or two parts the one matching's lone series is read at each x^d, where
+    L + d = h, so nothing is scaled, and chi is that int x shifted:
+    x * 2^(|lambda| + d) / 2^(d + l) = x * 2^(|lambda| - l), an int, as
+    |lambda| >= l. With one part that series is the Abel row itself, and
+    the walk of _abel_ints picks up each x^d as it passes, holding one
+    value of the row at a time.
     """
     genera = tuple(genera)
     if not genera or not all(map(operator.lt, genera, genera[1:])):
@@ -670,8 +674,8 @@ def euler_theorem_genera(problem: PrymProblem, genera) -> list:
     chis = [Fraction(0) for g in genera if g <= size]
     budget = degrees[-1]
     if ell == 1:  # the boundary pair's series is the Abel row, read at each x^d as the walk passes it
-        walk = enumerate(_abel_ints(s[0], budget))
-        return chis + [Fraction(next(a for v, a in walk if v == d) << (size + d), 2 ** (d + 1)) for d in degrees]
+        wanted = set(degrees)
+        return chis + [a << (size - 1) for v, a in enumerate(_abel_ints(s[0], budget)) if v in wanted]
     indices = tuple(range(1, ell + 1)) if ell % 2 == 0 else tuple(range(ell + 1))
     half = len(indices) // 2
     abel = [abel_row(si, budget) for si in s]
@@ -692,7 +696,7 @@ def euler_theorem_genera(problem: PrymProblem, genera) -> list:
     series = {(i, j): pair_series(i, j) for n, i in enumerate(indices) for j in indices[n + 1 :]}
     if half == 1:
         row = series[indices]
-        return chis + [Fraction(row[d] << (size + d), 2 ** (d + ell)) for d in degrees]
+        return chis + [row[d] << (size - 2) for d in degrees]
     top = size + budget
     hf = factorial(top)
     for (i, j), row in series.items():  # in place, onto H!

@@ -11,6 +11,12 @@ deformation parameter is kept symbolic. Symbolic classes are read off the
 beta = -1 class (see prym_bn.ck_class), so BetaPoly only holds the one
 monomial each coefficient needs; it is never truncated.
 
+A series holds exactly what its caller builds: ThetaPoly(cap, coeffs)
+takes exactly cap + 1 coefficients and raises ValueError on any other
+count rather than pad or cut, and BetaPoly stores int and Fraction
+coefficients as given and raises TypeError on anything else. Neither
+converts or copies a value.
+
 Every product runs one schoolbook loop over the nonzero coefficient
 pairs, whatever the coefficient ring. The routes only multiply series of
 ints (ch_k_class's entry windows, scaled by S = 4^(cap+1) * cap!); a
@@ -37,8 +43,10 @@ _EXPONENT = re.compile("0|[1-9][0-9]*")
 class BetaPoly:
     """Sparse exact polynomial in the deformation parameter.
 
-    Stored as exponent -> Fraction with no explicit zeros; values are
-    immutable by convention (nothing mutates the mapping after init).
+    Stored as exponent -> coefficient with no explicit zeros; values are
+    immutable by convention (nothing mutates the mapping after init). Each
+    coefficient is kept as given, an int or a Fraction; anything else, a
+    bool, float, Decimal or str included, raises TypeError.
     """
 
     __slots__ = ("_coeffs",)
@@ -53,7 +61,8 @@ class BetaPoly:
                     raise ValueError(f"BetaPoly: exponent {exp!r} is not an integer") from None
                 if exp < 0:
                     raise ValueError(f"BetaPoly: negative exponent {exp}")
-                c = Fraction(c)
+                if type(c) is bool or not isinstance(c, (int, Fraction)):
+                    raise TypeError(f"BetaPoly: coefficient {c!r} is not an int or a Fraction")
                 if c:
                     data[exp] = c
         self._coeffs = data
@@ -69,10 +78,7 @@ class BetaPoly:
         if isinstance(other, BetaPoly):
             return self._coeffs == other._coeffs
         if isinstance(other, Rational):
-            other = Fraction(other)
-            if not other:
-                return not self._coeffs
-            return self._coeffs == {0: other}
+            return self._coeffs == ({0: other} if other else {})
         return NotImplemented
 
     def __add__(self, other):
@@ -82,14 +88,13 @@ class BetaPoly:
             return NotImplemented
         data = dict(self._coeffs)
         for e, c in other._coeffs.items():
-            data[e] = data.get(e, Fraction(0)) + c
+            data[e] = data.get(e, 0) + c
         return BetaPoly(data)
 
     __radd__ = __add__
 
     def __mul__(self, other):
         if isinstance(other, Rational):
-            other = Fraction(other)
             return BetaPoly({e: c * other for e, c in self._coeffs.items()})
         if not isinstance(other, BetaPoly):
             return NotImplemented
@@ -97,7 +102,7 @@ class BetaPoly:
         for e1, c1 in self._coeffs.items():
             for e2, c2 in other._coeffs.items():
                 e = e1 + e2
-                data[e] = data.get(e, Fraction(0)) + c1 * c2
+                data[e] = data.get(e, 0) + c1 * c2
         return BetaPoly(data)
 
     __rmul__ = __mul__
@@ -139,21 +144,25 @@ class BetaPoly:
 class ThetaPoly:
     """Dense truncated polynomial; slot d of coeffs is the degree-d coefficient.
 
-    Binary operations require matching caps; degrees above the cap are
-    identically discarded by every operation. The neutral scalars 0 and 1
-    are plain ints, which coerce cleanly with both Fraction and BetaPoly
+    Built from exactly cap + 1 coefficients, degrees 0..cap, stored as one
+    tuple; any other count raises ValueError. ThetaPoly.zero(cap) is the
+    zero series. Binary operations require matching caps, so two series
+    are equal when their tuples are; degrees above the cap are identically
+    discarded by every product. The neutral scalars 0 and 1 are plain
+    ints, which coerce cleanly with both Fraction and BetaPoly
     coefficients.
     """
 
     __slots__ = ("_cap", "_coeffs")
 
-    def __init__(self, cap: int, coeffs=()):
+    def __init__(self, cap: int, coeffs):
         if cap < 0:
             raise ValueError(f"ThetaPoly: cap must be nonnegative, got {cap}")
-        vals = list(coeffs)[: cap + 1]
-        vals += [0] * (cap + 1 - len(vals))
+        coeffs = tuple(coeffs)
+        if len(coeffs) != cap + 1:
+            raise ValueError(f"ThetaPoly: cap {cap} needs {cap + 1} coefficients, got {len(coeffs)}")
         self._cap = cap
-        self._coeffs = tuple(vals)
+        self._coeffs = coeffs
 
     @property
     def cap(self) -> int:
@@ -165,7 +174,7 @@ class ThetaPoly:
 
     @classmethod
     def zero(cls, cap: int) -> "ThetaPoly":
-        return cls(cap)
+        return cls(cap, (0,) * (cap + 1))
 
     @classmethod
     def one(cls, cap: int) -> "ThetaPoly":
@@ -175,10 +184,9 @@ class ThetaPoly:
     def monomial(cls, cap: int, degree: int, coeff) -> "ThetaPoly":
         if degree < 0:
             raise ValueError(f"ThetaPoly.monomial: negative degree {degree}")
-        if degree > cap:
-            return cls(cap)
         vals = [0] * (cap + 1)
-        vals[degree] = coeff
+        if degree <= cap:
+            vals[degree] = coeff
         return cls(cap, vals)
 
     def coeff(self, d: int):
@@ -195,7 +203,7 @@ class ThetaPoly:
         if not isinstance(other, ThetaPoly):
             return NotImplemented
         self._require_same_cap(other)
-        return ThetaPoly(self._cap, [a + b for a, b in zip(self._coeffs, other._coeffs)])
+        return ThetaPoly(self._cap, map(operator.add, self._coeffs, other._coeffs))
 
     def __radd__(self, other):
         # supports sum() and accumulators started at 0
@@ -204,7 +212,7 @@ class ThetaPoly:
         return NotImplemented
 
     def __neg__(self):
-        return ThetaPoly(self._cap, [-c for c in self._coeffs])
+        return ThetaPoly(self._cap, map(operator.neg, self._coeffs))
 
     def __mul__(self, other):
         """Product truncated at the cap, or scaling by a Rational.
@@ -240,9 +248,7 @@ class ThetaPoly:
     def __eq__(self, other):
         if not isinstance(other, ThetaPoly):
             return NotImplemented
-        return self._cap == other._cap and all(
-            a == b for a, b in zip(self._coeffs, other._coeffs)
-        )
+        return self._coeffs == other._coeffs
 
     def __repr__(self):
         body = ", ".join(str(c) for c in self._coeffs)
@@ -265,12 +271,6 @@ class ThetaPoly:
         if not isinstance(cap, int) or isinstance(cap, bool):
             raise ValueError(f"ThetaPoly: cap {cap!r} is not an integer")
         raw = d["coeffs"]
-        if not isinstance(raw, (list, tuple)) or len(raw) != cap + 1:
-            raise ValueError(f"ThetaPoly: cap {cap} needs a list of {cap + 1} coefficients")
-        coeffs = []
-        for c in raw:
-            if isinstance(c, dict):
-                coeffs.append(BetaPoly.from_json_obj(c))
-            else:
-                coeffs.append(parse_rational(c))
-        return cls(cap, coeffs)
+        if not isinstance(raw, (list, tuple)):
+            raise ValueError(f"ThetaPoly: coeffs {raw!r} is not a list")
+        return cls(cap, [BetaPoly.from_json_obj(c) if isinstance(c, dict) else parse_rational(c) for c in raw])

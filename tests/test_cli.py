@@ -52,6 +52,22 @@ def test_class_symbolic_flagged(capsys):
     assert "T^2: 1/8*b" in out
 
 
+@pytest.mark.parametrize("part", [3, 4])
+def test_one_part_class_past_the_cap_prints_int_zeros(capsys, part):
+    # g = 3, lambda = (3) or (4): the part lies past the cap 2, and the
+    # class is the zero series of int 0s, which symbolic json writes "0"
+    # (a Fraction 0 would be {}); built below lambda_1 as for smaller
+    # parts, (4) would not even fit the cap + 1 slots
+    p = prym_bn.problem_from_partition(3, (part,))
+    assert [(type(c), c) for c in prym_bn.ch_k_class(p).coeffs] == [(int, 0)] * 3
+    code, out, err = run_cli(capsys, "class", "-g", "3", "-a", str(part), "--beta", "-1")
+    assert (code, err) == (0, "")
+    assert "theta_poly: 0, 0, 0  (T^0..T^2" in out
+    code, out, err = run_cli(capsys, "class", "-g", "3", "-a", str(part), "--beta", "symbolic", "--output", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["theta_poly"] == {"cap": 2, "coeffs": ["0", "0", "0"]}
+
+
 def test_class_json_roundtrip(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -208,6 +208,15 @@ def test_apply_rejects_windows_past_the_cap_and_negative_bases():
         apply_pair_operator((-1, 1), pre, pre, 4, 0)
 
 
+def test_apply_rejects_a_window_past_the_cap_at_excess_zero():
+    # lambda_i + lambda_j = cap + 1: the one degree of an excess-0 window
+    # already lies past the cap
+    for base, s, cap in (((2, 1), (0, 0), 2), ((3, 2), (-1, -1), 4), ((4, 1), (1, 0), 4)):
+        pre = [prefactor_expansion(x, cap) for x in s]
+        with pytest.raises(ValueError, match="passes the cap"):
+            apply_pair_operator(base, *pre, cap, 0)
+
+
 def test_apply_rejects_prefactor_rows_of_another_cap():
     # rows built at cap 2 or 6 are too short or too long for cap 4, on
     # either side, and read as they are they give a wrong window

@@ -254,6 +254,23 @@ def test_matching_engine_reads_the_stored_triangle(monkeypatch):
     assert values() == want
 
 
+@pytest.mark.parametrize(
+    "n, missing",
+    [(4, ((0, 2), (2, 3))), (6, ((0, 3), (4, 5)))],
+    ids=["n4", "n6"],
+)
+def test_matching_engine_reads_an_unstored_entry_as_zero(n, missing):
+    # distinct primes, with one entry of the first index's row and one entry
+    # that only a last pair reads left out: each reads as the int 0, so the
+    # Pfaffian is that of the matrix with 0 stored there, by either engine
+    primes = iter((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47))
+    full = {(i, j): next(primes) for i in range(n) for j in range(i + 1, n)}
+    stored = SkewMatrix(n, {k: v for k, v in full.items() if k not in missing})
+    zeros = SkewMatrix(n, {**full, **dict.fromkeys(missing, 0)})
+    assert len(stored._upper) == len(zeros._upper) - 2
+    assert pfaffian_matchings(stored) == pfaffian_matchings(zeros) == pfaffian_permutations(zeros)
+
+
 @pytest.mark.parametrize("bad", ["1/2", 0.5, Decimal("0.5")], ids=["str", "float", "Decimal"])
 def test_det_refuses_entries_that_are_not_int_or_fraction(bad):
     # Fraction() would take each of them; the determinant converts nothing

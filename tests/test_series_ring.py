@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 from math import factorial
 
@@ -50,6 +51,37 @@ def test_product_keeps_int_zero_and_int_slots():
         for a, b in ((x, y), (y, x)):
             got = (ThetaPoly(3, a) * ThetaPoly(3, b)).coeffs
             assert [(type(c), c) for c in got] == [(type(c), c) for c in want], name
+
+
+def test_theta_poly_takes_exactly_cap_plus_one_values():
+    # a series holds what its caller builds: cap values are not padded with
+    # an int 0, cap + 2 lose no slot off the top, and no values is no series
+    for count in (3, 5, 0):
+        with pytest.raises(ValueError, match=f"cap 3 needs 4 coefficients, got {count}"):
+            ThetaPoly(3, range(count))
+    with pytest.raises(TypeError):
+        ThetaPoly(3)
+    assert ThetaPoly(3, range(4)).coeffs == (0, 1, 2, 3)
+
+
+def test_theta_poly_zero_and_monomial_hold_int_zeros():
+    assert ThetaPoly.zero(3).coeffs == (0, 0, 0, 0)
+    assert ThetaPoly.monomial(3, 4, Fraction(1, 2)).coeffs == (0, 0, 0, 0)
+    assert [type(c) for c in ThetaPoly.monomial(3, 2, Fraction(1, 2)).coeffs] == [int, int, Fraction, int]
+
+
+@pytest.mark.parametrize("bad", ["1/2", 0.5, True, Decimal("0.5")], ids=["str", "float", "bool", "Decimal"])
+def test_beta_poly_refuses_coefficients_that_are_not_int_or_fraction(bad):
+    # Fraction() would take each of them; BetaPoly converts nothing
+    with pytest.raises(TypeError, match="is not an int or a Fraction"):
+        BetaPoly({1: bad})
+
+
+def test_beta_poly_stores_coefficients_as_given():
+    half = Fraction(1, 2)
+    assert [c for _, c in BetaPoly({0: half, 1: 3, 2: 0}).items()] == [half, 3]
+    assert BetaPoly({0: half}).items()[0][1] is half
+    assert type(BetaPoly({1: 3}).items()[0][1]) is int
 
 
 def test_truncation_kills_top_product():
