@@ -12,14 +12,17 @@ argparse, imported and built from the same table by _make_parser, reads
 every other argv (--help, --version, abbreviations, "--opt=value", usage
 errors), so a one-shot command never pays for argparse, gettext and
 locale, and the help, messages and exit codes stay argparse's.
+
+Importing this module loads only what every command runs. json is
+imported by _print_json, when --output json prints, and no module of the
+package compiles a regular expression at import: _parse_int tests its
+digits with str methods.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import os
-import re
 import sys
 import types
 from math import comb, lgamma, log, prod
@@ -51,7 +54,6 @@ _BETA_CHOICES = {str(beta): beta for beta in _MODES}
 _RESULT_FIELDS = ("kind", "gamma", "exponent", "theta_poly", "chi")
 _TABLE_G_MAX = 10
 _TABLE_LEN_MAX = 5
-_INT_RE = re.compile(r"[+-]?[0-9]+")
 # largest estimated work (see _theorem_work, _oracle_work) a class or chi
 # command starts on; a unit is about 10^-4 s, so near it a command runs
 # for about 100 s on a 2-vCPU VM
@@ -114,8 +116,10 @@ _BOUNDARY_STEPS_PER_UNIT = 2 * 10**6
 
 
 def _parse_int(name: str, text: str) -> int:
-    # int() alone would also take "1_0", " 4" and non-ASCII digits such as "٤"
-    if not _INT_RE.fullmatch(text):
+    # ASCII digits after at most one + or -, the test _read_args makes: int()
+    # alone would also take "1_0", " 4" and non-ASCII digits such as "٤"
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
         raise ValidationError(f"{name} must be an integer of ASCII digits (got {text!r})")
     try:
         return int(text)
@@ -328,6 +332,13 @@ def _json_document(problem, result, beta, flags, normalization):
     }
 
 
+def _print_json(document) -> None:
+    # json is imported here, so only --output json pays for it
+    import json
+
+    print(json.dumps(document, indent=2))
+
+
 def _latex_rational(x) -> str:
     """An int or a Fraction in LaTeX, read from its numerator and denominator."""
     num, den = x.numerator, x.denominator
@@ -407,7 +418,7 @@ def _print_class(problem, beta, value, output, limit):
         terms = [f"  T^{d}: {c}" for d, c in enumerate(value.coeffs) if c]
         lines = ["theta_poly (T = theta' = 2xi, b = beta):", *(terms or ["  0"])]
     if output == "json":
-        print(json.dumps(_json_document(problem, result, beta, flags, normalization), indent=2))
+        _print_json(_json_document(problem, result, beta, flags, normalization))
     else:
         flag = f" [{', '.join(flags)}]" if flags else ""
         print("\n".join([_problem_line(problem), f"kind: {kind} (beta={beta}){flag}", *lines]))
@@ -448,8 +459,7 @@ def run_chi(args) -> int:
             return 3
     if args.output == "json":
         result = {"kind": "euler_characteristic", "chi": format_rational(chi)}
-        document = _json_document(problem, result, -1, (), {"relation": "theta_prime = 2*xi"})
-        print(json.dumps(document, indent=2))
+        _print_json(_json_document(problem, result, -1, (), {"relation": "theta_prime = 2*xi"}))
     else:  # plain and latex both print the bare integer
         print(format_rational(chi))
     return 0
@@ -494,7 +504,7 @@ def run_table(args) -> int:
             }
             for g, p, gamma, chi in rows
         ]
-        print(json.dumps({"rows": entries, "meta": _meta_block("-1", (), {"relation": "theta_prime = 2*xi"})}, indent=2))
+        _print_json({"rows": entries, "meta": _meta_block("-1", (), {"relation": "theta_prime = 2*xi"})})
     elif args.output == "latex":
         print("\\begin{tabular}{llllll}")
         print("g & a & \\lambda & \\gamma & e & \\chi \\\\")

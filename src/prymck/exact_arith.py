@@ -94,10 +94,6 @@ def format_rational(x) -> str:
     return str(x)
 
 
-# format_rational's output: p, or p/q with q nonzero
-_RATIONAL = re.compile("-?[0-9]+(/[0-9]*[1-9][0-9]*)?")
-
-
 def parse_rational(text: str) -> Fraction:
     """Inverse of format_rational: reads a string p or p/q, q nonzero.
 
@@ -105,6 +101,8 @@ def parse_rational(text: str) -> Fraction:
     would take: whitespace, a leading +, non-ASCII digits, decimals,
     exponents and underscores.
     """
-    if not (isinstance(text, str) and _RATIONAL.fullmatch(text)):
+    # format_rational's output: p, or p/q with q nonzero; re compiles the
+    # pattern on the first call, not when the package is imported
+    if not (isinstance(text, str) and re.fullmatch("-?[0-9]+(/[0-9]*[1-9][0-9]*)?", text)):
         raise ValueError(f"parse_rational: {text!r} is not a string p or p/q of ASCII digits")
     return Fraction(text)

@@ -35,9 +35,6 @@ from .exact_arith import format_rational, parse_rational
 
 __all__ = ["BetaPoly", "ThetaPoly"]
 
-# the exponent keys to_json_obj writes, str(e): "01" would name exponent 1 again
-_EXPONENT = re.compile("0|[1-9][0-9]*")
-
 
 # __mul__ and __add__ stay, unused by the class routes, as bench/layer_trace.py wraps them by name
 class BetaPoly:
@@ -136,7 +133,8 @@ class BetaPoly:
         if not isinstance(obj, dict):
             raise ValueError(f"BetaPoly: {obj!r} is not an object of exponents")
         for e in obj:
-            if not (isinstance(e, str) and _EXPONENT.fullmatch(e)):
+            # the keys to_json_obj writes, str(e): "01" would name exponent 1 again
+            if not (isinstance(e, str) and re.fullmatch("0|[1-9][0-9]*", e)):
                 raise ValueError(f"BetaPoly: exponent key {e!r} is not 0|[1-9][0-9]*")
         return cls({int(e): parse_rational(c) for e, c in obj.items()})
 

@@ -3,6 +3,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import time
@@ -10,6 +11,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, strategies as st
 
 import prymck.cli as cli
 import prymck.prym_bn as prym_bn
@@ -567,24 +569,26 @@ def test_expected_empty_problem_reported(capsys):
 
 
 def test_integer_arguments_are_strict(capsys):
+    # each argv refused with one line naming the argument and its bad token
     cases = [
-        (("chi", "--genus", "٤", "-r", "1", "--vanishing", "1,2"), "--genus"),
-        (("chi", "--genus", "4", "-r", "1", "--vanishing", "١,٢"), "--vanishing"),
-        (("class", "--genus", "4", "-r", "1", "--vanishing", "1_0,2"), "--vanishing"),
-        (("class", "--genus", "1_0", "--vanishing", "1,2"), "--genus"),
-        (("class", "--genus", " 4", "--vanishing", "1,2"), "--genus"),
-        (("class", "--genus", "4.0", "--vanishing", "1,2"), "--genus"),
-        (("chi", "--genus", "4", "-r", "1.5", "--vanishing", "1,2"), "-r"),
-        (("chi", "--genus", "4", "-r", "０", "--vanishing", "1,2"), "-r"),
-        (("table", "--g-min", "2", "--g-max", "1_0"), "--g-max"),
-        (("table", "--g-min", "²"), "--g-min"),
-        (("table", "--max-len", "3\n"), "--max-len"),
+        (("chi", "--genus", "٤", "-r", "1", "--vanishing", "1,2"), "--genus", "٤"),
+        (("chi", "--genus", "4", "-r", "1", "--vanishing", "١,٢"), "--vanishing", "١"),
+        (("chi", "--genus", "4", "--vanishing", "1,٤"), "--vanishing", "٤"),
+        (("class", "--genus", "4", "-r", "1", "--vanishing", "1_0,2"), "--vanishing", "1_0"),
+        (("class", "--genus", "1_0", "--vanishing", "1,2"), "--genus", "1_0"),
+        (("class", "--genus", " 4", "--vanishing", "1,2"), "--genus", " 4"),
+        (("class", "--genus", "4.0", "--vanishing", "1,2"), "--genus", "4.0"),
+        (("chi", "--genus", "4", "-r", "1.5", "--vanishing", "1,2"), "-r", "1.5"),
+        (("chi", "--genus", "4", "-r", "０", "--vanishing", "1,2"), "-r", "０"),
+        (("table", "--g-min", "2", "--g-max", "1_0"), "--g-max", "1_0"),
+        (("table", "--g-min", "²"), "--g-min", "²"),
+        (("table", "--max-len", "3\n"), "--max-len", "3\n"),
     ]
-    for argv, name in cases:
+    for argv, name, token in cases:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert out == "", argv
-        assert err.count("\n") == 1 and err.startswith(f"error: {name} "), (argv, err)
+        assert err == f"error: {name} must be an integer of ASCII digits (got {token!r})\n", (argv, err)
 
 
 def test_integer_arguments_accept_signed_ascii(capsys):
@@ -594,6 +598,40 @@ def test_integer_arguments_accept_signed_ascii(capsys):
     assert code == 0 and out.strip() == "2"
     code, _, err = run_cli(capsys, "chi", "--genus", "-4", "--vanishing", "1,2")
     assert code == 2 and "genus" in err
+
+
+def _parse_int_by_pattern(name, text):
+    # the reference: _parse_int as a fullmatch of [+-]?[0-9]+, then int()
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise prym_bn.ValidationError(f"{name} must be an integer of ASCII digits (got {text!r})")
+    try:
+        return int(text)
+    except ValueError:
+        raise prym_bn.ValidationError(f"{name} has {len(text)} characters, too many digits") from None
+
+
+def _parse_int_outcome(parse, text):
+    try:
+        return parse("--genus", text)
+    except prym_bn.ValidationError as exc:
+        return f"ValidationError: {exc}"
+
+
+_PARSE_INT_CORPUS = (
+    "", "+", "-", "+-1", "--1", "-0", "+07", " 4", "4 ", "1_0", "٤", "²", "１", "\n1", "1\n", "0x1", "1e3", "9" * 5000
+)
+
+
+@pytest.mark.parametrize("text", _PARSE_INT_CORPUS, ids=lambda text: repr(text[:8]))
+def test_parse_int_accepts_exactly_signed_ascii_digits(text):
+    # _parse_int tests its digits with str methods, not a pattern: it must
+    # accept what [+-]?[0-9]+ fullmatches and refuse the rest with the same text
+    assert _parse_int_outcome(cli._parse_int, text) == _parse_int_outcome(_parse_int_by_pattern, text)
+
+
+@given(st.text() | st.text(alphabet="+-0189 _٤"))
+def test_parse_int_agrees_with_the_pattern_on_any_text(text):
+    assert _parse_int_outcome(cli._parse_int, text) == _parse_int_outcome(_parse_int_by_pattern, text)
 
 
 def test_only_minus_one_means_the_default_r(capsys):
@@ -805,11 +843,15 @@ def test_benchmark_tracer_installs():
 
 def test_import_loads_no_dataclasses_machinery():
     # every prymck command pays for what importing prymck.cli loads;
-    # dataclasses alone pulled in inspect, ast, dis, tokenize and linecache
+    # dataclasses alone pulled in inspect, ast, dis, tokenize and linecache.
+    # json is imported only when --output json prints, and the package's
+    # patterns are compiled on first use (the JSON readers), not at import
     src = pathlib.Path(cli.__file__).resolve().parent.parent
     code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
-        "import prymck.cli; print(' '.join(sorted(set(sys.modules) - before)))"
+        "import re, sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+        "import prymck.cli; print(' '.join(sorted(set(sys.modules) - before))); "
+        "print(sorted(f'{name}.{key}' for name, module in sys.modules.items() if name.split('.')[0] == 'prymck' "
+        "for key, value in vars(module).items() if isinstance(value, re.Pattern)))"
     )
     run = subprocess.run(
         [sys.executable, "-c", code, str(src)],
@@ -818,41 +860,55 @@ def test_import_loads_no_dataclasses_machinery():
         timeout=60,
     )
     assert run.returncode == 0, run.stderr
-    added = set(run.stdout.split())
+    modules, patterns = run.stdout.splitlines()
+    added = set(modules.split())
     assert "prymck.cli" in added
-    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "linecache"}, added
+    forbidden = {"dataclasses", "inspect", "ast", "dis", "tokenize", "linecache"}
+    forbidden |= {"json", "json.decoder", "json.encoder", "json.scanner", "_json"}
+    assert not added & forbidden, added
+    assert patterns == "[]"
 
 
 def test_reference_commands_load_no_argparse():
     # well-formed argvs are read without argparse, whose import and first
     # parser build (gettext, locale and its regexes) cost a fresh process
-    # more than a chi --verify pass; --version still goes through argparse
+    # more than a chi --verify pass; --version still goes through argparse.
+    # json is loaded only once a --output json command prints, so the
+    # commands reach the probe on stdin, the plain and latex ones first
     src = pathlib.Path(cli.__file__).resolve().parent.parent
     reference = pathlib.Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+    commands = list(json.loads(reference.read_text(encoding="utf-8")))
+    json_commands = [command for command in commands if "--output json" in command]
+    other_commands = [command for command in commands if "--output json" not in command]
+    assert (len(other_commands), len(json_commands)) == (17, 11)
     code = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 sys.path.insert(0, sys.argv[1])
 import prymck.cli
-with open(sys.argv[2], encoding="utf-8") as f:
-    commands = list(json.load(f))
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [prymck.cli.main(command.split()) for command in commands]
-print(json.dumps({"codes": codes, "loaded": [m for m in ("argparse", "gettext", "locale") if m in sys.modules]}))
+for block in sys.stdin.read().split("\\n\\n"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [prymck.cli.main(command.split()) for command in block.splitlines()]
+    print(codes, [m for m in ("argparse", "gettext", "locale", "json") if m in sys.modules])
 try:
     prymck.cli.main(["--version"])
 except SystemExit as exc:
     print(repr(exc.code))
 """
     run = subprocess.run(
-        [sys.executable, "-c", code, str(src), str(reference)],
+        [sys.executable, "-c", code, str(src)],
+        input="\n".join(other_commands) + "\n\n" + "\n".join(json_commands),
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert run.returncode == 0, run.stderr
-    first, version, exit_code = run.stdout.splitlines()
-    assert json.loads(first) == {"codes": [0] * 28, "loaded": []}
-    assert (version, exit_code, run.stderr) == (f"prymck {cli.__version__}", "0", "")
+    assert run.stdout.splitlines() == [
+        f"{[0] * 17} []",
+        f"{[0] * 11} ['json']",
+        f"prymck {cli.__version__}",
+        "0",
+    ]
+    assert run.stderr == ""
 
 
 def test_work_bound_counts_entry_kernel(capsys, monkeypatch):
