@@ -13,10 +13,11 @@ every other argv (--help, --version, abbreviations, "--opt=value", usage
 errors), so a one-shot command never pays for argparse, gettext and
 locale, and the help, messages and exit codes stay argparse's.
 
-Importing this module loads only what every command runs. json is
-imported by _print_json, when --output json prints, and no module of the
-package compiles a regular expression at import: _parse_int tests its
-digits with str methods.
+Importing this module loads only what every command runs. The json
+package is imported by _print_json, when --output json prints, for its
+str escaper alone: _print_json writes the document itself, in one pass.
+No module of the package compiles a regular expression at import:
+_parse_int tests its digits with str methods.
 """
 
 from __future__ import annotations
@@ -332,11 +333,54 @@ def _json_document(problem, result, beta, flags, normalization):
     }
 
 
-def _print_json(document) -> None:
-    # json is imported here, so only --output json pays for it
-    import json
+def _write_json(value, indent, put, quote) -> None:
+    """Put the chunks of value as json.dumps(value, indent=2) writes it at
+    the indent (a newline and its spaces), its strs quoted by quote. Only
+    the dicts with str keys, lists, strs, ints, bools and None that prymck
+    builds are written: any other type, a float, a Fraction, a tuple or a
+    non-str key included, raises TypeError naming it, where json.dumps
+    would convert some of them without a word."""
+    kind = type(value)
+    if kind is str:
+        put(quote(value))
+    elif kind is int:
+        put(int.__repr__(value))
+    elif kind is bool or value is None:
+        put("true" if value is True else "false" if value is False else "null")
+    elif kind is list or kind is dict:
+        ends = "[]" if kind is list else "{}"
+        inner, sep = indent + "  ", ends[0]
+        for item in value:
+            put(sep)
+            put(inner)
+            if kind is dict:  # item is a key, written before its value
+                if type(item) is not str:
+                    raise TypeError(f"cannot write a {type(item).__name__} key as JSON")
+                put(quote(item))
+                put(": ")
+                item = value[item]
+            _write_json(item, inner, put, quote)
+            sep = ","
+        put(f"{indent}{ends[1]}" if value else ends)
+    else:
+        raise TypeError(f"cannot write a {kind.__name__} as JSON")
 
-    print(json.dumps(document, indent=2))
+
+def _print_json(document) -> None:
+    """Print document byte for byte as print(json.dumps(document, indent=2))
+    does, in one pass and nothing if it raises. With an indent set,
+    json.dumps runs its pure-Python encoder, which takes about twice this
+    writer's time on the document of table --g-max 10 --max-len 5."""
+    # json is imported here, so only --output json pays for it, and only
+    # for the escaper json.dumps quotes strs with
+    from json.encoder import encode_basestring_ascii
+
+    # _write_json is a module function: a nested one calling itself is a
+    # reference cycle, which kept the chunks alive until the next garbage
+    # collection and raised table's peak RSS
+    chunks = []
+    _write_json(document, "\n", chunks.append, encode_basestring_ascii)
+    print("".join(chunks))
 
 
 def _latex_rational(x) -> str:
@@ -479,45 +523,49 @@ def run_table(args) -> int:
         raise ValidationError(f"max_len must be between 1 and {_TABLE_LEN_MAX} (got {max_len})")
     # sorted by size, so the rows of genus g are the partitions of size < g;
     # each problem is built and validated at its first genus, and one walk
-    # at g_max gives its chi at every genus from there
-    per_partition = []
+    # at g_max gives its chi at every genus from there, each formatted once
+    parts = []
     for lam in strict_partitions(g_max - 1, max_len, 2 * g_max - 2):
         if lam:
             p = problem_from_partition(max(g_min, sum(lam) + 1), lam)
             chis = euler_theorem_genera(p, range(p.g, g_max + 1))
-            per_partition.append((p, chow_class_closed(lam), chis))
-    rows = [
-        (g, p, gamma, format_rational(chis[g - p.g]))
-        for g in range(g_min, g_max + 1)
-        for p, gamma, chis in per_partition
-        if p.codim < g
-    ]
+            parts.append((p, chow_class_closed(lam), [format_rational(chi) for chi in chis]))
+    starts = [p.g for p, _, _ in parts]
+
+    def rows(shared):
+        # (g, shared[i], chi) for each row, genus by genus, where shared[i]
+        # holds the cells partition i gives every row it is on; its rows
+        # start at its first genus, which rises with its size
+        for g in range(g_min, g_max + 1):
+            for start, cells, (_, _, chis) in zip(starts, shared, parts):
+                if start > g:
+                    break
+                yield g, cells, chis[g - start]
+
     if args.output == "json":
-        entries = [
-            {
-                "g": g,
-                "a": list(p.a),
-                "lambda": list(p.lam),
-                "gamma": format_rational(gamma),
-                "exponent": p.codim,
-                "chi": chi,
-            }
-            for g, p, gamma, chi in rows
+        shared = [
+            {"a": list(p.a), "lambda": list(p.lam), "gamma": format_rational(gamma), "exponent": p.codim}
+            for p, gamma, _ in parts
         ]
+        entries = [{"g": g, **cells, "chi": chi} for g, cells, chi in rows(shared)]
         _print_json({"rows": entries, "meta": _meta_block("-1", (), {"relation": "theta_prime = 2*xi"})})
     elif args.output == "latex":
-        print("\\begin{tabular}{llllll}")
-        print("g & a & \\lambda & \\gamma & e & \\chi \\\\")
-        for g, p, gamma, chi in rows:
-            print(f"{g} & ({_commas(p.a)}) & ({_commas(p.lam)}) & {_latex_rational(gamma)} & {p.codim} & {chi} \\\\")
-        print("\\end{tabular}")
+        shared = [
+            f"({_commas(p.a)}) & ({_commas(p.lam)}) & {_latex_rational(gamma)} & {p.codim}" for p, gamma, _ in parts
+        ]
+        lines = [f"{g} & {cells} & {chi} \\\\" for g, cells, chi in rows(shared)]
+        head = ["\\begin{tabular}{llllll}", "g & a & \\lambda & \\gamma & e & \\chi \\\\"]
+        print("\n".join([*head, *lines, "\\end{tabular}"]))
     else:
-        table = [("g", "a", "lambda", "gamma", "exp", "chi")]
-        for g, p, gamma, chi in rows:
-            table.append((str(g), _commas(p.a), _commas(p.lam), format_rational(gamma), str(p.codim), chi))
-        widths = [max(len(row[c]) for row in table) for c in range(len(table[0]))]
-        for row in table:
-            print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+        # columns padded to their widest cell, but for the last: chi. The
+        # widest g is g_max, whose rows hold every partition
+        names = ("a", "lambda", "gamma", "exp")
+        texts = [(_commas(p.a), _commas(p.lam), format_rational(gamma), str(p.codim)) for p, gamma, _ in parts]
+        widths = [max(map(len, column)) for column in zip(names, *texts)]
+        head, *shared = ["  ".join(map(str.ljust, row, widths)) for row in [names, *texts]]
+        g_width = len(str(g_max))
+        lines = [f"{g:<{g_width}}  {cells}  {chi}" for g, cells, chi in rows(shared)]
+        print("\n".join([f"{'g':<{g_width}}  {head}  chi", *lines]))
     return 0
 
 

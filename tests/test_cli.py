@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -11,7 +13,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import prymck.cli as cli
 import prymck.prym_bn as prym_bn
@@ -412,6 +414,41 @@ def test_large_cap_kernel_outputs_are_frozen(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# strs of any code points, lone surrogates included, and of the ones JSON
+# escapes: a quote, a backslash, control characters, non-ASCII and astral
+_JSON_STRS = st.text(
+    st.characters(exclude_categories=()) | st.sampled_from('"\\\x00\n\x1f\x7f\xe9\u2028\U0001f600\ud800\udfff'),
+    max_size=8,
+)
+_JSON_DOCUMENTS = st.recursive(
+    st.none() | st.booleans() | st.sampled_from([0, 1]) | st.integers() | st.integers(-(10**60), 10**60) | _JSON_STRS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_STRS, inner, max_size=4),
+    max_leaves=40,
+)
+
+
+@given(_JSON_DOCUMENTS)
+@example({"a": [{"b": [[{"c": [[]]}], {}]}], "d": [True, 1, False, 0, None, -12345678901234567890123]})
+@example([{}, [], "", {"": {}}])
+def test_print_json_writes_what_json_dumps_writes(document):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli._print_json(document)
+    assert out.getvalue() == json.dumps(document, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value, named",
+    [(1.5, "float"), (Fraction(1, 3), "Fraction"), ((1, 2), "tuple"), ({1, 2}, "set"), ({1: "x"}, "int key")],
+    ids=("float", "Fraction", "tuple", "set", "int-key"),
+)
+def test_print_json_refuses_any_other_type(capsys, value, named):
+    # json.dumps would write the float, the tuple and the int key without
+    # a word; the writer names each type and prints nothing
+    with pytest.raises(TypeError, match=named):
+        cli._print_json({"rows": [{"g": 2, "chi": value}]})
+    assert capsys.readouterr().out == ""
+
+
 def test_table_json_parses(capsys):
     code, out, _ = run_cli(
         capsys, "table", "--g-min", "2", "--g-max", "3", "--output", "json"
@@ -433,36 +470,81 @@ def test_table_latex(capsys):
 
 def test_table_works_per_partition(capsys, monkeypatch):
     # table --g-max 10 --max-len 5 prints 109 rows of 32 partitions: one
-    # enumeration, and each partition's problem, gamma and walk once
-    calls = {}
+    # enumeration, and each partition's problem, gamma and walk once. In
+    # every format gamma is formatted once a partition (by _latex_rational
+    # in latex) and each chi once, told apart by identity with the values
+    # chow_class_closed and the walks returned
+    calls, made, formatted = {}, {}, []
 
-    def counting(name):
+    def counting(name, kind=None):
         real = getattr(cli, name)
 
         def wrapper(*args):
             calls[name] = calls.get(name, 0) + 1
-            return real(*args)
+            value = real(*args)
+            if kind == "formatted":
+                formatted.append(args[0])
+            elif kind is not None:
+                made.setdefault(kind, []).extend(value if kind == "chi" else [value])
+            return value
 
         return wrapper
 
     names = ("problem_from_partition", "chow_class_closed", "euler_theorem_genera", "strict_partitions")
+    kinds = {"chow_class_closed": "gamma", "euler_theorem_genera": "chi"}
     for name in names:
-        monkeypatch.setattr(cli, name, counting(name))
-    code, out, _ = run_cli(capsys, "table", "--g-max", "10", "--max-len", "5", "--output", "json")
-    assert code == 0 and len(json.loads(out)["rows"]) == 109
-    assert calls == dict(zip(names, (32, 32, 32, 1)))
+        monkeypatch.setattr(cli, name, counting(name, kinds.get(name)))
+    for name in ("format_rational", "_latex_rational"):
+        monkeypatch.setattr(cli, name, counting(name, "formatted"))
+    for fmt in ("plain", "json", "latex"):
+        for record in (calls, made, formatted):
+            record.clear()
+        code, out, _ = run_cli(capsys, "table", "--g-max", "10", "--max-len", "5", "--output", fmt)
+        rows = len(json.loads(out)["rows"]) if fmt == "json" else len(out.splitlines()) - (3 if fmt == "latex" else 1)
+        assert code == 0 and rows == 109, fmt
+        assert {name: calls[name] for name in names} == dict(zip(names, (32, 32, 32, 1))), fmt
+        of = [next((kind for kind, values in made.items() if any(x is v for v in values)), "other") for x in formatted]
+        assert {kind: of.count(kind) for kind in set(of)} == {"gamma": 32, "chi": 109}, fmt
+
+
+def _latex_fraction(x):
+    sign = "-" if x < 0 else ""
+    return f"{sign}{abs(x.numerator)}" if x.denominator == 1 else f"{sign}\\frac{{{abs(x.numerator)}}}{{{x.denominator}}}"
+
+
+def _table_by_rows(rows, fmt):
+    # a table rendered from its rows (g, problem, gamma, chi) one at a time,
+    # as table rendered it before it shared cells among a partition's rows
+    if fmt == "json":
+        entries = [
+            {"g": g, "a": list(p.a), "lambda": list(p.lam), "gamma": str(gamma), "exponent": p.codim, "chi": str(chi)}
+            for g, p, gamma, chi in rows
+        ]
+        meta = {"beta": "-1", "normalization": {"relation": "theta_prime = 2*xi"}, "convention_flags": []}
+        return json.dumps({"rows": entries, "meta": {**meta, "versions": {"prymck": cli.__version__}}}, indent=2) + "\n"
+    def commas(ints):
+        return ",".join(map(str, ints))
+
+    if fmt == "latex":
+        lines = ["\\begin{tabular}{llllll}", "g & a & \\lambda & \\gamma & e & \\chi \\\\"]
+        for g, p, gamma, chi in rows:
+            lines.append(f"{g} & ({commas(p.a)}) & ({commas(p.lam)}) & {_latex_fraction(gamma)} & {p.codim} & {chi} \\\\")
+        return "\n".join([*lines, "\\end{tabular}"]) + "\n"
+    table = [("g", "a", "lambda", "gamma", "exp", "chi")]
+    table += [(str(g), commas(p.a), commas(p.lam), str(gamma), str(p.codim), str(chi)) for g, p, gamma, chi in rows]
+    widths = [max(len(row[c]) for row in table) for c in range(6)]
+    return "".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n" for row in table)
 
 
 def test_table_rows_equal_a_row_by_row_reference(capsys):
-    # every json table the caps allow, 225 (g_min, g_max, max_len) triples,
-    # against rows built one at a time, each at its own genus; a strict
-    # partition of size at most 9 has at most three parts, so max_len 3, 4
-    # and 5 print the same rows, and 135 of the tables differ
+    # every table the caps allow, 225 (g_min, g_max, max_len) triples in
+    # each format, against the rows built one at a time, each at its own
+    # genus, and rendered one at a time; a strict partition of size at most
+    # 9 has at most three parts, so max_len 3, 4 and 5 print the same rows,
+    # and 135 of the tables differ
     def row(g, lam):
         p = prym_bn.problem_from_partition(g, lam)
-        gamma = prym_bn.chow_class_closed(lam)
-        chi = prym_bn.euler_theorem(p)
-        return {"g": g, "a": list(p.a), "lambda": list(lam), "gamma": str(gamma), "exponent": p.codim, "chi": str(chi)}
+        return g, p, prym_bn.chow_class_closed(lam), prym_bn.euler_theorem(p)
 
     reference = {
         (g, max_len): [row(g, lam) for lam in prym_bn.strict_partitions(g - 1, max_len, 2 * g - 2) if lam]
@@ -473,10 +555,11 @@ def test_table_rows_equal_a_row_by_row_reference(capsys):
     for g_min in range(2, cli._TABLE_G_MAX + 1):
         for g_max in range(g_min, cli._TABLE_G_MAX + 1):
             for max_len in range(1, cli._TABLE_LEN_MAX + 1):
-                argv = ("table", "--g-min", str(g_min), "--g-max", str(g_max), "--max-len", str(max_len))
-                code, out, _ = run_cli(capsys, *argv, "--output", "json")
-                want = [r for g in range(g_min, g_max + 1) for r in reference[g, max_len]]
-                assert code == 0 and json.loads(out)["rows"] == want, argv
+                rows = [r for g in range(g_min, g_max + 1) for r in reference[g, max_len]]
+                for fmt in ("plain", "json", "latex"):
+                    argv = ("table", "--g-min", str(g_min), "--g-max", str(g_max), "--max-len", str(max_len))
+                    code, out, _ = run_cli(capsys, *argv, "--output", fmt)
+                    assert code == 0 and out == _table_by_rows(rows, fmt), (argv, fmt)
                 tables += 1
     assert tables == 225
 
