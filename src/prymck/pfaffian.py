@@ -13,6 +13,13 @@ code with it and serves selfcheck and the tests as an independent engine.
 A fraction-free determinant gives a third cross-check through
 Pf(M)^2 == det(M).
 
+Both engines recurse through module functions that take their working
+state as arguments (_sub_pfaffian, _permutation_walk): a nested function
+calling itself is a reference cycle, which would keep the memo of
+sub-Pfaffians, or the grid and the running totals, alive after the call
+until the next garbage collection. So each call's working set is freed
+when it returns, by reference counting, and on an exception as well.
+
 The permutation sum walks the n! arrangements depth first, one ordered pair
 per level: it takes the p-th smallest remaining index, then the q-th
 smallest of those left after it. That choice adds exactly p + q inversions,
@@ -125,8 +132,10 @@ def pfaffian_matchings(m: SkewMatrix):
         Pf(S) = sum over k = 1..2r-1 of (-1)^(k-1) * a(s_0, s_k) * Pf(S - {s_0, s_k}),
 
     with Pf(()) = 1 and Pf((i, j)) the entry a(i, j) itself. The
-    sub-Pfaffians are memoised on their index tuples for the one call, so
-    each is expanded once: a size n matrix takes
+    sub-Pfaffians are memoised on their index tuples for the one call, and
+    the memo is freed when the call returns, by reference counting: no
+    reference cycle holds it. Each sub-Pfaffian is expanded once: a size n
+    matrix takes
     sum over k = 0..n/2-2 of C(n-k, k) * (n-2k-1) products, 87 at n = 8
     and 1,055 at n = 12, where the (n-1)!! matchings hold 315 and 51,975
     (Rote, "Division-free algorithms for the determinant and the
@@ -139,22 +148,24 @@ def pfaffian_matchings(m: SkewMatrix):
     """
     if m.n % 2:
         raise ValueError(f"pfaffian: size must be even, got {m.n}")
-    upper = m._upper
-    memo = {(): 1}
+    return _sub_pfaffian(tuple(range(m.n)), m._upper, {(): 1})
 
-    def pf(s):
-        if len(s) == 2:
-            return upper.get(s, 0)
-        if s not in memo:
-            first, rest = s[0], s[1:]
-            total = 0
-            for k, partner in enumerate(rest):
-                term = upper.get((first, partner), 0) * pf(rest[:k] + rest[k + 1 :])
-                total = total + (-term if k % 2 else term)
-            memo[s] = total
-        return memo[s]
 
-    return pf(tuple(range(m.n)))
+def _sub_pfaffian(s, upper, memo):
+    """Pf of the increasing index tuple s, of even length, from the stored
+    triangle upper, expanded along s[0]; memo maps () to 1 and each tuple
+    expanded so far to its Pfaffian. It takes its state as arguments, so
+    no reference cycle holds the memo (see the module docstring)."""
+    if len(s) == 2:
+        return upper.get(s, 0)
+    if s not in memo:
+        first, rest = s[0], s[1:]
+        total = 0
+        for k, partner in enumerate(rest):
+            term = upper.get((first, partner), 0) * _sub_pfaffian(rest[:k] + rest[k + 1 :], upper, memo)
+            total = total + (-term if k % 2 else term)
+        memo[s] = total
+    return memo[s]
 
 
 def perm_sign(seq) -> int:
@@ -216,7 +227,9 @@ def pfaffian_permutations(m: SkewMatrix):
     entries of the pairs chosen so far is carried to the next level, so each
     of the n! permutations costs one multiplication and one addition into
     the running total of its parity; the odd total is negated once at the
-    end. Entries are read once, with m.rows().
+    end. Entries are read once, with m.rows(). The walk is the module
+    function _permutation_walk, so the grid and the two running totals live
+    for the one call and are freed when it returns.
 
     The walk stops when six indices are left (four at n = 4). It reads the
     tail's 6 x 6 sub-grid with one list comprehension and runs the last
@@ -251,33 +264,40 @@ def pfaffian_permutations(m: SkewMatrix):
     if n == 2:
         # the two leaves (0, 1) and (1, 0): p + q is 0 and 1
         return (grid[0][1] + -grid[1][0]) * Fraction(1, norm)
-    tail = min(n, 6)
-    first, stages, keep, flip = _tail_plan(tail)
     totals = [0, 0]  # sums of the even and of the odd permutations' terms
-
-    def walk(left, prefix, odd):
-        # left: tuple of the unused indices in increasing order; odd: parity
-        # of the prefix
-        if len(left) == tail:
-            sub = [grid[x][y] for x in left for y in left]
-            nodes = first(sub)
-            if prefix is not None:
-                nodes = [prefix * e for e in nodes]
-            for repeat, pairs in stages:
-                nodes = list(map(mul, repeat(nodes), pairs(sub)))
-            totals[odd] = totals[odd] + sum(map(mul, nodes, keep(sub)))
-            totals[odd ^ 1] = totals[odd ^ 1] + sum(map(mul, nodes, flip(sub)))
-            return
-        for p, x in enumerate(left):
-            rest = left[:p] + left[p + 1 :]
-            row = grid[x]
-            for q, y in enumerate(rest):
-                term = row[y] if prefix is None else prefix * row[y]
-                walk(rest[:q] + rest[q + 1 :], term, odd ^ ((p + q) & 1))
-
-    walk(tuple(range(n)), None, 0)
+    _permutation_walk(tuple(range(n)), None, 0, grid, _tail_plan(min(n, 6)), totals)
     even, odd = totals
     return (even + -odd) * Fraction(1, norm)
+
+
+def _permutation_walk(left, prefix, odd, grid, plan, totals):
+    """Add the terms of every permutation of the indices left, after the
+    ordered prefix of parity odd, into totals[0] (even) and totals[1] (odd).
+
+    left: tuple of the unused indices in increasing order, of even length
+    four or more; prefix: the product of the pairs chosen so far, None at
+    the top. The walk stops at six indices (four when it starts at four)
+    and runs the tail through plan, _tail_plan of that size. It takes its
+    state as arguments, so no reference cycle holds the grid or the totals
+    (see the module docstring).
+    """
+    if len(left) <= 6:
+        first, stages, keep, flip = plan
+        sub = [grid[x][y] for x in left for y in left]
+        nodes = first(sub)
+        if prefix is not None:
+            nodes = [prefix * e for e in nodes]
+        for repeat, pairs in stages:
+            nodes = list(map(mul, repeat(nodes), pairs(sub)))
+        totals[odd] = totals[odd] + sum(map(mul, nodes, keep(sub)))
+        totals[odd ^ 1] = totals[odd ^ 1] + sum(map(mul, nodes, flip(sub)))
+        return
+    for p, x in enumerate(left):
+        rest = left[:p] + left[p + 1 :]
+        row = grid[x]
+        for q, y in enumerate(rest):
+            term = row[y] if prefix is None else prefix * row[y]
+            _permutation_walk(rest[:q] + rest[q + 1 :], term, odd ^ ((p + q) & 1), grid, plan, totals)
 
 
 def det_fraction_free(rows) -> Fraction:

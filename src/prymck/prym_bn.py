@@ -207,19 +207,22 @@ def problem_from_partition(g: int, lam) -> PrymProblem:
 def strict_partitions(max_size: int, max_len: int, max_part: int):
     """All strict partitions with sum <= max_size, length <= max_len and
     parts <= max_part, the empty partition included; sorted by (sum, parts).
+
+    They are built by a loop over a stack of (prefix, sum) pairs, not by a
+    nested function calling itself, which would be a reference cycle: the
+    returned list is held by the caller alone and freed as soon as the
+    caller drops it, not kept alive until the next garbage collection.
     """
     acc = [()]
-
-    def extend(prefix, total):
+    stack = [((), 0)] if max_len > 0 else []
+    while stack:
+        prefix, total = stack.pop()
         last = prefix[-1] if prefix else max_part + 1
         for p in range(min(last - 1, max_size - total, max_part), 0, -1):
             cur = prefix + (p,)
             acc.append(cur)
             if len(cur) < max_len:
-                extend(cur, total + p)
-
-    if max_len > 0:
-        extend((), 0)
+                stack.append((cur, total + p))
     acc.sort(key=lambda t: (sum(t), t))
     return acc
 

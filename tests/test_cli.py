@@ -994,6 +994,47 @@ except SystemExit as exc:
     assert run.stderr == ""
 
 
+def test_commands_leave_no_reference_cycles():
+    # every reference command and a few that prymck refuses, in one
+    # process with the collector off: an object a command leaves in a
+    # reference cycle stays alive until a collection, so after each
+    # command a collection must find nothing. Argvs that argparse reads
+    # (--help, usage errors) are exempt: argparse's own help and usage
+    # objects form cycles
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    reference = pathlib.Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+    commands = list(json.loads(reference.read_text(encoding="utf-8")))
+    refused = [
+        "chi --genus 6000 -r 1 -a 1,2",  # the work bound
+        "class -g 631 -a 1,2 --beta -1",  # the work bound, by 188
+        "chi -g 15001 -r 0 -a 2",  # the digit bound on chi
+        "class -g 1500 -a 2 --beta -1",  # the digit bound on a coefficient
+        "class --genus 1_0 --vanishing 1,2",  # not an integer
+        "chi -g 4 -r -7 -a 1,2",  # refused by build_problem
+    ]
+    code = """
+import contextlib, gc, io, sys
+sys.path.insert(0, sys.argv[1])
+import prymck.cli
+gc.collect()
+gc.disable()
+for command in sys.stdin.read().splitlines():
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        exit_code = prymck.cli.main(command.split())
+    print(exit_code, gc.collect())
+"""
+    run = subprocess.run(
+        [sys.executable, "-c", code, str(src)],
+        input="\n".join(commands + refused),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    got = dict(zip(commands + refused, run.stdout.splitlines()))
+    assert got == {command: "0 0" for command in commands} | {command: "2 0" for command in refused}
+
+
 def test_work_bound_counts_entry_kernel(capsys, monkeypatch):
     # class at beta -1 prices its kernel as l - 1 + l(l-1)/2 terms of cap^3
     # steps each: at g = 1000, lambda = (2, 1) that is 2 * 999^3 steps,

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import re
@@ -532,3 +533,97 @@ def test_det_row_swap_on_zero_leading_pivot():
     assert det == leibniz_det(rows) != 0
     # a zero pivot that no lower row can replace makes the matrix singular
     assert det_fraction_free([[0, Fraction(1, 3)], [0, Fraction(2, 7)]]) == 0
+
+
+def cyclic_garbage(fn, *args):
+    """fn(*args), run with the collector off after one collection, and the
+    number of objects it left in reference cycles: the next collection finds
+    them unreachable, where reference counting would have freed them."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        value = fn(*args)
+        return value, gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def theta_skew(rng, n, cap=4):
+    return SkewMatrix.from_upper(
+        n,
+        lambda i, j: ThetaPoly(cap, [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(cap + 1)]),
+    )
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        SkewMatrix(8, dict(zip(((i, j) for i in range(8) for j in range(i + 1, 8)), PRIMES))),
+        random_skew(random.Random(4242), 8, den=7),
+        theta_skew(random.Random(4343), 6),
+    ],
+    ids=["int", "Fraction", "ThetaPoly"],
+)
+def test_matching_engine_frees_its_memo_on_return(m):
+    # the memo of sub-Pfaffians lives for the one call: nothing of it is
+    # left in a reference cycle for the collector
+    pf, garbage = cyclic_garbage(pfaffian_matchings, m)
+    assert garbage == 0
+    assert pf == pfaffian_permutations(m)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_permutation_engine_frees_its_grid_on_return(n):
+    m = random_skew(random.Random(4444 + n), n, den=7)
+    pf, garbage = cyclic_garbage(pfaffian_permutations, m)
+    assert garbage == 0
+    assert pf == pfaffian_matchings(m)
+
+
+class Refused(Exception):
+    """Raised by a Budgeted product once the budget is spent."""
+
+
+class Budgeted:
+    """Int entry ring whose products draw on one budget, a one-item list
+    shared by the entries of a matrix, and raise Refused once it is spent,
+    so an engine leaves mid-expansion, from inside its recursion."""
+
+    def __init__(self, value, budget):
+        self.value, self.budget = value, budget
+
+    def __neg__(self):
+        return Budgeted(-self.value, self.budget)
+
+    def __add__(self, other):
+        return Budgeted(self.value + getattr(other, "value", other), self.budget)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if not self.budget[0]:
+            raise Refused
+        self.budget[0] -= 1
+        return Budgeted(self.value * getattr(other, "value", other), self.budget)
+
+
+@pytest.mark.parametrize("engine", [pfaffian_matchings, pfaffian_permutations])
+def test_engines_free_their_working_set_when_an_entry_raises(engine):
+    # the sixth product raises, with the memo, or the grid and the totals,
+    # half built: they go with the exception, so a cleanup that runs only
+    # after a normal return would leave them to the collector
+    budget = [5]
+    pairs = ((i, j) for i in range(8) for j in range(i + 1, 8))
+    m = SkewMatrix(8, {ij: Budgeted(p, budget) for ij, p in zip(pairs, PRIMES)})
+
+    def expand_until_refused():
+        try:
+            engine(m)
+        except Refused:
+            return "refused"
+        return "returned"
+
+    assert cyclic_garbage(expand_until_refused) == ("refused", 0)
+    assert budget == [0]

@@ -4,11 +4,11 @@ import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial
 
 import pytest
-from test_pfaffian import Terms
+from test_pfaffian import Terms, cyclic_garbage
 
 from prymck import exact_arith, operator_engine, pfaffian, prym_bn, selfcheck
 from prymck.exact_arith import abel_coefficient, abel_row
@@ -151,6 +151,16 @@ def test_problem_from_partition():
 def test_strict_partitions_enumeration():
     parts = strict_partitions(4, 2, 4)
     assert parts == [(), (1,), (2,), (2, 1), (3,), (3, 1), (4,)]
+
+
+def test_strict_partitions_leaves_no_cycle():
+    # the list is the caller's alone: once dropped it is freed, not kept in
+    # a reference cycle until the next collection
+    parts, garbage = cyclic_garbage(strict_partitions, 45, 5, 9)
+    assert garbage == 0
+    # every set of at most five parts from 1..9 sums to at most 35
+    want = [lam[::-1] for k in range(6) for lam in combinations(range(1, 10), k)]
+    assert parts == sorted(want, key=lambda lam: (sum(lam), lam))
 
 
 # -------------------------------------------------------- cohomology class
