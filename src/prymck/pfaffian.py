@@ -44,8 +44,12 @@ the determinant) is divided out in the one final Fraction. The
 determinant takes Rational entries only, ints and Fractions, and reads
 their numerators and denominators without converting them. The first-index
 expansion walks the entries as they are, straight from the stored upper
-triangle: every index tuple it expands is increasing. augment_odd copies
-that triangle with its keys shifted.
+triangle: every index tuple it expands is increasing.
+
+A SkewMatrix is built once and whole, from one callable giving every entry
+of its strict upper triangle, and every entry it holds is stored: nothing
+reads as a default. An odd-size system is its caller's to close: the class
+routes of prym_bn build theirs at even size, boundary index last.
 """
 
 from __future__ import annotations
@@ -58,37 +62,28 @@ from operator import itemgetter, mul
 
 __all__ = [
     "SkewMatrix",
-    "augment_odd",
     "det_fraction_free",
-    "perm_sign",
     "pfaffian_matchings",
     "pfaffian_permutations",
 ]
 
 
 class SkewMatrix:
-    """Square skew-symmetric matrix storing only the strict upper triangle.
+    """Square skew-symmetric matrix storing its whole strict upper triangle.
 
-    entry(i, j) returns the stored value for i < j, its negation for i > j
-    and the int 0 on the diagonal, so skew-symmetry holds by construction.
+    SkewMatrix(n, entry) calls entry(i, j) once for every i < j, row by row
+    (i, then j, increasing), and stores each value. The method entry(i, j)
+    returns the stored value for i < j, its negation for i > j and the
+    int 0 on the diagonal, so skew-symmetry holds by construction.
     """
 
     __slots__ = ("_n", "_upper")
 
-    def __init__(self, n: int, upper):
+    def __init__(self, n: int, entry):
         if n < 0:
             raise ValueError(f"SkewMatrix: size must be nonnegative, got {n}")
-        data = dict(upper)
-        for i, j in data:
-            if not (0 <= i < j < n):
-                raise ValueError(f"SkewMatrix: bad upper-triangle index ({i}, {j})")
         self._n = n
-        self._upper = data
-
-    @classmethod
-    def from_upper(cls, n: int, fn) -> "SkewMatrix":
-        """Build from a callable giving the entry at (i, j) for i < j."""
-        return cls(n, {(i, j): fn(i, j) for i in range(n) for j in range(i + 1, n)})
+        self._upper = {(i, j): entry(i, j) for i in range(n) for j in range(i + 1, n)}
 
     @property
     def n(self) -> int:
@@ -100,28 +95,12 @@ class SkewMatrix:
         if i == j:
             return 0
         if i < j:
-            return self._upper.get((i, j), 0)
-        return -self._upper.get((j, i), 0)
+            return self._upper[i, j]
+        return -self._upper[j, i]
 
     def rows(self):
         """Full grid as a list of lists (diagonal entries are int 0)."""
         return [[self.entry(i, j) for j in range(self._n)] for i in range(self._n)]
-
-
-def augment_odd(m: SkewMatrix, row0) -> SkewMatrix:
-    """Prepend a boundary index 0 with the given first row.
-
-    The result has size m.n + 1 with entries (0, j+1) taken from row0 and
-    the old matrix shifted to indices 1..m.n. Used to evaluate Pfaffians of
-    odd-size systems. The old stored triangle is copied with its keys
-    shifted, so an entry m does not store stays unstored (and reads 0).
-    """
-    row0 = list(row0)
-    if len(row0) != m.n:
-        raise ValueError(f"augment_odd: row0 has length {len(row0)}, expected {m.n}")
-    upper = {(0, j + 1): val for j, val in enumerate(row0)}
-    upper.update(((i + 1, j + 1), val) for (i, j), val in m._upper.items())
-    return SkewMatrix(m.n + 1, upper)
 
 
 def pfaffian_matchings(m: SkewMatrix):
@@ -144,7 +123,7 @@ def pfaffian_matchings(m: SkewMatrix):
 
     Every index tuple it expands is increasing, so every entry it reads,
     a(s_0, s_k) and the last pair, lies in the stored upper triangle: it
-    reads m's stored values directly, an unstored one as the int 0.
+    reads m's stored values directly.
     """
     if m.n % 2:
         raise ValueError(f"pfaffian: size must be even, got {m.n}")
@@ -157,12 +136,12 @@ def _sub_pfaffian(s, upper, memo):
     expanded so far to its Pfaffian. It takes its state as arguments, so
     no reference cycle holds the memo (see the module docstring)."""
     if len(s) == 2:
-        return upper.get(s, 0)
+        return upper[s]
     if s not in memo:
         first, rest = s[0], s[1:]
         total = 0
         for k, partner in enumerate(rest):
-            term = upper.get((first, partner), 0) * _sub_pfaffian(rest[:k] + rest[k + 1 :], upper, memo)
+            term = upper[first, partner] * _sub_pfaffian(rest[:k] + rest[k + 1 :], upper, memo)
             total = total + (-term if k % 2 else term)
         memo[s] = total
     return memo[s]
@@ -171,10 +150,10 @@ def _sub_pfaffian(s, upper, memo):
 def perm_sign(seq) -> int:
     """Sign of the permutation given as an arrangement of distinct comparables.
 
-    No route calls it: the engines carry their signs as they walk, and so
-    does the theorem route's matching walk. The tests' flat n! references
-    sign with it, and the benchmark's tracer wraps it by name, until
-    ROADMAP items 1b and 6.
+    No route calls it, and it is not exported: the engines carry their
+    signs as they walk, and so does the theorem route's matching walk. The
+    tests' flat n! references sign with it, and the benchmark's tracer
+    wraps it by name, until ROADMAP items 1b and 6.
     """
     seq = tuple(seq)
     inversions = 0

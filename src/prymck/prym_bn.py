@@ -68,7 +68,7 @@ from math import comb, factorial, prod
 
 from .exact_arith import _abel_ints, abel_row
 from .operator_engine import apply_pair_operator, prefactor_expansion
-from .pfaffian import SkewMatrix, augment_odd, pfaffian_matchings
+from .pfaffian import SkewMatrix, pfaffian_matchings
 from .series_ring import BetaPoly, ThetaPoly
 
 __all__ = [
@@ -259,9 +259,16 @@ def chow_class_pfaffian(lam) -> Fraction:
 
     The (i, j) entry is (1/4) / (pi+pj)! times
     binom(pi+pj, pi) + 2 * sum_{u=1}^{pj} (-1)^u binom(pi+pj, pi+u);
-    for an odd number of parts the matrix is augmented with the boundary
-    row (1/2) / pj! (the single prefactor contributes the extra 1/2).
-    Must equal chow_class_closed.
+    for an odd number l of parts the matrix gains a boundary index l, last,
+    whose entry (j, l) is (1/2) / pj! (the single prefactor contributes the
+    extra 1/2). Must equal chow_class_closed.
+
+    The matrix of size l + l mod 2 is built in one call. Its Pfaffian is
+    that of the form with the boundary index first and (0, j + 1) holding
+    (1/2) / pj!: moving an index from first to last is an odd permutation
+    of the l + 1 indices, which negates the Pfaffian, and storing the
+    boundary values at (j, l) rather than (l, j) negates one row and
+    column, which negates it again.
 
     The entries are built as ints, S times their values, with
     S = 4 * (lambda_1 + lambda_2)! from two parts on and 2 * lambda_1! for
@@ -280,6 +287,8 @@ def chow_class_pfaffian(lam) -> Fraction:
     scale = 4 * factorial(lam[0] + lam[1]) if ell > 1 else 2 * factorial(lam[0])
 
     def entry(i, j):
+        if j == ell:
+            return scale // (2 * factorial(lam[i]))
         pi, pj = lam[i], lam[j]
         term = total = comb(pi + pj, pi)
         for u in range(1, pj + 1):
@@ -287,18 +296,19 @@ def chow_class_pfaffian(lam) -> Fraction:
             total += 2 * term
         return total * (scale // (4 * factorial(pi + pj)))
 
-    m = SkewMatrix.from_upper(ell, entry)
-    if ell % 2:
-        m = augment_odd(m, [scale // (2 * factorial(p)) for p in lam])
+    m = SkewMatrix(ell + ell % 2, entry)
     return Fraction(pfaffian_matchings(m), scale ** (m.n // 2))
 
 
-def _boundary_entry(lj: int, prefactors, cap: int, excess: int) -> ThetaPoly:
+def _boundary_entry(lj: int, prefactors, cap: int, excess: int) -> ThetaPoly | None:
     """S = 4^(cap+1) * cap! times degrees lj..lj + excess of the boundary
     entry, the sum over v of the prefactor's c_v * theta'^(lj+v) / (lj+v)!,
     shifted down: from prefactor_expansion's ints 2^(cap+1) * c_v, the ints
     2^(cap+1) * c_t * 2^(cap+1) * cap! / (lj + t)! at t = 0..excess, for
-    lj + excess <= cap."""
+    lj + excess <= cap; None when excess < 0, as apply_pair_operator
+    returns."""
+    if excess < 0:
+        return None
     coeffs = [0] * (excess + 1)
     weight = 2 ** (cap + 1) * factorial(cap) // factorial(lj + excess)  # from t = excess down
     for t in range(excess, -1, -1):
@@ -326,8 +336,14 @@ def _one_part_class(lj: int, prefactors, cap: int) -> ThetaPoly:
 def ch_k_class(problem: PrymProblem) -> ThetaPoly:
     """Chern character of the structure-sheaf class, truncated at g - 1.
 
-    The Pfaffian of the beta = -1 entry series, with the boundary row
-    appended for an odd number of parts. The lowest-degree coefficient
+    The Pfaffian of the beta = -1 entry series; for an odd number l of
+    parts the matrix gains a boundary index l, last, whose entry (j, l) is
+    the boundary series of part j. The matrix of size l + l mod 2 is built
+    in one call, and its Pfaffian is that of the form with the boundary
+    index first and (0, j + 1) holding the boundary series: moving an
+    index from first to last is an odd permutation of the l + 1 indices,
+    and storing the boundary at (j, l) rather than (l, j) negates one row
+    and column, so the two signs cancel. The lowest-degree coefficient
     (degree |lambda|) equals chow_class_closed(lam); problems with
     |lambda| > g - 1 give 0.
 
@@ -346,10 +362,10 @@ def ch_k_class(problem: PrymProblem) -> ThetaPoly:
     degree: degrees |lambda|..cap are Fractions and the degrees below int
     0. The kernel computes each entry's cells below its base degree inside
     the cap by the same recurrence, its guard, and raises ArithmeticError
-    if one is nonzero. With
-    B < 0 every entry still goes through the kernel and its guard, and the
-    class is the zero series of int 0s, as theta'^|lambda| lies above the
-    cap. One part is the boundary entry alone (_one_part_class).
+    if one is nonzero. With B < 0 every pair entry still goes through the
+    kernel and its guard, every entry is None, and the class is the zero
+    series of int 0s, as theta'^|lambda| lies above the cap. One part is
+    the boundary entry alone (_one_part_class).
     """
     cap = problem.g - 1
     ell = problem.ell
@@ -362,13 +378,13 @@ def ch_k_class(problem: PrymProblem) -> ThetaPoly:
     excess = problem.rho
 
     def entry(i, j):
+        if j == ell:
+            return _boundary_entry(lam[i], pre[i], cap, excess)
         return apply_pair_operator((lam[i], lam[j]), pre[i], pre[j], cap, excess)
 
-    m = SkewMatrix.from_upper(ell, entry)
+    m = SkewMatrix(ell + ell % 2, entry)
     if excess < 0:
         return ThetaPoly.zero(cap)
-    if ell % 2:
-        m = augment_odd(m, [_boundary_entry(lam[j], pre[j], cap, excess) for j in range(ell)])
     den = (4 ** (cap + 1) * factorial(cap)) ** (m.n // 2)
     return ThetaPoly(cap, [0] * problem.codim + [Fraction(c, den) for c in pfaffian_matchings(m).coeffs])
 

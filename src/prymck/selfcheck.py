@@ -57,10 +57,7 @@ def _empty_problems(count):
 
 
 def _random_skew(rng, n):
-    return SkewMatrix.from_upper(
-        n,
-        lambda i, j: Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
-    )
+    return SkewMatrix(n, lambda i, j: Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
 
 
 def _tally(verdicts):

@@ -12,14 +12,20 @@ import prymck
 from prymck import exact_arith, operator_engine, pfaffian, prym_bn, series_ring
 
 MODULES = (exact_arith, operator_engine, pfaffian, prym_bn, series_ring)
-# no route calls them; the tests read them as references from prymck.prym_bn
-REFERENCE_ONLY = ("g_coeff", "GTable", "enumerate_f", "classical_coefficient")
+# no route calls them; the tests read each as a reference from its own module
+REFERENCE_ONLY = (
+    (pfaffian, "perm_sign"),
+    (prym_bn, "g_coeff"),
+    (prym_bn, "GTable"),
+    (prym_bn, "enumerate_f"),
+    (prym_bn, "classical_coefficient"),
+)
 
 
 def test_package_all_is_the_module_lists():
     names = ["__version__", *(name for module in MODULES for name in module.__all__)]
     assert prymck.__all__ == names
-    assert len(set(names)) == len(names) == 32
+    assert len(set(names)) == len(names) == 30
     assert {"abel_row", "abel_last"} <= set(names)
 
 
@@ -37,10 +43,10 @@ def test_star_import_binds_exactly_all():
 
 
 def test_reference_only_helpers_are_not_exported():
-    for name in REFERENCE_ONLY:
+    for home, name in REFERENCE_ONLY:
         assert all(name not in module.__all__ for module in (prymck, *MODULES)), name
         assert not hasattr(prymck, name), name
-        assert callable(getattr(prym_bn, name)), name
+        assert callable(getattr(home, name)), name
 
 
 # the functions of src/prymck that no bench/reference.json command enters,

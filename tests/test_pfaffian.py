@@ -13,7 +13,6 @@ from hypothesis import given, strategies as st
 from prymck import cli, prym_bn, selfcheck
 from prymck.pfaffian import (
     SkewMatrix,
-    augment_odd,
     det_fraction_free,
     perm_sign,
     pfaffian_matchings,
@@ -23,9 +22,27 @@ from prymck.series_ring import ThetaPoly
 
 
 def random_skew(rng, n, den=4):
-    return SkewMatrix.from_upper(
-        n, lambda i, j: Fraction(rng.randint(-9, 9), rng.randint(1, den))
-    )
+    return SkewMatrix(n, lambda i, j: Fraction(rng.randint(-9, 9), rng.randint(1, den)))
+
+
+def stored(n, upper):
+    """The n x n matrix whose strict upper triangle is the dict upper."""
+    return SkewMatrix(n, lambda i, j: upper[i, j])
+
+
+def prime_skew(n):
+    """The n x n matrix with a distinct prime at each upper cell, row by row."""
+    primes = iter(PRIMES)
+    return SkewMatrix(n, lambda i, j: next(primes))
+
+
+def bordered(inner, boundary, last=True):
+    """inner with one more index holding boundary[j] against inner's index j:
+    last, at (j, n), or first, at (0, j + 1)."""
+    n = inner.n
+    if last:
+        return SkewMatrix(n + 1, lambda i, j: boundary[i] if j == n else inner.entry(i, j))
+    return SkewMatrix(n + 1, lambda i, j: boundary[j - 1] if i == 0 else inner.entry(i - 1, j - 1))
 
 
 def reference_pfaffian_permutations(m):
@@ -110,7 +127,7 @@ class Support:
 
 def test_two_by_two():
     a = Fraction(7, 3)
-    m = SkewMatrix(2, {(0, 1): a})
+    m = SkewMatrix(2, lambda i, j: a)
     assert pfaffian_matchings(m) == a
     assert pfaffian_permutations(m) == a
 
@@ -118,14 +135,14 @@ def test_two_by_two():
 def test_four_by_four_textbook_expansion():
     # distinct primes so every matching is distinguishable
     vals = {(0, 1): 2, (0, 2): 3, (0, 3): 5, (1, 2): 7, (1, 3): 11, (2, 3): 13}
-    m = SkewMatrix(4, {k: Fraction(v) for k, v in vals.items()})
+    m = SkewMatrix(4, lambda i, j: Fraction(vals[i, j]))
     expected = Fraction(2 * 13 - 3 * 11 + 5 * 7)
     assert pfaffian_matchings(m) == expected
     assert pfaffian_permutations(m) == expected
 
 
 def test_odd_size_rejected():
-    m = SkewMatrix.from_upper(3, lambda i, j: Fraction(1))
+    m = SkewMatrix(3, lambda i, j: Fraction(1))
     with pytest.raises(ValueError):
         pfaffian_matchings(m)
     with pytest.raises(ValueError):
@@ -133,7 +150,7 @@ def test_odd_size_rejected():
 
 
 def test_empty_matrix():
-    m = SkewMatrix(0, {})
+    m = SkewMatrix(0, lambda i, j: Fraction(1))
     assert pfaffian_matchings(m) == 1
     assert pfaffian_permutations(m) == 1
 
@@ -166,7 +183,7 @@ def swapped(m, i, j):
     """m with rows and columns i and j exchanged simultaneously."""
     perm = list(range(m.n))
     perm[i], perm[j] = perm[j], perm[i]
-    return SkewMatrix.from_upper(m.n, lambda a, b: m.entry(perm[a], perm[b]))
+    return SkewMatrix(m.n, lambda a, b: m.entry(perm[a], perm[b]))
 
 
 def test_row_swap_antisymmetry():
@@ -178,98 +195,85 @@ def test_row_swap_antisymmetry():
                 assert pfaffian_matchings(swapped(m, i, j)) == -pfaffian_matchings(m)
 
 
+def test_constructor_calls_entry_once_per_upper_cell_row_major():
+    # selfcheck's seeded random matrices draw their entries in this order
+    for n in range(7):
+        calls = []
+        m = SkewMatrix(n, lambda i, j: calls.append((i, j)) or Fraction(i + 1, j + 1))
+        assert calls == [(i, j) for i in range(n) for j in range(i + 1, n)]
+        assert m.rows() == [
+            [0 if i == j else Fraction(i + 1, j + 1) if i < j else -Fraction(j + 1, i + 1) for j in range(n)]
+            for i in range(n)
+        ]
+
+
 def test_augment_single():
+    # a one-part system: the boundary index 1 alone against index 0
     a = Fraction(5, 2)
-    inner = SkewMatrix(1, {})
-    m = augment_odd(inner, [a])
+    m = bordered(SkewMatrix(1, lambda i, j: 0), [a])
     assert m.n == 2
     assert pfaffian_matchings(m) == a
 
 
 def test_augment_three():
     m12, m13, m23 = Fraction(2), Fraction(3), Fraction(5)
-    inner = SkewMatrix(3, {(0, 1): m12, (0, 2): m13, (1, 2): m23})
+    inner = stored(3, {(0, 1): m12, (0, 2): m13, (1, 2): m23})
     a, b, c = Fraction(7), Fraction(11), Fraction(13)
-    m = augment_odd(inner, [a, b, c])
+    m = bordered(inner, [a, b, c])
+    assert m.rows()[3] == [-a, -b, -c, 0]
     assert pfaffian_matchings(m) == a * m23 - b * m13 + c * m12
 
 
 def test_augment_with_first_row_is_singular():
-    # repeating the inner first row as the boundary row duplicates a row
+    # repeating the inner first row as the boundary column makes that
+    # column the negated first column
     rng = random.Random(2718)
     for _ in range(5):
         inner = random_skew(rng, 3)
-        row0 = [inner.entry(0, j) for j in range(3)]
-        m = augment_odd(inner, row0)
+        m = bordered(inner, [inner.entry(0, j) for j in range(3)])
         assert pfaffian_matchings(m) == 0
         assert det_fraction_free(m.rows()) == 0
 
 
-def test_augment_length_mismatch():
-    inner = SkewMatrix(3, {})
-    with pytest.raises(ValueError):
-        augment_odd(inner, [Fraction(1)] * 2)
+@pytest.mark.parametrize("n", [1, 3, 5, 7])
+def test_boundary_last_has_the_boundary_first_pfaffian(n):
+    # moving the boundary index from first to last is an odd permutation of
+    # n + 1 indices, and storing its values at (j, n) rather than (n, j)
+    # negates that row and column: the two signs cancel, in either engine
+    rng = random.Random(3030 + n)
+    inner = random_skew(rng, n, den=5)
+    boundary = [Fraction(rng.randint(1, 9) * rng.choice((-1, 1)), rng.randint(1, 5)) for _ in range(n)]
+    first, last = bordered(inner, boundary, last=False), bordered(inner, boundary)
+    pf = pfaffian_matchings(first)
+    assert pf != 0
+    assert pfaffian_matchings(last) == pf
+    assert pfaffian_permutations(last) == pfaffian_permutations(first) == pf
 
 
 def test_matching_engine_reads_the_stored_triangle(monkeypatch):
-    # pfaffian_matchings, and augment_odd before it, read the stored upper
-    # triangle without entry(): on seeded int and Fraction matrices, on odd
-    # ones with unstored (zero) entries augmented, and on the matrices of
-    # both class routes, the values are those taken through entry()
+    # pfaffian_matchings reads the stored upper triangle without entry():
+    # on seeded int and Fraction matrices, and on the matrices of both class
+    # routes, the values are those taken through entry()
     rng = random.Random(4242)
-    even = [SkewMatrix.from_upper(n, lambda i, j: rng.randint(-9, 9)) for n in (2, 4, 6, 8)]
+    even = [SkewMatrix(n, lambda i, j: rng.randint(-9, 9)) for n in (2, 4, 6, 8)]
     even += [random_skew(rng, n) for n in (2, 4, 6, 8)]
-    sparse = [
-        (
-            SkewMatrix(
-                n,
-                {
-                    (i, j): Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-                    for i in range(n)
-                    for j in range(i + 1, n)
-                    if rng.randint(0, 2)
-                },
-            ),
-            [rng.randint(-9, 9) for _ in range(n)],
-        )
-        for n in (1, 3, 5, 7)
-    ]
     partitions = list(prym_bn.strict_partitions(45, 5, 9))
     problems = selfcheck._suite_problems(7)
 
     def values():
         return (
             [pfaffian_matchings(m) for m in even],
-            [pfaffian_matchings(augment_odd(m, row0)) for m, row0 in sparse],
             [prym_bn.chow_class_pfaffian(lam) for lam in partitions],
             [prym_bn.ch_k_class(p) for p in problems],
         )
 
     want = values()
-    assert all(len(m._upper) < m.n * (m.n - 1) // 2 for m, _ in sparse[1:])
 
     def refuse(self, i, j):
         raise AssertionError(f"entry({i}, {j}) read")
 
     monkeypatch.setattr(SkewMatrix, "entry", refuse)
     assert values() == want
-
-
-@pytest.mark.parametrize(
-    "n, missing",
-    [(4, ((0, 2), (2, 3))), (6, ((0, 3), (4, 5)))],
-    ids=["n4", "n6"],
-)
-def test_matching_engine_reads_an_unstored_entry_as_zero(n, missing):
-    # distinct primes, with one entry of the first index's row and one entry
-    # that only a last pair reads left out: each reads as the int 0, so the
-    # Pfaffian is that of the matrix with 0 stored there, by either engine
-    primes = iter((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47))
-    full = {(i, j): next(primes) for i in range(n) for j in range(i + 1, n)}
-    stored = SkewMatrix(n, {k: v for k, v in full.items() if k not in missing})
-    zeros = SkewMatrix(n, {**full, **dict.fromkeys(missing, 0)})
-    assert len(stored._upper) == len(zeros._upper) - 2
-    assert pfaffian_matchings(stored) == pfaffian_matchings(zeros) == pfaffian_permutations(zeros)
 
 
 @pytest.mark.parametrize("bad", ["1/2", 0.5, Decimal("0.5")], ids=["str", "float", "Decimal"])
@@ -288,7 +292,7 @@ def test_proportional_rows_give_zero():
     upper[(1, 2)] = c * base[(0, 2)]
     upper[(1, 3)] = c * base[(0, 3)]
     upper[(2, 3)] = Fraction(7)
-    m = SkewMatrix(4, upper)
+    m = stored(4, upper)
     pf = pfaffian_matchings(m)
     assert det_fraction_free(m.rows()) == 0
     assert pf * pf == 0
@@ -311,7 +315,7 @@ def test_perm_sign_basics():
 @pytest.mark.parametrize("n", range(2, 16, 2))
 def test_matching_engine_expands_each_sub_pfaffian_once(n):
     log = []
-    m = SkewMatrix.from_upper(n, lambda i, j: Support((i, j), log))
+    m = SkewMatrix(n, lambda i, j: Support((i, j), log))
     assert pfaffian_matchings(m).indices == frozenset(range(n))
     # every product is a(s_0, s_k) * Pf(S - {s_0, s_k}) for one index set S,
     # none is taken twice, and each S expanded takes |S| - 1 of them, one
@@ -326,7 +330,7 @@ def test_matching_engine_expands_each_sub_pfaffian_once(n):
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
 def test_matching_engine_sums_each_signed_matching_once(n):
-    m = SkewMatrix.from_upper(n, Terms.letter)
+    m = SkewMatrix(n, Terms.letter)
     expected = Counter()
     for sigma in itertools.permutations(range(n)):
         pairs = tuple((sigma[2 * b], sigma[2 * b + 1]) for b in range(n // 2))
@@ -346,8 +350,7 @@ def test_permutation_engine_matches_reference_random():
 def test_permutation_engine_distinct_primes_n8():
     # every entry a distinct prime, so no two signed terms can cancel by
     # accident and a wrong sign on any permutation changes the total
-    upper = dict(zip(((i, j) for i in range(8) for j in range(i + 1, 8)), PRIMES))
-    m = SkewMatrix(8, upper)
+    m = prime_skew(8)
     pf = pfaffian_permutations(m)
     assert pf == reference_pfaffian_permutations(m)
     assert pf == pfaffian_matchings(m)
@@ -367,7 +370,7 @@ def test_permutation_engine_theta_poly_entries():
     rng = random.Random(1357)
     cap = 4
     for n in (4, 6):
-        m = SkewMatrix.from_upper(
+        m = SkewMatrix(
             n,
             lambda i, j: ThetaPoly(
                 cap, [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(cap + 1)]
@@ -381,7 +384,7 @@ def test_permutation_engine_theta_poly_entries():
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
 def test_permutation_engine_adds_one_term_per_permutation(n):
-    m = SkewMatrix.from_upper(n, Terms.letter)
+    m = SkewMatrix(n, Terms.letter)
     total = pfaffian_permutations(m)
     assert len(total.terms) == factorial(n)
     half = n // 2
@@ -424,7 +427,7 @@ def test_permutation_engine_takes_one_product_per_node(n):
     # shared between nodes or factored out of two leaves, and then the one
     # normalization scale
     log = []
-    pfaffian_permutations(SkewMatrix.from_upper(n, lambda i, j: Products(log)))
+    pfaffian_permutations(SkewMatrix(n, lambda i, j: Products(log)))
     products = sum(factorial(n) // factorial(n - 2 * k) for k in range(2, n // 2 + 1))
     assert products == (0, 24, 1080, 62160)[n // 2 - 1]
     assert log == [Products] * products + [Fraction]
@@ -439,7 +442,7 @@ def prime_denominator_skew(rng, n):
         num = rng.randint(1, 9)
         num += num % p == 0  # keep p in the reduced denominator
         upper[ij] = Fraction(rng.choice((-1, 1)) * num, p)
-    return SkewMatrix(n, upper)
+    return stored(n, upper)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
@@ -453,7 +456,7 @@ def test_permutation_engine_prime_denominators(n):
 
 def test_permutation_engine_mixed_int_and_fraction_entries():
     rng = random.Random(8642)
-    m = SkewMatrix.from_upper(
+    m = SkewMatrix(
         6,
         lambda i, j: rng.randint(-9, 9) if (i + j) % 2 else Fraction(rng.randint(-9, 9), 5),
     )
@@ -463,7 +466,7 @@ def test_permutation_engine_mixed_int_and_fraction_entries():
 
 
 def test_permutation_engine_zero_matrix():
-    m = SkewMatrix(6, {})
+    m = SkewMatrix(6, lambda i, j: 0)
     pf = pfaffian_permutations(m)
     assert isinstance(pf, Fraction) and pf == 0
 
@@ -482,14 +485,7 @@ class NoArithFraction(Fraction):
 def test_permutation_engine_runs_on_ints_for_rational_entries():
     for n in (2, 4, 6, 8):
         plain = prime_denominator_skew(random.Random(2000 + n), n)
-        guarded = SkewMatrix(
-            n,
-            {
-                (i, j): NoArithFraction(plain.entry(i, j))
-                for i in range(n)
-                for j in range(i + 1, n)
-            },
-        )
+        guarded = SkewMatrix(n, lambda i, j: NoArithFraction(plain.entry(i, j)))
         # the matching-engine control from n = 4 on: at n = 2 it returns the
         # entry itself, with no arithmetic for the guard to refuse
         if n > 2:
@@ -551,7 +547,7 @@ def cyclic_garbage(fn, *args):
 
 
 def theta_skew(rng, n, cap=4):
-    return SkewMatrix.from_upper(
+    return SkewMatrix(
         n,
         lambda i, j: ThetaPoly(cap, [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(cap + 1)]),
     )
@@ -560,7 +556,7 @@ def theta_skew(rng, n, cap=4):
 @pytest.mark.parametrize(
     "m",
     [
-        SkewMatrix(8, dict(zip(((i, j) for i in range(8) for j in range(i + 1, 8)), PRIMES))),
+        prime_skew(8),
         random_skew(random.Random(4242), 8, den=7),
         theta_skew(random.Random(4343), 6),
     ],
@@ -614,9 +610,8 @@ def test_engines_free_their_working_set_when_an_entry_raises(engine):
     # the sixth product raises, with the memo, or the grid and the totals,
     # half built: they go with the exception, so a cleanup that runs only
     # after a normal return would leave them to the collector
-    budget = [5]
-    pairs = ((i, j) for i in range(8) for j in range(i + 1, 8))
-    m = SkewMatrix(8, {ij: Budgeted(p, budget) for ij, p in zip(pairs, PRIMES)})
+    budget, primes = [5], iter(PRIMES)
+    m = SkewMatrix(8, lambda i, j: Budgeted(next(primes), budget))
 
     def expand_until_refused():
         try:

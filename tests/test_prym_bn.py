@@ -13,7 +13,7 @@ from test_pfaffian import Terms, cyclic_garbage
 from prymck import exact_arith, operator_engine, pfaffian, prym_bn, selfcheck
 from prymck.exact_arith import abel_coefficient, abel_row
 from prymck.operator_engine import apply_pair_operator, prefactor_expansion
-from prymck.pfaffian import SkewMatrix, augment_odd, perm_sign, pfaffian_matchings
+from prymck.pfaffian import SkewMatrix, perm_sign, pfaffian_matchings
 from prymck.prym_bn import (
     GTable,
     ValidationError,
@@ -234,7 +234,9 @@ def fraction_first_class(p):
     of apply_pair_operator, degrees lambda_i + lambda_j..cap, over
     S = 4^(cap+1) * cap! (int 0 below, all int 0 past the cap), and the
     boundary row from abel_coefficient, c_v / (lambda_j + v)! (Fraction 0
-    below lambda_j, all int 0 past the cap)."""
+    below lambda_j, all int 0 past the cap). The boundary index is placed
+    first, at (0, j + 1), where ch_k_class places it last, at (j, l): the
+    two matrices have one Pfaffian."""
     cap, lam, s, ell = p.g - 1, p.lam, p.s, p.ell
     if not ell:
         return ThetaPoly.one(cap)
@@ -255,10 +257,32 @@ def fraction_first_class(p):
         tail = [abel_coefficient(s[j], d - lj) / factorial(d) for d in range(lj, cap + 1)]
         return ThetaPoly(cap, [Fraction(0)] * lj + tail)
 
-    m = SkewMatrix.from_upper(ell, entry)
-    if ell % 2:
-        m = augment_odd(m, [boundary(j) for j in range(ell)])
-    return pfaffian_matchings(m)
+    if ell % 2 == 0:
+        return pfaffian_matchings(SkewMatrix(ell, entry))
+    return pfaffian_matchings(SkewMatrix(ell + 1, lambda i, j: boundary(j - 1) if i == 0 else entry(i - 1, j - 1)))
+
+
+@pytest.mark.parametrize("ell", range(1, 7))
+def test_class_routes_build_one_matrix_of_even_size(ell, monkeypatch):
+    # one SkewMatrix per call, of size l + l mod 2, the boundary index in
+    # it: no second matrix is built around the first. ch_k_class builds one
+    # for an expected-empty problem too (its entries run the kernel's
+    # guard), and none for one part, which is the boundary entry alone
+    sizes = []
+    build = SkewMatrix.__init__
+
+    def counted(self, n, entry):
+        sizes.append(n)
+        build(self, n, entry)
+
+    monkeypatch.setattr(SkewMatrix, "__init__", counted)
+    lam = tuple(range(ell + 1, 1, -1))
+    chow_class_pfaffian(lam)
+    assert sizes == [ell + ell % 2]
+    for g in (sum(lam) + 3, sum(lam)):
+        sizes.clear()
+        ch_k_class(problem_from_partition(g, lam))
+        assert sizes == ([] if ell == 1 else [ell + ell % 2]), g
 
 
 @pytest.mark.parametrize("g", range(2, 11))
@@ -472,6 +496,18 @@ def test_euler_integrality():
         for lam in strict_partitions(g - 1, 4, 2 * g - 2):
             p = problem_from_partition(g, lam)
             assert euler_theorem(p).denominator == 1
+    # three to six parts and |lambda| <= g - 2, g = 7..16: no int shift, so
+    # the route divides its Fraction, and the quotient is whole
+    problems = [
+        problem_from_partition(g, lam)
+        for g in range(7, 17)
+        for lam in strict_partitions(g - 2, 6, 2 * g - 2)
+        if len(lam) >= 3
+    ]
+    assert len(problems) == 162
+    for p in problems:
+        chi = euler_theorem(p)
+        assert type(chi) is Fraction and chi.denominator == 1, (p.g, p.lam)
 
 
 def _bounded_sequences(length, max_sum):
@@ -583,7 +619,7 @@ def test_matching_sum_signs_equal_oracle_engine(n):
     totals = [0]
     prym_bn._matching_sum(tuple(range(n)), series, (0,), totals)
     [got] = totals
-    want = pfaffian_matchings(SkewMatrix.from_upper(n, Terms.letter))
+    want = pfaffian_matchings(SkewMatrix(n, Terms.letter))
     assert len(got.terms) == factorial(n) // (2 ** (n // 2) * factorial(n // 2))  # (n-1)!!
     assert Counter(got.terms) == Counter(want.terms)
 
