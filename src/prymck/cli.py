@@ -2,9 +2,12 @@
 
 Exit codes: 0 success, 1 selfcheck failure, 2 input validation failure
 (a problem whose estimated work exceeds _WORK_MAX, or whose output has
-more digits than str() converts, included), 3 Euler characteristic
-route mismatch under --verify, 4 internal error, 141 stdout closed by
-its reader (nothing is printed on stderr).
+more digits than str() converts, included), 3 a failed check, any
+exact_arith.CheckFailure (the two Euler characteristic routes disagreeing
+under --verify, a chi that is not an integer, or a nonzero cell below
+the entry kernel's base degree), 4 internal error, 141 stdout closed by
+its reader (nothing is printed on stderr). Nothing is printed on stdout
+before a failed check.
 
 The options of every subcommand are described once, in _COMMANDS.
 _read_args reads a well-formed argv from that table without argparse;
@@ -29,7 +32,7 @@ import types
 from math import comb, lgamma, log, prod
 
 from . import __version__, selfcheck
-from .exact_arith import format_rational
+from .exact_arith import CheckFailure, format_rational
 from .prym_bn import (
     SYMBOLIC,
     ValidationError,
@@ -497,10 +500,8 @@ def run_chi(args) -> int:
         other = euler_oracle(problem)
         if chi != other:
             # chi passed the digit check; the oracle's value may not have
-            fits = max(abs(other.numerator), other.denominator) < 10**limit
-            shown = other if fits else f"(more than {limit} digits)"
-            print(f"error: route mismatch: theorem={chi} oracle={shown}", file=sys.stderr)
-            return 3
+            shown = other if abs(other) < 10**limit else f"(more than {limit} digits)"
+            raise CheckFailure(f"route mismatch: theorem={chi} oracle={shown}")
     if args.output == "json":
         result = {"kind": "euler_characteristic", "chi": format_rational(chi)}
         _print_json(_json_document(problem, result, -1, (), {"relation": "theta_prime = 2*xi"}))
@@ -678,6 +679,9 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except CheckFailure as exc:  # a route mismatch, a chi that is not whole, the kernel's guard
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except Exception as exc:  # a fault in prymck itself, not in the input
         detail = " ".join(f"{type(exc).__name__}: {exc}".split())
         print(f"error: internal: {detail}", file=sys.stderr)

@@ -1,7 +1,7 @@
 """Exact integer and rational arithmetic helpers.
 
 Every quantity in this package is an arbitrary-precision int or a
-fractions.Fraction; no floating point is used anywhere. Two conventions
+fractions.Fraction; no floating point is used anywhere. Three conventions
 that the rest of the code relies on live here:
 
 * binomial coefficients are defined for an arbitrary integer top index by
@@ -10,7 +10,9 @@ that the rest of the code relies on live here:
   formula diverge term by term and are evaluated in Abel-summed form,
   as the T^v coefficient of (1 + T)^s / (2 + T); one recurrence gives
   them scaled to ints, as a whole row (abel_row) or the last alone
-  (abel_last).
+  (abel_last);
+* a computed value that fails a check, a chi that is not an integer
+  among them, raises CheckFailure.
 """
 
 from __future__ import annotations
@@ -27,6 +29,13 @@ __all__ = [
     "format_rational",
     "parse_rational",
 ]
+
+
+class CheckFailure(ArithmeticError):
+    """A check on a computed value failed: a chi that is not an integer,
+    two chi routes that disagree, or an entry kernel cell that is nonzero
+    below its base degree. The command line exits 3 on it. Not exported:
+    it is in no __all__."""
 
 
 def binom_gen(s: int, t: int) -> int:

@@ -83,12 +83,14 @@ divides S^(n/2) out once per degree of the product.
 
 The kernel also computes the cells below L inside the cap, those with
 k < -x (and k >= -l_j, x + k <= min(-1, cap - L)), and raises
-ArithmeticError if one is nonzero, which the interaction's zeros at b > a
-rule out. The recurrence reads those cells only from cells of the same
-region, so they cost no others, and they are all 0 when the kernel is
-right: E_0[k] = P_i[0] * P_j[k] is 0 below k = 0, and every later row
-keeps them 0. With B < 0 (an expected-empty problem) there is no window,
-and the kernel runs the guard alone and returns None.
+exact_arith.CheckFailure, an ArithmeticError, if one is nonzero, which
+the interaction's zeros at b > a rule out (the command line exits 3 on
+it, as on any failed check). The recurrence reads those cells only from
+cells of the same region, so they cost no others, and they are all 0
+when the kernel is right: E_0[k] = P_i[0] * P_j[k] is 0 below k = 0, and
+every later row keeps them 0. With B < 0 (an expected-empty problem)
+there is no window, and the kernel runs the guard alone and returns
+None.
 
 Costs per entry, with R = l_j + B its row bound: O(R * B) window cells
 and O(l_j^2) guard cells, each one product with P_i[x] and the window's
@@ -102,6 +104,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, prod
 
+from .exact_arith import CheckFailure
 from .series_ring import ThetaPoly
 
 __all__ = [
@@ -202,7 +205,7 @@ def apply_pair_operator(base, prefactors_i, prefactors_j, cap: int, excess: int)
     table of weights is built either. A call holds O(base_j + excess) ints
     and keeps nothing between calls. Every term has b <= a, so the degrees
     below L vanish; the kernel computes those inside the cap, the guard,
-    and raises ArithmeticError if one is not 0. With excess < 0 there is
+    and raises CheckFailure if one is not 0. With excess < 0 there is
     no window: the guard runs alone and None is returned. Raises
     ValueError on negative bases, on prefactor rows of other than cap + 1
     ints (rows built at another cap) and on a window past the cap.
@@ -233,7 +236,7 @@ def apply_pair_operator(base, prefactors_i, prefactors_j, cap: int, excess: int)
         e = [c - d - a - b for c, d, a, b in zip(cur, last[1:], e, e[1:])]
         last, low = cur, max(lj - x, 0)
         if any(e[:low]):
-            raise ArithmeticError(f"apply_pair_operator: row {x} is nonzero below the base degree {li + lj}")
+            raise CheckFailure(f"apply_pair_operator: row {x} is nonzero below the base degree {li + lj}")
         w = start  # C(L + deg, li + x) at jj = t, deg = x + t - lj
         for t in range(low, len(e)):
             window[x + t - lj] += e[t] * w

@@ -44,7 +44,9 @@ read. The theorem route walks and
 signs its own matchings, depth first in _matching_sum, and imports
 nothing from the Pfaffian engines or the series ring for it. The routes
 must agree exactly, which the test suite and the command line
-verification switch enforce.
+verification switch enforce. Both return chi as an int, each by one exact
+division (_whole), and a nonzero remainder raises exact_arith.CheckFailure:
+chi is the Euler characteristic of a coherent sheaf, an integer.
 
 g_coeff, GTable and enumerate_f state the formula's pair coefficients and
 degree distributions term by term, in Fractions. No route calls them:
@@ -66,7 +68,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial, prod
 
-from .exact_arith import _abel_ints, abel_row
+from .exact_arith import CheckFailure, _abel_ints, abel_row
 from .operator_engine import apply_pair_operator, prefactor_expansion
 from .pfaffian import SkewMatrix, pfaffian_matchings
 from .series_ring import BetaPoly, ThetaPoly
@@ -361,8 +363,8 @@ def ch_k_class(problem: PrymProblem) -> ThetaPoly:
     matrix is a product of n/2 entries, so S^(n/2) is divided out once per
     degree: degrees |lambda|..cap are Fractions and the degrees below int
     0. The kernel computes each entry's cells below its base degree inside
-    the cap by the same recurrence, its guard, and raises ArithmeticError
-    if one is nonzero. With B < 0 every pair entry still goes through the
+    the cap by the same recurrence, its guard, and raises CheckFailure if
+    one is nonzero. With B < 0 every pair entry still goes through the
     kernel and its guard, every entry is None, and the class is the zero
     series of int 0s, as theta'^|lambda| lies above the cap. One part is
     the boundary entry alone (_one_part_class).
@@ -428,16 +430,29 @@ def ck_class(problem: PrymProblem, beta_mode) -> ThetaPoly:
     return ThetaPoly(ch.cap, [lift(d, c) for d, c in enumerate(ch.coeffs)])
 
 
-def euler_oracle(problem: PrymProblem) -> Fraction:
-    """Euler characteristic by integrating the expanded class.
+def _whole(num: int, den: int, route: str, lam, g: int) -> int:
+    """num / den as an int: chi of lambda = lam at genus g by the named
+    route. chi is the Euler characteristic of a coherent sheaf, so the
+    division must be exact. One divmod takes it, and a nonzero remainder
+    raises CheckFailure naming the check, the route, lambda and g; the
+    message is built only then."""
+    chi, rest = divmod(num, den)
+    if rest:
+        raise CheckFailure(f"integrality: the {route} route's chi at lambda={lam}, g={g} is not an integer")
+    return chi
+
+
+def euler_oracle(problem: PrymProblem) -> int:
+    """Euler characteristic by integrating the expanded class, an int.
 
     The integral of theta'^(g-1) = (2*xi)^(g-1) over the (g-1)-dimensional
     Prym variety is 2^(g-1) * (g-1)!, so only the top coefficient of
-    ch_k_class contributes.
+    ch_k_class contributes: its numerator times 2^(g-1) * (g-1)! over its
+    denominator, one division that must be exact (_whole).
     """
     cap = problem.g - 1
     top = ch_k_class(problem).coeff(cap)
-    return top * Fraction(2**cap * factorial(cap))
+    return _whole(top.numerator * factorial(cap) << cap, top.denominator, "oracle", problem.lam, problem.g)
 
 
 def g_coeff(m: int, i: int, j: int, lam, v) -> Fraction:
@@ -602,8 +617,8 @@ def _matching_sum(rest, series, degrees, totals, sign=1, prefix=None):
             totals[i] += sum(map(operator.mul, head, last[d::-1])) * term
 
 
-def euler_theorem(problem: PrymProblem) -> Fraction | int:
-    """Euler characteristic by the closed summation formula.
+def euler_theorem(problem: PrymProblem) -> int:
+    """Euler characteristic by the closed summation formula, an int.
 
     The formula sums over shift sequences v, signed perfect matchings of
     the (possibly augmented) index set, and distributions f of the
@@ -624,19 +639,19 @@ def euler_theorem(problem: PrymProblem) -> Fraction | int:
 
     It is euler_theorem_genera at the one genus g, whose walk reads the
     x^B coefficient, B = h - |lambda|, with H = h: the sum over the
-    matchings over 2^(B + l) * h!^(n/2 - 1), times 2^h. With one or two
-    parts and g - 1 >= |lambda| it returns that int shifted, an int.
+    matchings over 2^(B + l) * h!^(n/2 - 1), times 2^h, divided exactly
+    or CheckFailure raised. With one or two parts and g - 1 >= |lambda| it
+    returns that int shifted. When g - 1 < |lambda| it returns 0.
 
     Must equal euler_oracle exactly.
     """
     return euler_theorem_genera(problem, (problem.g,))[0]
 
 
-def euler_theorem_genera(problem: PrymProblem, genera) -> list:
+def euler_theorem_genera(problem: PrymProblem, genera) -> list[int]:
     """euler_theorem for the partition of problem at each genus of genera,
     an ascending sequence, from one walk at the largest; problem.g is not
-    read. A genus with g - 1 < |lambda| gives Fraction 0, and with one or
-    two parts every other genus an int.
+    read. Every value is an int: a genus with g - 1 < |lambda| gives 0.
 
     Each index sits in exactly one pair of a matching and each pair takes
     its own degree f_b, so for one matching the sum over (v, f) with
@@ -673,9 +688,10 @@ def euler_theorem_genera(problem: PrymProblem, genera) -> list:
 
         chi(g) = M_d * h! * 2^h / (2^(d + l) * H!^(n/2)),
 
-    taken as M_d * 2^h over 2^(d + l) * H!^(n/2 - 1) * (H! / h!), the last
-    factor 1 at the largest genus. The sums stay on ints up to one
-    Fraction per genus, whose reduction is the integrality check. With one
+    taken as M_d * 2^|lambda| over 2^l * H!^(n/2 - 1) * (H! / h!), the
+    last factor 1 at the largest genus. The sums stay on ints, and each
+    genus takes one divmod (_whole), whose remainder must be 0: a nonzero
+    one raises CheckFailure, the integrality check. With one
     or two parts the one matching's lone series is read at each x^d, where
     L + d = h, so nothing is scaled, and chi is that int x shifted:
     x * 2^(|lambda| + d) / 2^(d + l) = x * 2^(|lambda| - l), an int, as
@@ -689,8 +705,8 @@ def euler_theorem_genera(problem: PrymProblem, genera) -> list:
     lam, ell, s, size = problem.lam, problem.ell, problem.s, problem.codim
     degrees = [g - 1 - size for g in genera if g > size]
     if not degrees or not ell:  # no parts: no pair takes the budget h >= 1
-        return [Fraction(0) for _ in genera]
-    chis = [Fraction(0) for g in genera if g <= size]
+        return [0] * len(genera)
+    chis = [0] * (len(genera) - len(degrees))
     budget = degrees[-1]
     if ell == 1:  # the boundary pair's series is the Abel row, read at each x^d as the walk passes it
         wanted = set(degrees)
@@ -726,10 +742,10 @@ def euler_theorem_genera(problem: PrymProblem, genera) -> list:
             scale *= low + t
     sums = [0] * len(degrees)
     _matching_sum(indices, series, degrees, sums)
-    den = hf ** (half - 1) << ell  # times (H! / h!) << d at x^d
-    return chis + [
-        Fraction(m << (size + d), den * prod(range(size + d + 1, top + 1)) << d) for d, m in zip(degrees, sums)
-    ]
+    den = hf ** (half - 1) << ell  # times H! / h! at x^d, h = |lambda| + d
+    for d, m in zip(degrees, sums):
+        chis.append(_whole(m << size, den * prod(range(size + d + 1, top + 1)), "theorem", lam, size + d + 1))
+    return chis
 
 
 def classical_coefficient(r: int) -> Fraction:

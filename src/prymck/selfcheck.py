@@ -166,7 +166,7 @@ def check_oracle_equivalence():
 
 def check_integrality():
     for p in _suite_problems(7):
-        yield prym_bn.euler_theorem(p).denominator == 1
+        yield type(prym_bn.euler_theorem(p)) is int
 
 
 def check_zero_dimensional_degree():

@@ -3,14 +3,15 @@ the property tests, so every run and every Python draws the same cases and
 a failure replays; without the variable the default profile applies.
 
 broken_kernel_start corrupts the start of the oracle kernel's recurrence
-for a test, and theta_products records the ThetaPoly products it takes."""
+for a test, off_by_one_walk the theorem route's matching totals, and
+theta_products records the ThetaPoly products it takes."""
 
 import os
 
 import pytest
 from hypothesis import settings
 
-from prymck import operator_engine
+from prymck import operator_engine, prym_bn
 from prymck.series_ring import ThetaPoly
 
 settings.register_profile("ci", derandomize=True)
@@ -30,6 +31,21 @@ def broken_kernel_start(monkeypatch):
         return row[: low - 1] + (1,) + row[low:] if low else row
 
     monkeypatch.setattr(operator_engine, "_padded", broken)
+
+
+@pytest.fixture
+def off_by_one_walk(monkeypatch):
+    """The theorem route's matching walk with 1 added to each total after
+    the top-level walk, so that from four indices on no total M_d is a
+    whole multiple of its denominator (one or two parts take no walk)."""
+    true = prym_bn._matching_sum
+
+    def shifted(rest, series, degrees, totals, *below):
+        true(rest, series, degrees, totals, *below)
+        if not below:  # the top-level call; the walk's own levels pass sign and prefix
+            totals[:] = [m + 1 for m in totals]
+
+    monkeypatch.setattr(prym_bn, "_matching_sum", shifted)
 
 
 @pytest.fixture

@@ -19,6 +19,7 @@ import prymck.cli as cli
 import prymck.prym_bn as prym_bn
 from prymck import selfcheck
 from prymck.cli import main
+from prymck.exact_arith import CheckFailure
 from prymck.series_ring import BetaPoly, ThetaPoly
 
 
@@ -238,6 +239,57 @@ def test_chi_verify_names_an_oracle_value_over_the_str_limit(capsys, monkeypatch
     assert (code, out) == (3, "")
     assert err.startswith("error: route mismatch: theorem=")
     assert err.endswith(f" oracle=(more than {cli._str_limit()} digits)\n")
+
+
+@pytest.mark.parametrize(
+    ("argv", "g"),
+    [
+        (("chi", "-g", "12", "-a", "1,2,3"), 12),
+        (("chi", "-g", "12", "-a", "1,2,3", "--verify"), 12),
+        # the first partition of three parts, (3, 2, 1), enters at g = 7
+        (("table", "--g-max", "7"), 7),
+    ],
+    ids=("chi", "chi-verify", "table"),
+)
+def test_a_chi_that_is_not_an_integer_exits_3(capsys, off_by_one_walk, argv, g):
+    # a route fault that breaks integrality is a failed check: exit 3 with
+    # nothing on stdout, where a Fraction chi printed p/q with exit 0
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == f"error: integrality: the theorem route's chi at lambda=(3, 2, 1), g={g} is not an integer\n"
+
+
+def test_an_oracle_chi_that_is_not_an_integer_exits_3(capsys, monkeypatch):
+    # the top coefficient of the class moved by half of 1 / (2^cap * cap!):
+    # the oracle's division leaves a remainder, and --verify names the oracle
+    real = prym_bn.ch_k_class
+
+    def nudged(problem):
+        poly = real(problem)
+        cap = poly.cap
+        return ThetaPoly(cap, (*poly.coeffs[:-1], poly.coeffs[-1] + Fraction(1, 2 ** (cap + 1) * factorial(cap))))
+
+    monkeypatch.setattr(prym_bn, "ch_k_class", nudged)
+    with pytest.raises(CheckFailure, match="oracle"):
+        prym_bn.euler_oracle(prym_bn.problem_from_partition(12, (3, 2, 1)))
+    code, out, err = run_cli(capsys, "chi", "-g", "12", "-a", "1,2,3", "--verify")
+    assert (code, out) == (3, "")
+    assert err == "error: integrality: the oracle route's chi at lambda=(3, 2, 1), g=12 is not an integer\n"
+    # the theorem route alone reads no class
+    assert run_cli(capsys, "chi", "-g", "12", "-a", "1,2,3")[:2] == (0, "-84744\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("class", "-g", "10", "-a", "1,2", "--beta", "-1"), ("chi", "-g", "10", "-a", "1,2", "--verify")],
+    ids=("class", "chi-verify"),
+)
+def test_the_kernel_guard_exits_3(capsys, broken_kernel_start, argv):
+    # a nonzero cell below an entry's base degree is a failed check, not an
+    # internal error: exit 3, not 4
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == "error: apply_pair_operator: row 0 is nonzero below the base degree 3\n"
 
 
 def test_chi_json(capsys):

@@ -11,7 +11,7 @@ import pytest
 from test_pfaffian import Terms, cyclic_garbage
 
 from prymck import exact_arith, operator_engine, pfaffian, prym_bn, selfcheck
-from prymck.exact_arith import abel_coefficient, abel_row
+from prymck.exact_arith import CheckFailure, abel_coefficient, abel_row
 from prymck.operator_engine import apply_pair_operator, prefactor_expansion
 from prymck.pfaffian import SkewMatrix, perm_sign, pfaffian_matchings
 from prymck.prym_bn import (
@@ -303,7 +303,7 @@ def test_ch_k_class_rejects_nonzero_low_degree(broken_kernel_start):
     # and 1) and on an expected-empty problem (B = -1), whose entries still
     # go through the kernel
     for g, lam in ((8, (2, 1)), (8, (3, 2, 1)), (6, (3, 2, 1))):
-        with pytest.raises(ArithmeticError):
+        with pytest.raises(CheckFailure):
             ch_k_class(problem_from_partition(g, lam))
 
 
@@ -492,12 +492,14 @@ def test_euler_routes_agree():
 
 
 def test_euler_integrality():
+    # chi is one type, int, at every part count, expected-empty problems
+    # (|lambda| > g - 1, at g = 2..5 with up to 4 parts) included
     for g in range(2, 6):
-        for lam in strict_partitions(g - 1, 4, 2 * g - 2):
-            p = problem_from_partition(g, lam)
-            assert euler_theorem(p).denominator == 1
+        for lam in strict_partitions(2 * g, 4, 2 * g - 2):
+            chi = euler_theorem(problem_from_partition(g, lam))
+            assert type(chi) is int, (g, lam)
     # three to six parts and |lambda| <= g - 2, g = 7..16: no int shift, so
-    # the route divides its Fraction, and the quotient is whole
+    # the route runs its checked division, and the quotient is an int
     problems = [
         problem_from_partition(g, lam)
         for g in range(7, 17)
@@ -507,7 +509,60 @@ def test_euler_integrality():
     assert len(problems) == 162
     for p in problems:
         chi = euler_theorem(p)
-        assert type(chi) is Fraction and chi.denominator == 1, (p.g, p.lam)
+        assert type(chi) is int, (p.g, p.lam)
+
+
+def test_euler_oracle_is_an_int():
+    # the oracle's one checked division gives an int at every part count:
+    # the empty partition, one part, expected-empty problems and more parts
+    for g in range(2, 8):
+        for lam in strict_partitions(2 * g, 4, 2 * g - 2):
+            chi = euler_oracle(problem_from_partition(g, lam))
+            assert type(chi) is int, (g, lam)
+
+
+def test_theorem_route_builds_no_fraction(monkeypatch):
+    # the walk and its division run on ints alone: no Fraction is built,
+    # from one part to six and at genera below |lambda| + 1
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("the theorem route built a Fraction")
+
+    problems = [problem_from_partition(sum(lam) + 1, lam) for lam in strict_partitions(21, 6, 42)[1:]]
+    assert {p.ell for p in problems} == {1, 2, 3, 4, 5, 6}
+    want = [euler_theorem_genera(p, range(2, 24)) for p in problems]
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    assert [euler_theorem_genera(p, range(2, 24)) for p in problems] == want
+
+
+def test_theorem_route_raises_on_a_remainder(off_by_one_walk):
+    # the checked division: a total that is no whole multiple of its
+    # denominator raises, naming the check, the route, lambda and g
+    with pytest.raises(CheckFailure) as raised:
+        euler_theorem(problem_from_partition(12, (3, 2, 1)))
+    assert str(raised.value) == "integrality: the theorem route's chi at lambda=(3, 2, 1), g=12 is not an integer"
+    # a genus read below |lambda| + 1 is 0 with no division, and one or two
+    # parts take no division
+    assert euler_theorem_genera(problem_from_partition(7, (3, 2, 1)), (2, 6)) == [0, 0]
+    assert euler_theorem(problem_from_partition(12, (3, 2))) == euler_oracle(problem_from_partition(12, (3, 2)))
+
+
+def test_sign_law():
+    """(-1)^rho * chi > 0 whenever rho = g - 1 - |lambda| >= 0, on all
+    12,767 values with g <= 31 and at most six parts, one
+    euler_theorem_genera walk per partition.
+
+    A checked conjecture, not a proved fact: it follows from the
+    conjectural count of shifted set-valued tableaux (ROADMAP item 3), in
+    which chi is (-1)^rho times a positive count. The empty partition is
+    left out: its chi, that of the Prym variety itself, is 0.
+    """
+    values = 0
+    for lam in strict_partitions(30, 6, 60)[1:]:
+        low = sum(lam) + 1
+        for g, chi in zip(range(low, 32), euler_theorem_genera(problem_from_partition(low, lam), range(low, 32))):
+            assert (-1) ** (g - low) * chi > 0, (lam, g)
+            values += 1
+    assert values == 12767
 
 
 def _bounded_sequences(length, max_sum):
@@ -696,7 +751,7 @@ def test_one_part_theorem_holds_one_abel_value():
 def test_genus_reads_equal_per_genus_runs():
     # every strict lambda of up to six parts: one walk at g = 24 read at each
     # genus from 2 equals a run at that genus alone (3,528 nonzero reads),
-    # and the oracle up to g = 18; a genus with g - 1 < |lambda| reads 0
+    # and the oracle up to g = 18; a genus with g - 1 < |lambda| reads int 0
     genera = tuple(range(2, 25))
     lengths = set()
     reads = 0
@@ -707,7 +762,7 @@ def test_genus_reads_equal_per_genus_runs():
         assert len(got) == len(genera)
         for g, chi in zip(genera, got):
             if g - 1 < p.codim:
-                assert chi == 0 and type(chi) is Fraction, (lam, g)
+                assert chi == 0 and type(chi) is int, (lam, g)
                 continue
             at_g = problem_from_partition(g, lam)
             assert chi == euler_theorem(at_g), (lam, g)
