@@ -1,8 +1,9 @@
 """Command line interface: single problems, batch tables, self checks.
 
-Exit codes: 0 success, 1 selfcheck failure, 2 input validation failure
-(a problem whose estimated work exceeds _WORK_MAX, or whose output has
-more digits than str() converts, included), 3 a failed check, any
+Exit codes: 0 success, 1 selfcheck failure, 2 input validation failure,
+any exact_arith.ValidationError (a problem whose estimated work exceeds
+_WORK_MAX, or whose output has more digits than str() converts,
+included), 3 a failed check, any
 exact_arith.CheckFailure (the two Euler characteristic routes disagreeing
 under --verify, a chi that is not an integer, or a nonzero cell below
 the entry kernel's base degree), 4 internal error, 141 stdout closed by
@@ -32,10 +33,9 @@ import types
 from math import comb, lgamma, log, prod
 
 from . import __version__, selfcheck
-from .exact_arith import CheckFailure, format_rational
+from .exact_arith import CheckFailure, ValidationError, format_rational
 from .prym_bn import (
     SYMBOLIC,
-    ValidationError,
     build_problem,
     chow_class_closed,
     class_result,

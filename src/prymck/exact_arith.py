@@ -11,12 +11,19 @@ that the rest of the code relies on live here:
   as the T^v coefficient of (1 + T)^s / (2 + T); one recurrence gives
   them scaled to ints, as a whole row (abel_row) or the last alone
   (abel_last);
-* a computed value that fails a check, a chi that is not an integer
-  among them, raises CheckFailure.
+* an integer input is a genuine integer, read through operator.index
+  and never a bool (_strict_int, _strict_ints), and an exact value is an
+  int or a Fraction, never a bool (_exact); every module applies these
+  two rules through these helpers, and writes no test of its own;
+* an input that breaks a rule or an admissibility bound raises
+  ValidationError, a ValueError, and a computed value that fails a check,
+  a chi that is not an integer among them, raises CheckFailure, an
+  ArithmeticError.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from math import factorial, prod
@@ -31,11 +38,48 @@ __all__ = [
 ]
 
 
+class ValidationError(ValueError):
+    """Input data violates an admissibility bound, or a value is not the
+    integer asked for. The command line exits 2 on it. Exported as
+    prymck.ValidationError, through prym_bn.__all__."""
+
+
 class CheckFailure(ArithmeticError):
     """A check on a computed value failed: a chi that is not an integer,
     two chi routes that disagree, or an entry kernel cell that is nonzero
     below its base degree. The command line exits 3 on it. Not exported:
     it is in no __all__."""
+
+
+def _strict_int(value, what: str) -> int:
+    """value as an int when it is a genuine integer (not a bool, float or str)."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValidationError(f"{what} must be an integer (got {value!r})")
+
+
+def _strict_ints(values, what: str) -> tuple:
+    """The entries of values as a tuple of ints, each by _strict_int's rule."""
+    try:
+        items = tuple(values)
+    except TypeError:
+        raise ValidationError(f"{what} must be a sequence of integers (got {values!r})") from None
+    # one C-level pass when every entry is a genuine integer; otherwise the
+    # entry by entry walk names the first one that is not
+    if bool not in map(type, items):
+        try:
+            return tuple(map(operator.index, items))
+        except TypeError:
+            pass
+    return tuple(_strict_int(x, f"{what} entry") for x in items)
+
+
+def _exact(x) -> bool:
+    """Whether x is an exact value: an int or a Fraction, never a bool."""
+    return type(x) is not bool and isinstance(x, (int, Fraction))
 
 
 def binom_gen(s: int, t: int) -> int:
@@ -98,7 +142,7 @@ def format_rational(x) -> str:
     Raises TypeError for anything else, a bool, float, Decimal or str
     included: the value is printed as it is, never converted first.
     """
-    if type(x) is bool or not isinstance(x, (int, Fraction)):
+    if not _exact(x):
         raise TypeError(f"format_rational: {x!r} is not an int or a Fraction")
     return str(x)
 

@@ -37,14 +37,15 @@ keeps and the leaf that flips the parity; the prefix times the first
 pairs is one list comprehension, the second level one map(mul, ...) and
 each parity total one sum(map(mul, ...)).
 
-Rational matrices are put over one common denominator D first, the lcm of
-the entry denominators: the permutation walk and the Bareiss elimination
-then run on the ints D * entry, and D^(n/2) (for the Pfaffian) or D^n (for
-the determinant) is divided out in the one final Fraction. The
-determinant takes Rational entries only, ints and Fractions, and reads
-their numerators and denominators without converting them. The first-index
-expansion walks the entries as they are, straight from the stored upper
-triangle: every index tuple it expands is increasing.
+Matrices whose every entry is an int or a Fraction (exact_arith._exact)
+are put over one common denominator D first, the lcm of the entry
+denominators: the permutation walk and the Bareiss elimination then run on
+the ints D * entry, and D^(n/2) (for the Pfaffian) or D^n (for the
+determinant) is divided out in the one final Fraction. The determinant
+takes only ints and Fractions, never a bool, and reads their numerators
+and denominators without converting them. The first-index expansion
+walks the entries as they are, straight from the stored upper triangle:
+every index tuple it expands is increasing.
 
 A SkewMatrix is built once and whole, from one callable giving every entry
 of its strict upper triangle, and every entry it holds is stored: nothing
@@ -57,8 +58,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import factorial, lcm
-from numbers import Rational
 from operator import itemgetter, mul
+
+from .exact_arith import _exact
 
 __all__ = [
     "SkewMatrix",
@@ -220,11 +222,11 @@ def pfaffian_permutations(m: SkewMatrix):
     addition, as many as the walk takes one level at a time. n = 2 adds
     its two leaves directly.
 
-    When every entry is Rational, the grid is first put over one common
-    denominator D (the lcm of the entry denominators) and the walk runs on
-    the ints D * entry; every term is a product of n/2 entries, so
-    Pf(D M) = D^(n/2) Pf(M), and D^(n/2) is divided out together with the
-    normalization in the one final Fraction. Other entry rings walk as they
+    When every entry is an int or a Fraction, the grid is first put over
+    one common denominator D (the lcm of the entry denominators) and the
+    walk runs on the ints D * entry; every term is a product of n/2
+    entries, so Pf(D M) = D^(n/2) Pf(M), and D^(n/2) is divided out
+    together with the normalization in the one final Fraction. Other entry rings walk as they
     are; they must contain the rationals, as the normalization is applied
     as an exact Fraction scale.
     """
@@ -236,7 +238,7 @@ def pfaffian_permutations(m: SkewMatrix):
     half = n // 2
     grid = m.rows()
     norm = (1 << half) * factorial(half)
-    if all(isinstance(e, Rational) for row in grid for e in row):
+    if all(_exact(e) for row in grid for e in row):
         den = lcm(*(e.denominator for row in grid for e in row))
         grid = [[e.numerator * (den // e.denominator) for e in row] for row in grid]
         norm *= den**half
@@ -282,14 +284,15 @@ def _permutation_walk(left, prefix, odd, grid, plan, totals):
 def det_fraction_free(rows) -> Fraction:
     """Determinant by fraction-free (Bareiss) elimination, exact throughout.
 
-    Entries must be Rational: ints or Fractions. Their numerators and
-    denominators are read as they are, and an entry that has none, such as
-    the str "1/2", the float 0.5 or a Decimal, raises TypeError naming it;
-    nothing is converted. The entries are put over one common denominator D
-    (the lcm of their denominators) and the elimination runs on the ints
-    D * entry. Every Bareiss quotient is exact, so each step divides with
-    divmod and a nonzero remainder raises ArithmeticError;
-    det(D A) = D^n det(A), and D^n is divided out in the one final Fraction.
+    Entries must be ints or Fractions, by exact_arith._exact. Their
+    numerators and denominators are read as they are, and any other entry,
+    such as the str "1/2", the float 0.5, a Decimal or a bool, raises
+    TypeError naming it; nothing is converted. The entries are put over
+    one common denominator D (the lcm of their denominators) and the
+    elimination runs on the ints D * entry. Every Bareiss quotient is
+    exact, so each step divides with divmod and a nonzero remainder raises
+    ArithmeticError; det(D A) = D^n det(A), and D^n is divided out in the
+    one final Fraction.
 
     Independent of both Pfaffian routes; used as the Pf(M)^2 == det(M)
     cross-check oracle.
@@ -298,14 +301,12 @@ def det_fraction_free(rows) -> Fraction:
     n = len(a)
     if any(len(r) != n for r in a):
         raise ValueError("det_fraction_free: grid is not square")
+    bad = [x for row in a for x in row if not _exact(x)]
+    if bad:
+        raise TypeError(f"det_fraction_free: entry {bad[0]!r} is not an int or a Fraction")
     if n == 0:
         return Fraction(1)
-    try:
-        den = lcm(*(x.denominator for row in a for x in row))
-    except (AttributeError, TypeError):
-        # ints and Fractions have int denominators, so lcm failed on another
-        bad = next(x for row in a for x in row if not isinstance(x, (int, Fraction)))
-        raise TypeError(f"det_fraction_free: entry {bad!r} is not an int or a Fraction") from None
+    den = lcm(*(x.denominator for row in a for x in row))
     a = [[x.numerator * (den // x.denominator) for x in row] for row in a]
     sign = 1
     prev = 1

@@ -68,7 +68,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial, prod
 
-from .exact_arith import CheckFailure, _abel_ints, abel_row
+from .exact_arith import CheckFailure, ValidationError, _abel_ints, _strict_int, _strict_ints, abel_row
 from .operator_engine import apply_pair_operator, prefactor_expansion
 from .pfaffian import SkewMatrix, pfaffian_matchings
 from .series_ring import BetaPoly, ThetaPoly
@@ -92,10 +92,6 @@ __all__ = [
 
 
 SYMBOLIC = "symbolic"
-
-
-class ValidationError(ValueError):
-    """Input data violates an admissibility bound."""
 
 
 class PrymProblem(namedtuple("PrymProblem", "g r a lam ell s dim_prym parity expected_empty")):
@@ -124,16 +120,6 @@ class PrymProblem(namedtuple("PrymProblem", "g r a lam ell s dim_prym parity exp
         return self.dim_prym - self.codim
 
 
-def _strict_int(value, what: str) -> int:
-    """value as an int when it is a genuine integer (not a bool, float or str)."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValidationError(f"{what} must be an integer (got {value!r})")
-
-
 def _is_mode(beta_mode, mode) -> bool:
     """Whether beta_mode names the mode mode: "symbolic" only as that str,
     0 and -1 only as genuine integers, by _strict_int's rule (a bool, a
@@ -144,21 +130,6 @@ def _is_mode(beta_mode, mode) -> bool:
         return _strict_int(beta_mode, "beta_mode") == mode
     except ValidationError:
         return False
-
-
-def _strict_ints(values, what: str) -> tuple:
-    try:
-        items = tuple(values)
-    except TypeError:
-        raise ValidationError(f"{what} must be a sequence of integers (got {values!r})") from None
-    # one C-level pass when every entry is a genuine integer; otherwise the
-    # entry by entry walk names the first one that is not
-    if bool not in map(type, items):
-        try:
-            return tuple(map(operator.index, items))
-        except TypeError:
-            pass
-    return tuple(_strict_int(x, f"{what} entry") for x in items)
 
 
 def build_problem(g: int, r: int, a) -> PrymProblem:
@@ -232,9 +203,9 @@ def strict_partitions(max_size: int, max_len: int, max_part: int):
 def _validated_strict(lam) -> tuple:
     lam = _strict_ints(lam, "partition")
     if lam and min(lam) <= 0:
-        raise ValueError(f"partition parts must be positive, got {lam}")
+        raise ValidationError(f"partition parts must be positive, got {lam}")
     if not all(map(operator.gt, lam, lam[1:])):
-        raise ValueError(f"partition must be strictly decreasing, got {lam}")
+        raise ValidationError(f"partition must be strictly decreasing, got {lam}")
     return lam
 
 

@@ -165,8 +165,13 @@ def check_oracle_equivalence():
 
 
 def check_integrality():
+    # the theorem route's chi is an int, and so is the oracle's unrounded
+    # value, the top coefficient times 2^(g-1) * (g-1)!, taken in exact
+    # arithmetic rather than through its checked division
     for p in _suite_problems(7):
-        yield type(prym_bn.euler_theorem(p)) is int
+        cap = p.g - 1
+        unrounded = prym_bn.ch_k_class(p).coeff(cap) * (factorial(cap) << cap)
+        yield type(prym_bn.euler_theorem(p)) is int and unrounded.denominator == 1
 
 
 def check_zero_dimensional_degree():

@@ -15,7 +15,12 @@ A series holds exactly what its caller builds: ThetaPoly(cap, coeffs)
 takes exactly cap + 1 coefficients and raises ValueError on any other
 count rather than pad or cut, and BetaPoly stores int and Fraction
 coefficients as given and raises TypeError on anything else. Neither
-converts or copies a value.
+converts or copies a value. A cap, a monomial's degree and a BetaPoly
+exponent follow exact_arith's integer rule (_strict_int): anything
+else, a bool or a float included, raises ValidationError. A BetaPoly
+coefficient or a scalar factor follows its exact-value rule (_exact), an
+int or a Fraction; arithmetic with any other scalar returns
+NotImplemented.
 
 Every product runs one schoolbook loop over the nonzero coefficient
 pairs, whatever the coefficient ring. The routes only multiply series of
@@ -28,10 +33,8 @@ from __future__ import annotations
 
 import operator
 import re
-from fractions import Fraction
-from numbers import Rational
 
-from .exact_arith import format_rational, parse_rational
+from .exact_arith import _exact, _strict_int, format_rational, parse_rational
 
 __all__ = ["BetaPoly", "ThetaPoly"]
 
@@ -52,13 +55,10 @@ class BetaPoly:
         data = {}
         if coeffs:
             for exp, c in coeffs.items():
-                try:
-                    exp = operator.index(exp)
-                except TypeError:
-                    raise ValueError(f"BetaPoly: exponent {exp!r} is not an integer") from None
+                exp = _strict_int(exp, "BetaPoly: exponent")
                 if exp < 0:
                     raise ValueError(f"BetaPoly: negative exponent {exp}")
-                if type(c) is bool or not isinstance(c, (int, Fraction)):
+                if not _exact(c):
                     raise TypeError(f"BetaPoly: coefficient {c!r} is not an int or a Fraction")
                 if c:
                     data[exp] = c
@@ -74,12 +74,12 @@ class BetaPoly:
     def __eq__(self, other):
         if isinstance(other, BetaPoly):
             return self._coeffs == other._coeffs
-        if isinstance(other, Rational):
+        if _exact(other):
             return self._coeffs == ({0: other} if other else {})
         return NotImplemented
 
     def __add__(self, other):
-        if isinstance(other, Rational):
+        if _exact(other):
             other = BetaPoly({0: other})
         if not isinstance(other, BetaPoly):
             return NotImplemented
@@ -91,7 +91,7 @@ class BetaPoly:
     __radd__ = __add__
 
     def __mul__(self, other):
-        if isinstance(other, Rational):
+        if _exact(other):
             return BetaPoly({e: c * other for e, c in self._coeffs.items()})
         if not isinstance(other, BetaPoly):
             return NotImplemented
@@ -154,6 +154,8 @@ class ThetaPoly:
     __slots__ = ("_cap", "_coeffs")
 
     def __init__(self, cap: int, coeffs):
+        if type(cap) is not int:  # every product passes an int cap, and skips the call
+            cap = _strict_int(cap, "ThetaPoly: cap")
         if cap < 0:
             raise ValueError(f"ThetaPoly: cap must be nonnegative, got {cap}")
         coeffs = tuple(coeffs)
@@ -180,6 +182,7 @@ class ThetaPoly:
 
     @classmethod
     def monomial(cls, cap: int, degree: int, coeff) -> "ThetaPoly":
+        degree = _strict_int(degree, "ThetaPoly.monomial: degree")
         if degree < 0:
             raise ValueError(f"ThetaPoly.monomial: negative degree {degree}")
         vals = [0] * (cap + 1)
@@ -213,7 +216,7 @@ class ThetaPoly:
         return ThetaPoly(self._cap, map(operator.neg, self._coeffs))
 
     def __mul__(self, other):
-        """Product truncated at the cap, or scaling by a Rational.
+        """Product truncated at the cap, or scaling by an int or a Fraction.
 
         The product is the schoolbook sum over nonzero coefficient pairs: a
         slot no nonzero pair reaches is int 0 (every slot, when an operand
@@ -231,12 +234,12 @@ class ThetaPoly:
                     if c2:
                         out[d1 + d2] = out[d1 + d2] + c1 * c2
             return ThetaPoly(self._cap, out)
-        if isinstance(other, Rational):
+        if _exact(other):
             return ThetaPoly(self._cap, [c * other for c in self._coeffs])
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, Rational):
+        if _exact(other):
             return ThetaPoly(self._cap, [other * c for c in self._coeffs])
         return NotImplemented
 
@@ -265,10 +268,7 @@ class ThetaPoly:
     def from_json_dict(cls, d) -> "ThetaPoly":
         if not (isinstance(d, dict) and "cap" in d and "coeffs" in d):
             raise ValueError("ThetaPoly: expected an object with 'cap' and 'coeffs'")
-        cap = d["cap"]
-        if not isinstance(cap, int) or isinstance(cap, bool):
-            raise ValueError(f"ThetaPoly: cap {cap!r} is not an integer")
         raw = d["coeffs"]
         if not isinstance(raw, (list, tuple)):
             raise ValueError(f"ThetaPoly: coeffs {raw!r} is not a list")
-        return cls(cap, [BetaPoly.from_json_obj(c) if isinstance(c, dict) else parse_rational(c) for c in raw])
+        return cls(d["cap"], [BetaPoly.from_json_obj(c) if isinstance(c, dict) else parse_rational(c) for c in raw])

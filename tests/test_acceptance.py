@@ -45,8 +45,13 @@ def test_criterion_01_theorem_vs_oracle(suite):
 
 def test_criterion_03_integrality(suite):
     results, _ = suite
+    # the theorem route's chi is an int, and the oracle's value before its
+    # checked division, the top coefficient times 2^(g-1) * (g-1)!, is whole
     for p, theorem, _ in results:
-        assert theorem.denominator == 1, (p.g, p.lam, theorem)
+        cap = p.g - 1
+        unrounded = Fraction(ch_k_class(p).coeff(cap)) * factorial(cap) * 2**cap
+        assert type(theorem) is int, (p.g, p.lam, theorem)
+        assert unrounded.denominator == 1, (p.g, p.lam, unrounded)
     print(f"criterion-3 integrality: PASS ({len(results)} problems)")
 
 

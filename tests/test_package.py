@@ -49,6 +49,44 @@ def test_reference_only_helpers_are_not_exported():
         assert callable(getattr(home, name)), name
 
 
+def _scoped_nodes(node, scope):
+    # (dotted name of the innermost enclosing def or class, node) for every
+    # node below node; a def or class is itself in the scope around it
+    for child in ast.iter_child_nodes(node):
+        yield scope, child
+        inner = f"{scope}.{child.name}" if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
+        yield from _scoped_nodes(child, inner)
+
+
+def test_exact_input_rules_are_written_once():
+    # what is an integer (_strict_int, _strict_ints) and what is an exact
+    # value (_exact) is decided in exact_arith alone, and so are the two
+    # failure classes; every other module calls these helpers
+    package = pathlib.Path(prymck.__file__).resolve().parent
+    exact_tests, index_reads, defined = set(), set(), {}
+    for path in sorted(package.glob("*.py")):
+        for scope, node in _scoped_nodes(ast.parse(path.read_text(encoding="utf-8")), path.stem):
+            if isinstance(node, ast.Import):
+                assert all(alias.name != "numbers" for alias in node.names), scope
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "numbers", scope
+                assert node.module != "operator" or "index" not in {a.name for a in node.names}, scope
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                kinds = {getattr(e, "id", None) for e in getattr(node.args[1], "elts", ())}
+                if {"int", "Fraction"} <= kinds:
+                    exact_tests.add(scope)
+            elif isinstance(node, ast.Attribute) and node.attr == "index":
+                if getattr(node.value, "id", None) == "operator":
+                    index_reads.add(scope)
+            elif isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                defined.setdefault(node.name, set()).add(scope)
+    assert exact_tests == {"exact_arith._exact"}
+    assert index_reads == {"exact_arith._strict_int", "exact_arith._strict_ints"}
+    for name in ("ValidationError", "CheckFailure", "_strict_int", "_strict_ints", "_exact"):
+        assert defined[name] == {"exact_arith"}, name
+    assert prymck.ValidationError is prym_bn.ValidationError is exact_arith.ValidationError
+
+
 # the functions of src/prymck that no bench/reference.json command enters,
 # each with the reason it stays
 _TRACED = "wrapped by name in bench/layer_trace.py; ROADMAP items 1b and 6"

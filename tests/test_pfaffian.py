@@ -276,11 +276,14 @@ def test_matching_engine_reads_the_stored_triangle(monkeypatch):
     assert values() == want
 
 
-@pytest.mark.parametrize("bad", ["1/2", 0.5, Decimal("0.5")], ids=["str", "float", "Decimal"])
+@pytest.mark.parametrize("bad", ["1/2", 0.5, Decimal("0.5"), True], ids=["str", "float", "Decimal", "bool"])
 def test_det_refuses_entries_that_are_not_int_or_fraction(bad):
-    # Fraction() would take each of them; the determinant converts nothing
+    # Fraction() would take each of them; the determinant converts nothing,
+    # and a bool is not an exact value, though it has denominator 1
     with pytest.raises(TypeError, match=re.escape(f"entry {bad!r} is not an int or a Fraction")):
         det_fraction_free([[Fraction(1, 3), 2], [bad, -1]])
+    with pytest.raises(TypeError, match=re.escape(f"entry {bad!r} is not an int or a Fraction")):
+        det_fraction_free([[bad]])
 
 
 def test_proportional_rows_give_zero():

@@ -175,12 +175,18 @@ def test_chow_closed_values():
 
 
 def test_chow_closed_rejects_non_strict():
-    with pytest.raises(ValueError):
-        chow_class_closed((2, 2))
-    with pytest.raises(ValueError):
-        chow_class_closed((1, 2))
-    with pytest.raises(ValueError):
-        chow_class_closed((2, 0))
+    # every fault of a partition is an input fault, as a part that is not
+    # an integer is: a repeated, increasing, zero or negative part
+    for lam, message in (
+        ((2, 2), "partition must be strictly decreasing, got (2, 2)"),
+        ((1, 2), "partition must be strictly decreasing, got (1, 2)"),
+        ((2, 0), "partition parts must be positive, got (2, 0)"),
+        ((0,), "partition parts must be positive, got (0,)"),
+        ((2, -1), "partition parts must be positive, got (2, -1)"),
+    ):
+        for route in (chow_class_closed, chow_class_pfaffian):
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                route(lam)
 
 
 def test_chow_pfaffian_values():
@@ -482,6 +488,16 @@ def test_one_part_class_is_the_chern_character_of_a_divisor(g):
     # degree g - 1
     want = [0] + [-Fraction(-1, 2) ** d / factorial(d) for d in range(1, g)]
     assert list(ch_k_class(problem_from_partition(g, (1,))).coeffs) == want
+
+
+def test_lambda_2_class_is_the_square_of_the_divisor_class():
+    # ROADMAP item 20's lambda = (2) anchor, an identity the code satisfies
+    # at every genus checked, not a proof of it: the class is
+    # (1 - e^(-theta'/2))^2, the square of the lambda = (1) class above,
+    # truncated at degree g - 1 (at g = 2 both sides are the zero series)
+    for g in range(2, 40):
+        divisor = ThetaPoly(g - 1, [0] + [-Fraction(-1, 2) ** d / factorial(d) for d in range(1, g)])
+        assert ch_k_class(problem_from_partition(g, (2,))) == divisor * divisor, g
 
 
 def test_euler_routes_agree():

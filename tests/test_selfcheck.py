@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from prymck import selfcheck
+from prymck import prym_bn, selfcheck
 from prymck.series_ring import ThetaPoly
 
 # case counts, as `prymck selfcheck` prints them
@@ -144,6 +144,20 @@ def test_int_reference_sums_catch_one_wrong_value(monkeypatch, wrong):
     true = getattr(selfcheck, name)
     monkeypatch.setattr(selfcheck, name, lambda *args: bump(true(*args)) if args == at else true(*args))
     assert selfcheck._tally(check()) == (False, passed)
+
+
+def test_integrality_check_reads_the_oracle_unrounded(monkeypatch):
+    # a class whose top coefficient is a third of the true one leaves the
+    # theorem route's int chi as it is; the check still fails, at its first
+    # case with a part, lambda = (1) at g = 2, whose unrounded value is 1/3
+    true = prym_bn.ch_k_class
+
+    def third(problem):
+        ch = true(problem)
+        return ThetaPoly(ch.cap, ch.coeffs[:-1] + (Fraction(ch.coeffs[-1], 3),))
+
+    monkeypatch.setattr(prym_bn, "ch_k_class", third)
+    assert selfcheck._tally(selfcheck.check_integrality()) == (False, 1)
 
 
 def test_pfaffian_engines_200_matrices():

@@ -5,6 +5,7 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
+from prymck.exact_arith import ValidationError
 from prymck.series_ring import BetaPoly, ThetaPoly
 
 
@@ -62,6 +63,23 @@ def test_theta_poly_takes_exactly_cap_plus_one_values():
     with pytest.raises(TypeError):
         ThetaPoly(3)
     assert ThetaPoly(3, range(4)).coeffs == (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ThetaPoly(True, [1, 2]),
+        lambda: ThetaPoly(2.0, [1, 2, 3]),
+        lambda: ThetaPoly.monomial(3, True, 5),
+        lambda: BetaPoly({True: 3}),
+    ],
+    ids=["bool cap", "float cap", "bool degree", "bool exponent"],
+)
+def test_integer_slots_refuse_bools_and_floats(build):
+    # a cap, a degree and an exponent are genuine integers, by
+    # exact_arith._strict_int: a bool is not read as 1, nor 2.0 as 2
+    with pytest.raises(ValidationError):
+        build()
 
 
 def test_theta_poly_zero_and_monomial_hold_int_zeros():
