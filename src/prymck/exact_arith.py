@@ -1,7 +1,7 @@
 """Exact integer and rational arithmetic helpers.
 
 Every quantity in this package is an arbitrary-precision int or a
-fractions.Fraction; no floating point is used anywhere. Three conventions
+fractions.Fraction; no floating point is used anywhere. Four conventions
 that the rest of the code relies on live here:
 
 * binomial coefficients are defined for an arbitrary integer top index by
@@ -12,9 +12,14 @@ that the rest of the code relies on live here:
   them scaled to ints, as a whole row (abel_row) or the last alone
   (abel_last);
 * an integer input is a genuine integer, read through operator.index
-  and never a bool (_strict_int, _strict_ints), and an exact value is an
-  int or a Fraction, never a bool (_exact); every module applies these
-  two rules through these helpers, and writes no test of its own;
+  and never a bool, and at least its lower bound where one applies
+  (_strict_int, _strict_ints), and an exact value is an int or a
+  Fraction, never a bool (_exact); every module applies these two rules
+  through these helpers, and writes no test of its own: no function
+  outside this module tests an argument's sign, but build_problem and
+  the partition check, whose messages name the bound in the user's
+  terms. A hot caller may skip the call when type(x) is int and x is in
+  range;
 * an input that breaks a rule or an admissibility bound raises
   ValidationError, a ValueError, and a computed value that fails a check,
   a chi that is not an integer among them, raises CheckFailure, an
@@ -51,30 +56,33 @@ class CheckFailure(ArithmeticError):
     it is in no __all__."""
 
 
-def _strict_int(value, what: str) -> int:
-    """value as an int when it is a genuine integer (not a bool, float or str)."""
-    if not isinstance(value, bool):
+def _strict_int(value, what: str, low=None) -> int:
+    """value as an int when it is a genuine integer (not a bool, float or
+    str) and, when low is given, at least low; ValidationError otherwise."""
+    if type(value) is not bool:
         try:
-            return operator.index(value)
+            n = operator.index(value)
         except TypeError:
             pass
-    raise ValidationError(f"{what} must be an integer (got {value!r})")
+        else:
+            if low is None or n >= low:
+                return n
+    bound = "" if low is None else f" >= {low}"
+    raise ValidationError(f"{what} must be an integer{bound} (got {value!r})")
 
 
-def _strict_ints(values, what: str) -> tuple:
-    """The entries of values as a tuple of ints, each by _strict_int's rule."""
+def _strict_ints(values, what: str, low=None) -> tuple:
+    """The entries of values as a tuple of ints, each by _strict_int's rule
+    with the lower bound low."""
     try:
         items = tuple(values)
     except TypeError:
         raise ValidationError(f"{what} must be a sequence of integers (got {values!r})") from None
-    # one C-level pass when every entry is a genuine integer; otherwise the
-    # entry by entry walk names the first one that is not
-    if bool not in map(type, items):
-        try:
-            return tuple(map(operator.index, items))
-        except TypeError:
-            pass
-    return tuple(_strict_int(x, f"{what} entry") for x in items)
+    # C-level passes when every entry is an int in range; otherwise the entry
+    # by entry walk reads each through _strict_int and names the first it refuses
+    if set(map(type, items)) <= {int} and (low is None or not items or min(items) >= low):
+        return items
+    return tuple(_strict_int(x, f"{what} entry", low) for x in items)
 
 
 def _exact(x) -> bool:
@@ -89,8 +97,8 @@ def binom_gen(s: int, t: int) -> int:
     included). For s >= 0 it agrees with the ordinary binomial; in
     particular it is 0 when 0 <= s < t.
     """
-    if t < 0:
-        raise ValueError(f"binom_gen: t must be nonnegative, got {t}")
+    if type(s) is not int or type(t) is not int or t < 0:  # selfcheck's thousands of calls skip these
+        s, t = _strict_int(s, "binom_gen: s"), _strict_int(t, "binom_gen: t", 0)
     # product of t consecutive integers, so division by t! is exact
     return prod(range(s - t + 1, s + 1)) // factorial(t)
 
@@ -103,8 +111,8 @@ def _abel_ints(s: int, n: int):
     is binom(s, v-1) * (s - v + 1) / v, an exact division for any integer s.
     The whole walk costs O(n) big-int steps and holds two values at a time.
     """
-    if n < 0:
-        raise ValueError(f"Abel row: n must be nonnegative, got {n}")
+    if type(s) is not int or type(n) is not int or n < 0:  # every route passes ints, and skips the calls
+        s, n = _strict_int(s, "Abel row: s"), _strict_int(n, "Abel row: n", 0)
     binom, prev = 1, 0
     for v in range(n + 1):
         if v:
@@ -131,8 +139,7 @@ def abel_coefficient(s: int, v: int) -> Fraction:
     This is the regularized value of the divergent alternating sum
     sum_{u>=0} (-1)^u binom(u+s, v), read off abel_last(s, v).
     """
-    if v < 0:
-        raise ValueError(f"abel_coefficient: v must be nonnegative, got {v}")
+    v = _strict_int(v, "abel_coefficient: v", 0)
     return Fraction(abel_last(s, v), 2 ** (v + 1))
 
 

@@ -104,7 +104,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, prod
 
-from .exact_arith import CheckFailure
+from .exact_arith import CheckFailure, _strict_int, _strict_ints
 from .series_ring import ThetaPoly
 
 __all__ = [
@@ -114,7 +114,7 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def prefactor_expansion(s: int, cap: int) -> tuple:
     """T^0..T^cap coefficients of (1 + T)^s / (2 + T), the beta = -1 prefactor,
     as the ints 2^(cap+1) * c_v that apply_pair_operator reads.
@@ -127,9 +127,12 @@ def prefactor_expansion(s: int, cap: int) -> tuple:
     route reads the same c_v from exact_arith.abel_row, another recurrence,
     so the two chi routes share no arithmetic helper. For general beta the
     coefficient is (-beta)^v times c_v (see the module docstring).
+
+    s is an integer and cap an integer >= 0, by exact_arith._strict_int's
+    rule, or ValidationError is raised. The cache is keyed by type, so a
+    bool never reads the row of its int.
     """
-    if cap < 0:
-        raise ValueError(f"prefactor_expansion: cap must be nonnegative, got {cap}")
+    s, cap = _strict_int(s, "prefactor_expansion: s"), _strict_int(cap, "prefactor_expansion: cap", 0)
     ints, prev, a = [], 0, 1
     for v in range(cap + 1):
         ints.append(a << (cap - v))
@@ -137,7 +140,7 @@ def prefactor_expansion(s: int, cap: int) -> tuple:
     return tuple(ints)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def interaction_expansion(cap: int) -> tuple:
     """Coefficients of (1 - R) / (1 + R + T_i), the beta = -1 interaction.
 
@@ -159,10 +162,10 @@ def interaction_expansion(cap: int) -> tuple:
         I[b][a] = [a = b = 0] - [a = b = 1] - I[b][a-1] - I[b-1][a-1],
 
     one column a from the last. The checks compare the closed form with
-    this table, so they check what the kernel relies on.
+    this table, so they check what the kernel relies on. cap is an integer
+    >= 0, and the cache is keyed by type, as prefactor_expansion's.
     """
-    if cap < 0:
-        raise ValueError(f"interaction_expansion: cap must be nonnegative, got {cap}")
+    cap = _strict_int(cap, "interaction_expansion: cap", 0)
     table = [[0] * (cap + 1) for _ in range(cap + 1)]
     table[0][0] = 1
     for a in range(1, cap + 1):
@@ -206,9 +209,11 @@ def apply_pair_operator(base, prefactors_i, prefactors_j, cap: int, excess: int)
     and keeps nothing between calls. Every term has b <= a, so the degrees
     below L vanish; the kernel computes those inside the cap, the guard,
     and raises CheckFailure if one is not 0. With excess < 0 there is
-    no window: the guard runs alone and None is returned. Raises
-    ValueError on negative bases, on prefactor rows of other than cap + 1
-    ints (rows built at another cap) and on a window past the cap.
+    no window: the guard runs alone and None is returned. The bases and
+    the cap are integers >= 0 and the excess an integer, by
+    exact_arith._strict_int's rule, or ValidationError is raised; it raises
+    ValueError on prefactor rows of other than cap + 1 ints (rows built at
+    another cap) and on a window past the cap.
 
     It costs O((base_j + excess) * excess) window cells and O(base_j^2)
     guard cells, each an int product and three additions (a window cell
@@ -218,8 +223,11 @@ def apply_pair_operator(base, prefactors_i, prefactors_j, cap: int, excess: int)
     (see the module docstring).
     """
     li, lj = base
-    if li < 0 or lj < 0:
-        raise ValueError(f"apply_pair_operator: negative base indices ({li}, {lj})")
+    # every route passes ints in range, and skips the calls
+    if not (type(li) is type(lj) is type(cap) is type(excess) is int and min(li, lj, cap) >= 0):
+        li, lj = _strict_ints(base, "apply_pair_operator: base", 0)
+        cap = _strict_int(cap, "apply_pair_operator: cap", 0)
+        excess = _strict_int(excess, "apply_pair_operator: excess")
     if len(prefactors_i) != cap + 1 or len(prefactors_j) != cap + 1:
         raise ValueError(f"apply_pair_operator: prefactor rows need cap + 1 = {cap + 1} ints")
     if excess >= 0 and li + lj + excess > cap:

@@ -60,7 +60,7 @@ from functools import cache
 from math import factorial, lcm
 from operator import itemgetter, mul
 
-from .exact_arith import _exact
+from .exact_arith import _exact, _strict_int
 
 __all__ = [
     "SkewMatrix",
@@ -74,17 +74,17 @@ class SkewMatrix:
     """Square skew-symmetric matrix storing its whole strict upper triangle.
 
     SkewMatrix(n, entry) calls entry(i, j) once for every i < j, row by row
-    (i, then j, increasing), and stores each value. The method entry(i, j)
-    returns the stored value for i < j, its negation for i > j and the
-    int 0 on the diagonal, so skew-symmetry holds by construction.
+    (i, then j, increasing), and stores each value; n is an integer >= 0,
+    by exact_arith._strict_int's rule, or ValidationError is raised. The
+    method entry(i, j) returns the stored value for i < j, its negation
+    for i > j and the int 0 on the diagonal, so skew-symmetry holds by
+    construction.
     """
 
     __slots__ = ("_n", "_upper")
 
     def __init__(self, n: int, entry):
-        if n < 0:
-            raise ValueError(f"SkewMatrix: size must be nonnegative, got {n}")
-        self._n = n
+        self._n = n = _strict_int(n, "SkewMatrix: size", 0)
         self._upper = {(i, j): entry(i, j) for i in range(n) for j in range(i + 1, n)}
 
     @property
@@ -101,8 +101,10 @@ class SkewMatrix:
         return -self._upper[j, i]
 
     def rows(self):
-        """Full grid as a list of lists (diagonal entries are int 0)."""
-        return [[self.entry(i, j) for j in range(self._n)] for i in range(self._n)]
+        """Full grid as a list of lists (diagonal entries are int 0), read
+        straight from the stored triangle, as entry(i, j) reads it."""
+        n, upper = self._n, self._upper
+        return [[upper[i, j] if i < j else -upper[j, i] if i > j else 0 for j in range(n)] for i in range(n)]
 
 
 def pfaffian_matchings(m: SkewMatrix):

@@ -185,7 +185,13 @@ def strict_partitions(max_size: int, max_len: int, max_part: int):
     nested function calling itself, which would be a reference cycle: the
     returned list is held by the caller alone and freed as soon as the
     caller drops it, not kept alive until the next garbage collection.
+    The three bounds are integers, by exact_arith._strict_int's rule, or
+    ValidationError is raised; a bound below 1 leaves the empty partition
+    alone, as callers that step a bound down past 0 read it.
     """
+    max_size = _strict_int(max_size, "strict_partitions: max_size")
+    max_len = _strict_int(max_len, "strict_partitions: max_len")
+    max_part = _strict_int(max_part, "strict_partitions: max_part")
     acc = [()]
     stack = [((), 0)] if max_len > 0 else []
     while stack:
@@ -437,16 +443,16 @@ def g_coeff(m: int, i: int, j: int, lam, v) -> Fraction:
     No route calls it: euler_theorem reads the integer closed form of
     _pair_ints. It stays as the tests' term-by-term reference, and the
     benchmark's tracer wraps it by name, until ROADMAP items 1b and 6. Not
-    exported: it is in no __all__.
+    exported: it is in no __all__. m, i and j are integers >= 0 and lam
+    and v sequences of integers, by exact_arith's integer rule, or
+    ValidationError is raised.
     """
-    lam = tuple(lam)
-    v = tuple(v)
+    lam, v = _strict_ints(lam, "g_coeff: lam"), _strict_ints(v, "g_coeff: v")
+    m, i, j = _strict_int(m, "g_coeff: m", 0), _strict_int(i, "g_coeff: i", 0), _strict_int(j, "g_coeff: j", 0)
     ell = len(lam)
     if len(v) != ell:
         raise ValueError(f"g_coeff: shift sequence has length {len(v)}, expected {ell}")
-    if m < 0:
-        raise ValueError(f"g_coeff: m must be nonnegative, got {m}")
-    if not (0 <= i <= ell and 0 <= j <= ell):
+    if i > ell or j > ell:
         raise ValueError(f"g_coeff: indices ({i}, {j}) out of range 0..{ell}")
     if i == j:
         return Fraction(0)
@@ -500,11 +506,12 @@ def enumerate_f(sigma, k: int, n_pairs: int):
     assignments at all. No route calls it: the pair series sum takes the
     degree of each pair inside its series. It stays as the tests'
     reference, and the benchmark's tracer wraps it by name, until ROADMAP
-    items 1b and 6. Not exported: it is in no __all__.
+    items 1b and 6. Not exported: it is in no __all__. k, n_pairs and the
+    entries of sigma are integers >= 0, by exact_arith's integer rule, or
+    ValidationError is raised.
     """
-    if k < 0:
-        raise ValueError(f"enumerate_f: k must be nonnegative, got {k}")
-    sigma = tuple(sigma)
+    k, n_pairs = _strict_int(k, "enumerate_f: k", 0), _strict_int(n_pairs, "enumerate_f: n_pairs", 0)
+    sigma = _strict_ints(sigma, "enumerate_f: sigma", 0)
     free = [b for b in range(n_pairs) if sigma[2 * b] != 0 and sigma[2 * b + 1] != 0]
     out = []
     for comp in _compositions(k, len(free)):
@@ -621,8 +628,9 @@ def euler_theorem(problem: PrymProblem) -> int:
 
 def euler_theorem_genera(problem: PrymProblem, genera) -> list[int]:
     """euler_theorem for the partition of problem at each genus of genera,
-    an ascending sequence, from one walk at the largest; problem.g is not
-    read. Every value is an int: a genus with g - 1 < |lambda| gives 0.
+    an ascending sequence of integers >= 2 (exact_arith._strict_ints), from
+    one walk at the largest; problem.g is not read. Every value is an int:
+    a genus with g - 1 < |lambda| gives 0.
 
     Each index sits in exactly one pair of a matching and each pair takes
     its own degree f_b, so for one matching the sum over (v, f) with
@@ -670,7 +678,7 @@ def euler_theorem_genera(problem: PrymProblem, genera) -> list[int]:
     the walk of _abel_ints picks up each x^d as it passes, holding one
     value of the row at a time.
     """
-    genera = tuple(genera)
+    genera = _strict_ints(genera, "genera", 2)
     if not genera or not all(map(operator.lt, genera, genera[1:])):
         raise ValueError(f"genera must be a nonempty ascending sequence (got {genera})")
     lam, ell, s, size = problem.lam, problem.ell, problem.s, problem.codim
@@ -728,11 +736,10 @@ def classical_coefficient(r: int) -> Fraction:
     2^C(r,2) * prod_{i=1..r} (i-1)!/(2i-1)! / 2^(r(r+1)/2)
     is compared in the test suite and in selfcheck. No route calls it; it
     stays as the tests' staircase anchor until ROADMAP item 6. Not
-    exported: it is in no __all__.
+    exported: it is in no __all__. r is an integer >= 0, by
+    exact_arith._strict_int's rule, or ValidationError is raised.
     """
-    if r < 0:
-        raise ValueError(f"classical_coefficient: r must be nonnegative, got {r}")
-    return chow_class_closed(tuple(range(r, 0, -1)))
+    return chow_class_closed(tuple(range(_strict_int(r, "classical_coefficient: r", 0), 0, -1)))
 
 
 def class_result(problem: PrymProblem, beta_mode):

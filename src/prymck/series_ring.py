@@ -16,11 +16,12 @@ takes exactly cap + 1 coefficients and raises ValueError on any other
 count rather than pad or cut, and BetaPoly stores int and Fraction
 coefficients as given and raises TypeError on anything else. Neither
 converts or copies a value. A cap, a monomial's degree and a BetaPoly
-exponent follow exact_arith's integer rule (_strict_int): anything
-else, a bool or a float included, raises ValidationError. A BetaPoly
-coefficient or a scalar factor follows its exact-value rule (_exact), an
-int or a Fraction; arithmetic with any other scalar returns
-NotImplemented.
+exponent follow exact_arith's integer rule (_strict_int), each an
+integer >= 0: anything else, a bool, a float or a negative value
+included, raises ValidationError, in the constructors and in zero, one
+and monomial alike. A BetaPoly coefficient or a scalar factor follows
+its exact-value rule (_exact), an int or a Fraction; arithmetic with any
+other scalar returns NotImplemented.
 
 Every product runs one schoolbook loop over the nonzero coefficient
 pairs, whatever the coefficient ring. The routes only multiply series of
@@ -55,9 +56,7 @@ class BetaPoly:
         data = {}
         if coeffs:
             for exp, c in coeffs.items():
-                exp = _strict_int(exp, "BetaPoly: exponent")
-                if exp < 0:
-                    raise ValueError(f"BetaPoly: negative exponent {exp}")
+                exp = _strict_int(exp, "BetaPoly: exponent", 0)
                 if not _exact(c):
                     raise TypeError(f"BetaPoly: coefficient {c!r} is not an int or a Fraction")
                 if c:
@@ -154,10 +153,8 @@ class ThetaPoly:
     __slots__ = ("_cap", "_coeffs")
 
     def __init__(self, cap: int, coeffs):
-        if type(cap) is not int:  # every product passes an int cap, and skips the call
-            cap = _strict_int(cap, "ThetaPoly: cap")
-        if cap < 0:
-            raise ValueError(f"ThetaPoly: cap must be nonnegative, got {cap}")
+        if type(cap) is not int or cap < 0:  # every product passes an int cap, and skips the call
+            cap = _strict_int(cap, "ThetaPoly: cap", 0)
         coeffs = tuple(coeffs)
         if len(coeffs) != cap + 1:
             raise ValueError(f"ThetaPoly: cap {cap} needs {cap + 1} coefficients, got {len(coeffs)}")
@@ -174,6 +171,7 @@ class ThetaPoly:
 
     @classmethod
     def zero(cls, cap: int) -> "ThetaPoly":
+        cap = _strict_int(cap, "ThetaPoly: cap", 0)
         return cls(cap, (0,) * (cap + 1))
 
     @classmethod
@@ -182,9 +180,7 @@ class ThetaPoly:
 
     @classmethod
     def monomial(cls, cap: int, degree: int, coeff) -> "ThetaPoly":
-        degree = _strict_int(degree, "ThetaPoly.monomial: degree")
-        if degree < 0:
-            raise ValueError(f"ThetaPoly.monomial: negative degree {degree}")
+        cap, degree = _strict_int(cap, "ThetaPoly: cap", 0), _strict_int(degree, "ThetaPoly.monomial: degree", 0)
         vals = [0] * (cap + 1)
         if degree <= cap:
             vals[degree] = coeff

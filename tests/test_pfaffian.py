@@ -205,6 +205,7 @@ def test_constructor_calls_entry_once_per_upper_cell_row_major():
             [0 if i == j else Fraction(i + 1, j + 1) if i < j else -Fraction(j + 1, i + 1) for j in range(n)]
             for i in range(n)
         ]
+        assert m.rows() == [[m.entry(i, j) for j in range(n)] for i in range(n)]
 
 
 def test_augment_single():
